@@ -24,7 +24,6 @@ deterministic form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .booleanize import (
     BAnd,
@@ -39,6 +38,7 @@ from .booleanize import (
     booleanize,
 )
 from .common import (
+    InternalConsistencyError,
     StateLimitExceeded,
     all_letters,
     state_ceiling,
@@ -564,105 +564,99 @@ def dpw_nonempty_from(dpw: DPW, q: int) -> bool:
 
 
 def accepting_lasso_from(dpw: DPW, q: int):
-    """A lasso word accepted from q, or None.
-
-    Looks for a reachable cycle of even maximal rank d, stratum by stratum:
-    within the states of rank at most d, any cycle through a rank-d state
-    has even maximal rank.
-    """
+    """A lasso word accepted from q, or None."""
     letters = all_letters(dpw.atoms)
-    reach = {q}
-    queue = [q]
-    while queue:
-        s = queue.pop()
-        for letter in letters:
-            t = dpw.step(s, letter)
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
+    found = parity_lasso(q, lambda s: [(a, dpw.step(s, a)) for a in letters],
+                         lambda s: dpw.rank[s])
+    if found is None:
+        return None
+    return LassoWord(tuple(found[0]), tuple(found[1]), dpw.atoms)
 
-    even_ranks = sorted({dpw.rank[s] for s in reach if dpw.rank[s] % 2 == 0})
-    for d in even_ranks:
-        sub = {s for s in reach if dpw.rank[s] <= d}
 
-        def succ(s):
-            out = []
-            for letter in letters:
-                t = dpw.step(s, letter)
-                if t in sub and t not in out:
-                    out.append(t)
-            return out
+def parity_lasso(init, succ, rank):
+    """(prefix labels, cycle labels) of a reachable lasso whose maximal
+    rank on the cycle is even, or None.
 
-        for comp in strongly_connected_components(sorted(sub), succ):
-            compset = set(comp)
-            tops = [s for s in comp if dpw.rank[s] == d]
-            if not tops:
+    `succ(x)` lists (label, successor) pairs.  Stratified search: within
+    the states of rank at most d, any cycle through a rank-d state has even
+    maximal rank.
+    """
+    reach = {init}
+    stack = [init]
+    while stack:
+        x = stack.pop()
+        for _, y in succ(x):
+            if y not in reach:
+                reach.add(y)
+                stack.append(y)
+    for d in sorted({rank(x) for x in reach if rank(x) % 2 == 0}):
+        sub = {x for x in reach if rank(x) <= d}
+        for comp in strongly_connected_components(
+                sorted(sub), lambda x: [y for _, y in succ(x) if y in sub]):
+            if all(rank(x) != d for x in comp):
                 continue
-            if len(comp) == 1:
-                s = comp[0]
-                if all(dpw.step(s, letter) != s for letter in letters):
-                    continue
-            u = min(tops)
-            prefix = _dpw_path(dpw, q, {u}, reach)
-            period = _dpw_cycle(dpw, u, compset)
-            return LassoWord(tuple(prefix), tuple(period), dpw.atoms)
+            if len(comp) == 1 and all(y != comp[0] for _, y in succ(comp[0])):
+                continue
+            u = min(x for x in comp if rank(x) == d)
+            prefix = _label_path(init, u, reach, succ)
+            cycle = _label_cycle(u, set(comp), succ)
+            return prefix, cycle
     return None
 
 
-def _dpw_path(dpw: DPW, src: int, goal: set, allowed: set) -> list:
-    if src in goal:
+def _label_path(src, goal, allowed, succ):
+    if src == goal:
         return []
-    letters = all_letters(dpw.atoms)
     back = {src: None}
-    queue = [src]
-    while queue:
+    frontier = [src]
+    while frontier:
         nxt = []
-        for s in queue:
-            for letter in letters:
-                t = dpw.step(s, letter)
-                if t in allowed and t not in back:
-                    back[t] = (s, letter)
-                    if t in goal:
-                        out = []
-                        while back[t] is not None:
-                            s2, l2 = back[t]
-                            out.append(l2)
-                            t = s2
-                        return list(reversed(out))
-                    nxt.append(t)
-        queue = nxt
-    raise ValueError("goal not reachable")
+        for x in frontier:
+            for lab, y in succ(x):
+                if y in allowed and y not in back:
+                    back[y] = (x, lab)
+                    if y == goal:
+                        return _unwind(back, y)
+                    nxt.append(y)
+        frontier = nxt
+    raise InternalConsistencyError("lasso prefix target unreachable")
 
 
-def _dpw_cycle(dpw: DPW, u: int, compset: set) -> list:
-    # Shortest nonempty path u -> u inside the component.
-    letters = all_letters(dpw.atoms)
+def _label_cycle(u, compset, succ):
     back = {}
-    queue = []
-    for letter in letters:
-        t = dpw.step(u, letter)
-        if t in compset and t not in back:
-            back[t] = (None, letter)
-            queue.append(t)
-    while queue:
-        if u in back:
-            break
+    frontier = []
+    for lab, y in succ(u):
+        if y in compset and y not in back:
+            if y == u:
+                return [lab]
+            back[y] = (u, lab)
+            frontier.append(y)
+    while frontier:
         nxt = []
-        for s in queue:
-            for letter in letters:
-                t = dpw.step(s, letter)
-                if t in compset and t not in back:
-                    back[t] = (s, letter)
-                    nxt.append(t)
-        queue = nxt
+        for x in frontier:
+            for lab, y in succ(x):
+                if y == u:
+                    out = [lab]
+                    while back.get(x) is not None:
+                        x2, l2 = back[x]
+                        out.append(l2)
+                        if x2 == u:
+                            break
+                        x = x2
+                    return list(reversed(out))
+                if y in compset and y not in back:
+                    back[y] = (x, lab)
+                    nxt.append(y)
+        frontier = nxt
+    raise InternalConsistencyError("no cycle through the chosen lasso top")
+
+
+def _unwind(back, node):
     out = []
-    t = u
-    while True:
-        s2, l2 = back[t]
-        out.append(l2)
-        if s2 is None:
-            break
-        t = s2
+    while back[node] is not None:
+        prev, lab = back[node]
+        out.append(lab)
+        node = prev
     return list(reversed(out))
 
 
@@ -713,26 +707,4 @@ def dpw_to_dot(dpw: DPW, name: str = "dpw") -> str:
         label = " | ".join("{" + ",".join(sorted(l)) + "}" for l in letts)
         lines.append(f'  q{q} -> q{t} [label="{label}"];')
     lines.append("}")
-    return "\n".join(lines)
-
-
-def dpw_to_hoa(dpw: DPW, name: str = "dpw") -> str:
-    """Loose HOA-flavored dump for eyeballing; not a conformance target."""
-    aps = sorted(dpw.atoms)
-    lines = [
-        "HOA: v1",
-        f"name: \"{name}\"",
-        f"States: {dpw.n_states}",
-        f"Start: {dpw.initial}",
-        f"AP: {len(aps)} " + " ".join(f'"{a}"' for a in aps),
-        "acc-name: parity max even",
-        "--BODY--",
-    ]
-    for q in range(dpw.n_states):
-        lines.append(f"State: {q} {{{dpw.rank[q]}}}")
-        for letter in all_letters(dpw.atoms):
-            bits = "&".join(
-                (a if a in letter else "!" + a) for a in aps) or "t"
-            lines.append(f"  [{bits}] {dpw.step(q, letter)}")
-    lines.append("--END--")
     return "\n".join(lines)

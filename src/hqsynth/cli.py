@@ -27,7 +27,7 @@ from .evaluation import (
     simulate,
     worst_case_value,
 )
-from .formulas import parse
+from .formulas import Formula, parse
 from .mdp import DistributionMDP
 from .synthesis import SynthesisSpec, Unrealizable, synthesize
 from .transducers import load_transducer, save_transducer, transducer_to_dot
@@ -39,6 +39,24 @@ _SPEC_KEYS = {"inputs", "outputs", "formula", "assumption", "threshold",
 # --- file formats --------------------------------------------------------
 
 
+def _atom_list(value, what: str) -> frozenset:
+    if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
+        raise ValueError(f"{what} must be a list of atom names")
+    return frozenset(value)
+
+
+def _rational(value, what: str) -> Fraction:
+    if not isinstance(value, str):
+        raise ValueError(f'{what} must be a "num/den" string, not {value!r}')
+    return parse_fraction(value)
+
+
+def _formula(value, what: str) -> Formula:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a formula string, not {value!r}")
+    return parse(value)
+
+
 def distribution_from_json(doc: dict) -> DistributionMDP:
     """Input-process JSON: states carry the input letter emitted on entry,
     transitions are (state, output letter) rows of "num/den" probabilities.
@@ -46,36 +64,24 @@ def distribution_from_json(doc: dict) -> DistributionMDP:
     for key in ("inputs", "outputs", "states", "initial", "transitions"):
         if key not in doc:
             raise ValueError(f"distribution is missing {key!r}")
-    inputs = frozenset(doc["inputs"])
-    outputs = frozenset(doc["outputs"])
+    inputs = _atom_list(doc["inputs"], "distribution inputs")
+    outputs = _atom_list(doc["outputs"], "distribution outputs")
     states = doc["states"]
     ids = [st["id"] for st in states]
     if ids != list(range(len(states))):
         raise ValueError("distribution state ids must be 0..n-1 in order")
-    iota = [frozenset(st["input"]) for st in states]
+    iota = [_atom_list(st.get("input"), f"input of distribution state {s}")
+            for s, st in enumerate(states)]
     trans = {(s, o): [] for s in ids for o in all_letters(outputs)}
     for tr in doc["transitions"]:
-        key = (tr["from"], frozenset(tr["output"]))
+        key = (tr["from"], _atom_list(tr["output"], "distribution transition output"))
         if key not in trans:
             raise ValueError(f"distribution transition from unknown state/output {tr!r}")
-        trans[key].append((tr["to"], parse_fraction(tr["prob"])))
+        trans[key].append((tr["to"], _rational(tr["prob"], "distribution transition prob")))
     try:
         return DistributionMDP(inputs, outputs, iota, doc["initial"], trans)
     except (KeyError, IndexError) as exc:
         raise ValueError(f"malformed distribution: {exc}") from None
-
-
-def distribution_to_json(D: DistributionMDP) -> dict:
-    states = [{"id": s, "input": sorted(D.label(s))} for s in range(D.n)]
-    transitions = []
-    for s in range(D.n):
-        for o in all_letters(D.outputs):
-            for t, p in D.rows(s, o):
-                if p > 0:
-                    transitions.append({"from": s, "output": sorted(o), "to": t,
-                                        "prob": format_fraction(p)})
-    return {"inputs": sorted(D.inputs), "outputs": sorted(D.outputs),
-            "states": states, "initial": D.initial, "transitions": transitions}
 
 
 def load_spec_file(path: str) -> SynthesisSpec:
@@ -90,12 +96,14 @@ def load_spec_file(path: str) -> SynthesisSpec:
         if key not in doc:
             raise ValueError(f"{path}: spec is missing {key!r}")
     return SynthesisSpec(
-        inputs=frozenset(doc["inputs"]),
-        outputs=frozenset(doc["outputs"]),
-        formula=parse(doc["formula"]),
-        assumption=parse(doc["assumption"]) if "assumption" in doc else None,
-        threshold=parse_fraction(doc["threshold"]) if "threshold" in doc else None,
-        hard_constraint=(parse(doc["hard_constraint"])
+        inputs=_atom_list(doc["inputs"], f"{path}: inputs"),
+        outputs=_atom_list(doc["outputs"], f"{path}: outputs"),
+        formula=_formula(doc["formula"], f"{path}: formula"),
+        assumption=(_formula(doc["assumption"], f"{path}: assumption")
+                    if "assumption" in doc else None),
+        threshold=(_rational(doc["threshold"], f"{path}: threshold")
+                   if "threshold" in doc else None),
+        hard_constraint=(_formula(doc["hard_constraint"], f"{path}: hard_constraint")
                          if "hard_constraint" in doc else None),
         distribution=(distribution_from_json(doc["distribution"])
                       if "distribution" in doc else None),

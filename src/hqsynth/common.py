@@ -57,10 +57,6 @@ def all_letters(atoms) -> list[frozenset]:
     return out
 
 
-def letter_key(letter: frozenset) -> tuple:
-    return tuple(sorted(letter))
-
-
 def strongly_connected_components(nodes, succ):
     """Tarjan's algorithm, iteratively (graphs here can be deep).
 

@@ -30,11 +30,10 @@ from .common import (
     StateLimitExceeded,
     all_letters,
     state_ceiling,
-    strongly_connected_components,
 )
-from .automata import dpw_for
+from .automata import dpw_for, parity_lasso
 from .formulas import Formula, LassoWord, eval_lasso, is_boolean, values
-from .mdp import DistributionMDP, MarkovChain, mc_ergodic_analysis
+from .mdp import MarkovChain, mc_ergodic_analysis
 from .transducers import Transducer, computation_lasso
 
 
@@ -230,8 +229,8 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
                 out.append((i, (pos[t2], q2)))
             return out
 
-        found = _parity_lasso((pos[T.initial], dpw.initial), succ,
-                              lambda node: dpw.rank[node[1]])
+        found = parity_lasso((pos[T.initial], dpw.initial), succ,
+                             lambda node: dpw.rank[node[1]])
         if found is None:
             continue
         prefix, cycle = found
@@ -244,91 +243,6 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
 
 def worst_case_value(T: Transducer, formula: Formula, ceiling=None) -> Fraction:
     return worst_case_witness(T, formula, ceiling)[0]
-
-
-def _parity_lasso(init, succ, rank):
-    """(prefix labels, cycle labels) of a lasso maximizing-rank-even, or None.
-
-    Stratified search: within the states of rank at most d, any cycle
-    through a rank-d state has even maximal rank.
-    """
-    reach = {init}
-    stack = [init]
-    while stack:
-        x = stack.pop()
-        for _, y in succ(x):
-            if y not in reach:
-                reach.add(y)
-                stack.append(y)
-    for d in sorted({rank(x) for x in reach if rank(x) % 2 == 0}):
-        sub = {x for x in reach if rank(x) <= d}
-        for comp in strongly_connected_components(
-                sorted(sub), lambda x: [y for _, y in succ(x) if y in sub]):
-            if all(rank(x) != d for x in comp):
-                continue
-            if len(comp) == 1 and all(y != comp[0] for _, y in succ(comp[0])):
-                continue
-            u = min(x for x in comp if rank(x) == d)
-            prefix = _label_path(init, u, reach, succ)
-            cycle = _label_cycle(u, set(comp), succ)
-            return prefix, cycle
-    return None
-
-
-def _label_path(src, goal, allowed, succ):
-    if src == goal:
-        return []
-    back = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for lab, y in succ(x):
-                if y in allowed and y not in back:
-                    back[y] = (x, lab)
-                    if y == goal:
-                        return _unwind(back, y)
-                    nxt.append(y)
-        frontier = nxt
-    raise InternalConsistencyError("lasso prefix target unreachable")
-
-
-def _label_cycle(u, compset, succ):
-    back = {}
-    frontier = []
-    for lab, y in succ(u):
-        if y in compset and y not in back:
-            if y == u:
-                return [lab]
-            back[y] = (u, lab)
-            frontier.append(y)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for lab, y in succ(x):
-                if y == u:
-                    out = [lab]
-                    while back.get(x) is not None:
-                        x2, l2 = back[x]
-                        out.append(l2)
-                        if x2 == u:
-                            break
-                        x = x2
-                    return list(reversed(out))
-                if y in compset and y not in back:
-                    back[y] = (x, lab)
-                    nxt.append(y)
-        frontier = nxt
-    raise InternalConsistencyError("no cycle through the chosen lasso top")
-
-
-def _unwind(back, node):
-    out = []
-    while back[node] is not None:
-        prev, lab = back[node]
-        out.append(lab)
-        node = prev
-    return list(reversed(out))
 
 
 # --- simulation ----------------------------------------------------------

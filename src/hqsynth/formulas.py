@@ -172,12 +172,6 @@ def globally(f: Formula) -> Formula:
     return Not(Until(TRUE, Not(f)))
 
 
-def next_n(f: Formula, n: int) -> Formula:
-    for _ in range(n):
-        f = Next(f)
-    return f
-
-
 def is_boolean(f: Formula) -> bool:
     """Syntactic check that only classical connectives appear (no scaling,
     no weighted averaging), which keeps the value in {0,1} on every word."""

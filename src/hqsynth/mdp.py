@@ -601,12 +601,14 @@ def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy):
     sol = solve_linear_system(matrix)
     values = list(terminal) + [Fraction(0)] * (n_nodes - len(terminal))
     for i in range(n_nodes):
-        values[i] = sol[pos[i]] if i in pos else terminal[i]
+        values[i] = sol[pos[i]][0] if i in pos else terminal[i]
     return values
 
 
 def solve_linear_system(matrix):
-    """Gaussian elimination on an augmented k x (k+1) matrix of Fractions."""
+    """Gaussian elimination on an augmented k x (k+w) matrix of Fractions:
+    k unknowns and w right-hand sides, read off the row width.  Returns the
+    k solution rows, one entry per right-hand side."""
     k = len(matrix)
     m = [row[:] for row in matrix]
     for col in range(k):
@@ -620,7 +622,7 @@ def solve_linear_system(matrix):
             if r != col and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][k] for r in range(k)]
+    return [m[r][k:] for r in range(k)]
 
 
 # --- Markov chain analysis ----------------------------------------------
@@ -668,7 +670,7 @@ def mc_ergodic_analysis(C: MarkovChain):
                 matrix[r][pos[t]] -= p
             else:
                 matrix[r][k + comp_of[t]] += p
-    sol = _solve_multi_rhs(matrix, k, width)
+    sol = solve_linear_system(matrix)
     rho = []
     for i in range(width):
         if C.initial in pos:
@@ -678,52 +680,3 @@ def mc_ergodic_analysis(C: MarkovChain):
     if sum(rho) != 1:
         raise InternalConsistencyError("absorption probabilities do not sum to 1")
     return bottoms, rho
-
-
-def _solve_multi_rhs(matrix, k, width):
-    m = [row[:] for row in matrix]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if pivot is None:
-            raise InternalConsistencyError("singular linear system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [[m[r][k + i] for i in range(width)] for r in range(k)]
-
-
-# --- debug dump ----------------------------------------------------------
-
-
-def mdp_to_json(M: PreMDP) -> dict:
-    doc = {
-        "initial": M.initial,
-        "states": [
-            {
-                "id": s,
-                "label": repr(M.labels[s]),
-                "actions": [
-                    {
-                        "label": repr(M.actions[s][a]),
-                        "transitions": [
-                            {"to": t, "prob": format_fraction(p)}
-                            for t, p in M.trans[(s, a)]
-                        ],
-                    }
-                    for a in range(len(M.actions[s]))
-                ],
-            }
-            for s in range(M.n)
-        ],
-    }
-    if isinstance(M, RewardMDP):
-        for s in range(M.n):
-            doc["states"][s]["reward"] = format_fraction(M.reward[s])
-    if isinstance(M, ParityMDP):
-        for s in range(M.n):
-            doc["states"][s]["rank"] = M.rank[s]
-    return doc

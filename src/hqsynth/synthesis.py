@@ -1,6 +1,6 @@
 """Controller synthesis maximizing the expected satisfaction value.
 
-The pipeline shared by all modes: build one parity automaton per attainable
+One pipeline, `synthesize`: build one parity automaton per attainable
 value of the formula, take their synchronized product, turn it into an MDP
 whose actions are output letters (chosen before the same step's input is
 drawn), attach to every state the largest value achievable from it with
@@ -8,18 +8,29 @@ probability one, and solve for optimal mean payoff.  The optimal memoryless
 choice is then refined into a two-phase strategy: once the induced chain is
 absorbed into an end component carrying a positive reward, play switches to
 the embedded parity-winning strategy of that value's automaton, which locks
-the value in almost surely.
+the value in almost surely.  The controller is extracted and re-evaluated
+before it is returned.
 
-Mode extras:
-  * threshold: also build the automaton for "value at least t", keep only
-    output letters that stay inside its almost-surely-winning region, and
-    redirect any run about to violate the floor to that region's winning
+The spec's optional fields add two optional pieces to that pipeline:
+  * a floor, when a threshold t is set: the automaton for "value at least
+    t" of the formula (or of the hard constraint, or of "assumption
+    implies formula") is built first and answers unrealizability.  It then
+    joins the product after the value automata; only output letters that
+    stay inside its almost-surely-winning region remain actions, values
+    below t are dropped (unless the floor is on a hard constraint), and any
+    run about to violate the floor is redirected to that region's winning
     strategy;
-  * assumption: append the assumption automaton to the product, and analyze
-    a copy of the MDP in which every state whose assumption component is
-    doomed jumps back to the initial state.  Renewal makes the ordinary
-    expectation of the copy equal the conditional expectation of the real
-    chain, which is how the returned value is certified.
+  * an assumption reset, when the assumption has a probability strictly
+    between 0 and 1 (probability 1 drops it): the assumption automaton
+    joins the product last, and the MDP is analyzed in a copy in which
+    every state whose assumption component is doomed jumps back to the
+    initial state.  Renewal makes the ordinary expectation of the copy
+    equal the conditional expectation of the real chain, which is how the
+    returned value is certified.
+
+The order of construction (floor automaton, value automata, assumption
+automaton) fixes the numbering of MDP states, which breaks ties in policy
+iteration and so decides the controller; changing it changes controllers.
 
 Extracted controllers commit each output one step ahead: the transducer
 state entered on input i is labeled with the output decided before i was
@@ -130,12 +141,6 @@ class Unrealizable:
 # --- shared machinery ----------------------------------------------------
 
 
-def _value_automata(formula, atoms, ceiling):
-    vals = values(formula, atoms, ceiling=ceiling)
-    dpws = [dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling) for v in vals]
-    return vals, dpws
-
-
 def _induced(automaton, inputs, outputs, dist, ceiling):
     if dist is None:
         return induced_pre_mdp(automaton, inputs, outputs, ceiling=ceiling)
@@ -153,10 +158,9 @@ def _att_state(pos, label, dist):
     return label[pos] if dist is None else label[0][pos]
 
 
-def _component_win(dpw, inputs, outputs, dist, ceiling):
-    """Almost-sure parity winning region of one automaton's induced MDP,
+def _component_win(dpw, M, outputs, dist):
+    """Almost-sure parity winning region of one automaton's induced MDP M,
     as (winning keys, key -> winning output letter)."""
-    M = _induced(dpw, inputs, outputs, dist, ceiling)
     if dist is None:
         ranks = [dpw.rank[lab] for lab in M.labels]
     else:
@@ -169,7 +173,7 @@ def _component_win(dpw, inputs, outputs, dist, ceiling):
     return keys, letters
 
 
-def _gamma_rewards(M, positions, vals_used, wins, dist):
+def _gamma_rewards(M, vals, wins, dist):
     """Per-state reward: the largest value whose automaton projection is
     almost-surely winnable, for states inside some end component; 0 outside.
     Constant on every maximal end component, which is asserted."""
@@ -177,7 +181,7 @@ def _gamma_rewards(M, positions, vals_used, wins, dist):
     for states, _acts in max_end_components(M):
         for s in states:
             best = Fraction(0)
-            for pos, v, w in zip(positions, vals_used, wins):
+            for pos, (v, w) in enumerate(zip(vals, wins)):
                 if v > best and _proj_key(pos, M.labels[s], dist) in w:
                     best = v
             gamma[s] = best
@@ -233,28 +237,29 @@ def _induced_restricted(prod, att_pos, att_win, inputs, outputs, dist, ceiling):
     return PreMDP(labels, 0, actions, trans, validate=False)
 
 
-def _install_triggers(M, gamma, primary, vals, att_pos, att_rank, t, dist):
+def _install_triggers(M, primary, vals, dist, att=None, t=None):
     """Absorption analysis of the primary strategy's chain.
 
     Positive-reward components switch to the matching value's winning
-    strategy.  Zero-reward components whose threshold component would
-    reject switch to the floor strategy instead (only meaningful when a
-    positive threshold is in force).  Returns the trigger map and the exact
-    expected reward of the refined strategy.
+    strategy.  Zero-reward components whose threshold automaton `att`
+    (placed right after the value automata) would reject switch to the
+    floor strategy instead (only meaningful for a positive threshold t).
+    Returns the trigger map and the exact expected reward of the refined
+    strategy.
     """
     chain = induced_chain(M, primary)
     bottoms, rho = mc_ergodic_analysis(chain)
     triggers = {}
     realized = Fraction(0)
     for comp, p in zip(bottoms, rho):
-        g = gamma[min(comp)]
+        g = M.reward[min(comp)]
         realized += p * g
         if g > 0:
             key = ("win", vals.index(g))
             for s in comp:
                 triggers[s] = key
-        elif t is not None and t > 0 and att_pos is not None:
-            top = max(att_rank[_att_state(att_pos, chain.labels[s], dist)]
+        elif att is not None and t > 0:
+            top = max(att.rank[_att_state(len(vals), chain.labels[s], dist)]
                       for s in comp)
             if top % 2 == 1:
                 for s in comp:
@@ -339,20 +344,6 @@ def _extract(prod, M, primary, triggers, phase_letters, inputs, outputs, dist,
             delta[(k, i)] = j
         k += 1
     return Transducer(inputs, outputs, list(range(len(nodes))), 0, delta, labels)
-
-
-def _stats(vals, dpws, prod, M, T=None, extra=None):
-    out = {
-        "values": [str(v) for v in vals],
-        "automaton_states": [d.n_states for d in dpws],
-        "product_states": len(prod) if prod is not None else 0,
-        "mdp_states": M.n if M is not None else 0,
-    }
-    if T is not None:
-        out["transducer_states"] = len(T)
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _require_trackable(dist):
@@ -444,292 +435,174 @@ def _rejecting_keys(psi_dpw, inputs, dist, ceiling):
     return rej
 
 
-# --- pipelines -----------------------------------------------------------
+
+
+# --- the pipeline --------------------------------------------------------
 
 
 def achievability_mdp(formula: Formula, inputs, outputs, dist=None, ceiling=None):
-    """(reward MDP, metadata) for the plain expected-value problem."""
-    inputs = frozenset(inputs)
-    outputs = frozenset(outputs)
+    """(reward MDP, metadata) for the plain expected-value problem: the MDP
+    `synthesize` solves for a spec with no threshold and no assumption."""
+    return _reward_mdp(formula, frozenset(inputs), frozenset(outputs), dist, ceiling)
+
+
+def _reward_mdp(formula, inputs, outputs, dist, ceiling,
+                low=None, att=None, att_win=None, psi=None):
+    """(reward MDP, metadata) over the product of the value automata, then
+    the threshold automaton `att` when given, then the assumption's.
+
+    Values below `low` are left out.  With `att`, only output letters that
+    keep every input inside its winning region `att_win` are actions.  With
+    an assumption psi, every state whose assumption component is doomed
+    jumps back to the initial state; the metadata keeps the MDP before
+    those resets and the list of reset states.
+    """
     atoms = inputs | outputs
-    vals, dpws = _value_automata(formula, atoms, ceiling)
-    prod = ProductPreAutomaton(dpws, ceiling=ceiling)
-    M = _induced(prod, inputs, outputs, dist, ceiling)
+    vals = values(formula, atoms, ceiling=ceiling)
+    dpws = [dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling) for v in vals]
+    if low is not None:
+        first = next((i for i, v in enumerate(vals) if v >= low), None)
+        if first is None:
+            raise InternalConsistencyError(
+                "threshold automaton is winnable but no value reaches it")
+        vals, dpws = vals[first:], dpws[first:]
+    parts = dpws + ([att] if att is not None else [])
+    if psi is not None:
+        psi_dpw = dpw_for(psi, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
+        parts.append(psi_dpw)
+    prod = ProductPreAutomaton(parts, ceiling=ceiling)
+    if att is None:
+        M = _induced(prod, inputs, outputs, dist, ceiling)
+    else:
+        M = _induced_restricted(prod, len(dpws), att_win, inputs, outputs,
+                                dist, ceiling)
+    played, reset = M, []
+    if psi is not None:
+        rej = _rejecting_keys(psi_dpw, inputs, dist, ceiling)
+        reset = [s for s in range(M.n)
+                 if _proj_key(len(parts) - 1, M.labels[s], dist) in rej]
+        trans = dict(M.trans)
+        for s in reset:
+            for a in range(len(M.actions[s])):
+                trans[(s, a)] = ((M.initial, Fraction(1)),)
+        played = PreMDP(M.labels, M.initial, M.actions, trans, validate=False)
     wins = []
     sigma = []
     for dpw in dpws:
-        w, s = _component_win(dpw, inputs, outputs, dist, ceiling)
+        w, s = _component_win(dpw, _induced(dpw, inputs, outputs, dist, ceiling),
+                              outputs, dist)
         wins.append(w)
         sigma.append(s)
-    positions = list(range(len(dpws)))
-    gamma = _gamma_rewards(M, positions, vals, wins, dist)
-    RM = RewardMDP(M.labels, M.initial, M.actions, M.trans, gamma, validate=False)
+    gamma = _gamma_rewards(played, vals, wins, dist)
+    RM = RewardMDP(played.labels, played.initial, played.actions, played.trans,
+                   gamma, validate=False)
     meta = {
         "values": vals,
         "dpws": dpws,
         "product": prod,
-        "positions": positions,
         "wins": wins,
         "sigma": sigma,
+        "mdp": M,
+        "reset": reset,
     }
     return RM, meta
 
 
-def synth(spec: SynthesisSpec, ceiling=None) -> SynthesisResult:
-    """Optimal expected satisfaction value, no side constraints."""
-    _require_trackable(spec.distribution)
-    dist = spec.distribution
-    RM, meta = achievability_mdp(spec.formula, spec.inputs, spec.outputs, dist, ceiling)
-    value, strat = solve_mean_payoff(RM)
-    triggers, realized = _install_triggers(
-        RM, RM.reward, strat.primary, meta["values"], None, None, None, dist)
-    if realized != value:
-        raise InternalConsistencyError("refined strategy changes the expected reward")
-    phase_letters = {("win", i): (meta["positions"][i], meta["sigma"][i])
-                     for i in range(len(meta["values"]))}
-    T = _extract(meta["product"], RM, strat.primary, triggers, phase_letters,
-                 spec.inputs, spec.outputs, dist, ceiling)
-    check = expected_value(T, spec.formula, dist, ceiling)
-    if check != value:
-        raise InternalConsistencyError(
-            f"certificate mismatch: reported {value}, re-evaluated {check}")
-    return SynthesisResult(
-        transducer=T,
-        expected_value=value,
-        stats=_stats(meta["values"], meta["dpws"], meta["product"], RM, T),
-    )
+def synthesize(spec: SynthesisSpec, ceiling=None):
+    """Maximal expected value of the formula, conditional on the assumption
+    when the spec has one, subject to an almost-sure floor of the threshold
+    when it has one.
 
-
-def synth_threshold(spec: SynthesisSpec, ceiling=None):
-    """Maximal expected value subject to an almost-sure floor of t.
-
-    The floor is on the formula itself, or on the hard constraint when one
-    is given (then the expectation is still over the formula's value).
+    The floor is on the formula itself, on the hard constraint when one is
+    given (the expectation is still over the formula's value), or under an
+    assumption on (assumption implies formula): "value at least t whenever
+    the assumption holds" is the unconditional floor of that formula.
+    Returns `Unrealizable` when no controller keeps the floor.
     """
-    _require_trackable(spec.distribution)
     dist = spec.distribution
-    t = spec.threshold
-    atoms = spec.inputs | spec.outputs
-    floor_formula = spec.hard_constraint if spec.hard_constraint is not None else spec.formula
-    att = dpw_for(floor_formula, AtLeast(t), atoms, ceiling=ceiling)
-    att_win, att_sigma = _component_win(att, spec.inputs, spec.outputs, dist, ceiling)
-    att_M = _induced(att, spec.inputs, spec.outputs, dist, ceiling)
-    if att_M.labels[att_M.initial] not in att_win:
-        losing = tuple(lab for lab in att_M.labels if lab not in att_win)
-        return Unrealizable(t, losing, {"mdp_states": att_M.n})
+    _require_trackable(dist)
+    inputs, outputs, t = spec.inputs, spec.outputs, spec.threshold
+    psi, pr = spec.assumption, None
+    if psi is not None:
+        if not _output_insensitive(dist):
+            raise ValueError(
+                "conditional synthesis needs an output-insensitive input process")
+        pr = prob_of_assumption(psi, inputs, dist, ceiling)
+        if pr == 0:
+            raise AssumptionHasZeroProbability("the assumption holds with probability 0")
+        if pr == 1:
+            psi = None
 
-    vals, dpws = _value_automata(spec.formula, atoms, ceiling)
-    if spec.hard_constraint is not None:
-        low = 0
-    else:
-        low = next((i for i, v in enumerate(vals) if v >= t), None)
-        if low is None:
-            raise InternalConsistencyError(
-                "threshold automaton is winnable but no value reaches it")
-    used_vals = vals[low:]
-    used_dpws = dpws[low:]
-    prod = ProductPreAutomaton(used_dpws + [att], ceiling=ceiling)
-    att_pos = len(used_dpws)
-    M = _induced_restricted(prod, att_pos, att_win, spec.inputs, spec.outputs,
-                            dist, ceiling)
-    wins = []
-    sigma = []
-    for dpw in used_dpws:
-        w, s = _component_win(dpw, spec.inputs, spec.outputs, dist, ceiling)
-        wins.append(w)
-        sigma.append(s)
-    positions = list(range(len(used_dpws)))
-    gamma = _gamma_rewards(M, positions, used_vals, wins, dist)
-    RM = RewardMDP(M.labels, M.initial, M.actions, M.trans, gamma, validate=False)
+    att = att_win = att_sigma = None
+    if t is not None:
+        if spec.hard_constraint is not None:
+            floor_formula = spec.hard_constraint
+        elif psi is not None:
+            floor_formula = implies(psi, spec.formula)
+        else:
+            floor_formula = spec.formula
+        att = dpw_for(floor_formula, AtLeast(t), inputs | outputs, ceiling=ceiling)
+        att_M = _induced(att, inputs, outputs, dist, ceiling)
+        att_win, att_sigma = _component_win(att, att_M, outputs, dist)
+        if att_M.labels[att_M.initial] not in att_win:
+            losing = tuple(lab for lab in att_M.labels if lab not in att_win)
+            return Unrealizable(t, losing, {"mdp_states": att_M.n})
+
+    low = t if spec.hard_constraint is None else None
+    RM, meta = _reward_mdp(spec.formula, inputs, outputs, dist, ceiling,
+                           low, att, att_win, psi)
+    vals = meta["values"]
     value, strat = solve_mean_payoff(RM)
-    triggers, realized = _install_triggers(
-        RM, gamma, strat.primary, used_vals, att_pos, att.rank, t, dist)
-    phase_letters = {("win", i): (positions[i], sigma[i])
-                     for i in range(len(used_vals))}
-    phase_letters[("floor",)] = (att_pos, att_sigma)
-    T = _extract(prod, RM, strat.primary, triggers, phase_letters,
-                 spec.inputs, spec.outputs, dist, ceiling)
-    check = expected_value(T, spec.formula, dist, ceiling)
-    if spec.hard_constraint is None:
-        if realized != value or check != value:
-            raise InternalConsistencyError(
-                f"certificate mismatch: reported {value}, re-evaluated {check}")
+    triggers, realized = _install_triggers(RM, strat.primary, vals, dist, att, t)
+    if spec.hard_constraint is None and realized != value:
+        raise InternalConsistencyError("refined strategy changes the expected reward")
+    # runs through a reset state fail the assumption and do not count
+    primary = dict(strat.primary)
+    for s in meta["reset"]:
+        primary[s] = 0
+    phase_letters = {("win", i): (i, sigma) for i, sigma in enumerate(meta["sigma"])}
+    if att is not None:
+        phase_letters[("floor",)] = (len(vals), att_sigma)
+    T = _extract(meta["product"], meta["mdp"], primary, triggers, phase_letters,
+                 inputs, outputs, dist, ceiling)
+
+    if psi is None:
+        check = expected_value(T, spec.formula, dist, ceiling)
     else:
+        check = conditional_expected_value(T, spec.formula, psi, dist, ceiling)
+    if spec.hard_constraint is not None:
         # floor redirects may add value on top of the reward lower bound
         if check < value:
             raise InternalConsistencyError("re-evaluation below the solved value")
         value = check
-    floor = almost_sure_value(T, floor_formula, dist, ceiling)
-    if floor < t:
-        raise InternalConsistencyError(
-            f"almost-sure floor {floor} fails the threshold {t}")
-    return SynthesisResult(
-        transducer=T,
-        expected_value=value,
-        almost_sure_floor=floor,
-        stats=_stats(used_vals, used_dpws, prod, RM, T,
-                     {"threshold": str(t)}),
-    )
-
-
-def synth_assume(spec: SynthesisSpec, ceiling=None) -> SynthesisResult:
-    """Maximal conditional expected value given the assumption."""
-    _require_trackable(spec.distribution)
-    dist = spec.distribution
-    if not _output_insensitive(dist):
-        raise ValueError("conditional synthesis needs an output-insensitive input process")
-    pr = prob_of_assumption(spec.assumption, spec.inputs, dist, ceiling)
-    if pr == 0:
-        raise AssumptionHasZeroProbability("the assumption holds with probability 0")
-    if pr == 1:
-        base = SynthesisSpec(spec.inputs, spec.outputs, spec.formula,
-                             distribution=dist)
-        res = synth(base, ceiling)
-        res.assumption_probability = pr
-        return res
-
-    atoms = spec.inputs | spec.outputs
-    vals, dpws = _value_automata(spec.formula, atoms, ceiling)
-    psi = dpw_for(spec.assumption, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
-    prod = ProductPreAutomaton(dpws + [psi], ceiling=ceiling)
-    psi_pos = len(dpws)
-    M = _induced(prod, spec.inputs, spec.outputs, dist, ceiling)
-    rej = _rejecting_keys(psi, spec.inputs, dist, ceiling)
-    reset = [s for s in range(M.n) if _proj_key(psi_pos, M.labels[s], dist) in rej]
-    trans2 = dict(M.trans)
-    for s in reset:
-        for a in range(len(M.actions[s])):
-            trans2[(s, a)] = ((M.initial, Fraction(1)),)
-    M2 = PreMDP(M.labels, M.initial, M.actions, trans2, validate=False)
-
-    wins = []
-    sigma = []
-    for dpw in dpws:
-        w, s = _component_win(dpw, spec.inputs, spec.outputs, dist, ceiling)
-        wins.append(w)
-        sigma.append(s)
-    positions = list(range(len(dpws)))
-    gamma = _gamma_rewards(M2, positions, vals, wins, dist)
-    RM2 = RewardMDP(M2.labels, M2.initial, M2.actions, M2.trans, gamma, validate=False)
-    value, strat = solve_mean_payoff(RM2)
-    triggers, realized = _install_triggers(
-        RM2, gamma, strat.primary, vals, None, None, None, dist)
-    if realized != value:
-        raise InternalConsistencyError("refined strategy changes the expected reward")
-    primary = dict(strat.primary)
-    for s in reset:
-        primary[s] = 0
-    phase_letters = {("win", i): (positions[i], sigma[i]) for i in range(len(vals))}
-    T = _extract(prod, M, primary, triggers, phase_letters,
-                 spec.inputs, spec.outputs, dist, ceiling)
-    check = conditional_expected_value(T, spec.formula, spec.assumption, dist, ceiling)
-    if check != value:
+    elif check != value:
         raise InternalConsistencyError(
             f"certificate mismatch: reported {value}, re-evaluated {check}")
-    return SynthesisResult(
-        transducer=T,
-        expected_value=value,
-        assumption_probability=pr,
-        stats=_stats(vals, dpws, prod, RM2, T, {"reset_states": len(reset)}),
-    )
+    floor = None
+    if t is not None:
+        if psi is None:
+            floor = almost_sure_value(T, floor_formula, dist, ceiling)
+        else:
+            floor = conditional_almost_sure_floor(T, spec.formula, psi, dist, ceiling)
+        if floor < t:
+            raise InternalConsistencyError(
+                f"almost-sure floor {floor} fails the threshold {t}")
 
-
-def synth_assume_threshold(spec: SynthesisSpec, ceiling=None):
-    """Maximal conditional expected value subject to a conditional floor.
-
-    The conditional floor "value at least t whenever the assumption holds"
-    equals the unconditional floor on (assumption implies formula), which
-    is what the threshold automaton tracks.
-    """
-    _require_trackable(spec.distribution)
-    dist = spec.distribution
-    if not _output_insensitive(dist):
-        raise ValueError("conditional synthesis needs an output-insensitive input process")
-    t = spec.threshold
-    pr = prob_of_assumption(spec.assumption, spec.inputs, dist, ceiling)
-    if pr == 0:
-        raise AssumptionHasZeroProbability("the assumption holds with probability 0")
-    if pr == 1:
-        base = SynthesisSpec(spec.inputs, spec.outputs, spec.formula,
-                             threshold=t, distribution=dist)
-        res = synth_threshold(base, ceiling)
-        if isinstance(res, SynthesisResult):
-            res.assumption_probability = pr
-        return res
-
-    atoms = spec.inputs | spec.outputs
-    guarded = implies(spec.assumption, spec.formula)
-    att = dpw_for(guarded, AtLeast(t), atoms, ceiling=ceiling)
-    att_win, att_sigma = _component_win(att, spec.inputs, spec.outputs, dist, ceiling)
-    att_M = _induced(att, spec.inputs, spec.outputs, dist, ceiling)
-    if att_M.labels[att_M.initial] not in att_win:
-        losing = tuple(lab for lab in att_M.labels if lab not in att_win)
-        return Unrealizable(t, losing, {"mdp_states": att_M.n})
-
-    vals, dpws = _value_automata(spec.formula, atoms, ceiling)
-    low = next((i for i, v in enumerate(vals) if v >= t), 0) if t > 0 else 0
-    used_vals = vals[low:]
-    used_dpws = dpws[low:]
-    psi = dpw_for(spec.assumption, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
-    prod = ProductPreAutomaton(used_dpws + [att, psi], ceiling=ceiling)
-    att_pos = len(used_dpws)
-    psi_pos = att_pos + 1
-    M = _induced_restricted(prod, att_pos, att_win, spec.inputs, spec.outputs,
-                            dist, ceiling)
-    rej = _rejecting_keys(psi, spec.inputs, dist, ceiling)
-    reset = [s for s in range(M.n) if _proj_key(psi_pos, M.labels[s], dist) in rej]
-    trans2 = dict(M.trans)
-    for s in reset:
-        for a in range(len(M.actions[s])):
-            trans2[(s, a)] = ((M.initial, Fraction(1)),)
-    M2 = PreMDP(M.labels, M.initial, M.actions, trans2, validate=False)
-
-    wins = []
-    sigma = []
-    for dpw in used_dpws:
-        w, s = _component_win(dpw, spec.inputs, spec.outputs, dist, ceiling)
-        wins.append(w)
-        sigma.append(s)
-    positions = list(range(len(used_dpws)))
-    gamma = _gamma_rewards(M2, positions, used_vals, wins, dist)
-    RM2 = RewardMDP(M2.labels, M2.initial, M2.actions, M2.trans, gamma, validate=False)
-    value, strat = solve_mean_payoff(RM2)
-    triggers, realized = _install_triggers(
-        RM2, gamma, strat.primary, used_vals, att_pos, att.rank, t, dist)
-    if realized != value:
-        raise InternalConsistencyError("refined strategy changes the expected reward")
-    primary = dict(strat.primary)
-    for s in reset:
-        primary[s] = 0
-    phase_letters = {("win", i): (positions[i], sigma[i])
-                     for i in range(len(used_vals))}
-    phase_letters[("floor",)] = (att_pos, att_sigma)
-    T = _extract(prod, M, primary, triggers, phase_letters,
-                 spec.inputs, spec.outputs, dist, ceiling)
-    check = conditional_expected_value(T, spec.formula, spec.assumption, dist, ceiling)
-    if check != value:
-        raise InternalConsistencyError(
-            f"certificate mismatch: reported {value}, re-evaluated {check}")
-    floor = conditional_almost_sure_floor(T, spec.formula, spec.assumption, dist, ceiling)
-    if floor < t:
-        raise InternalConsistencyError(
-            f"conditional floor {floor} fails the threshold {t}")
+    stats = {
+        "values": [str(v) for v in vals],
+        "automaton_states": [d.n_states for d in meta["dpws"]],
+        "product_states": len(meta["product"]),
+        "mdp_states": RM.n,
+        "transducer_states": len(T),
+    }
+    if t is not None:
+        stats["threshold"] = str(t)
+    if psi is not None:
+        stats["reset_states"] = len(meta["reset"])
     return SynthesisResult(
         transducer=T,
         expected_value=value,
         almost_sure_floor=floor,
         assumption_probability=pr,
-        stats=_stats(used_vals, used_dpws, prod, RM2, T,
-                     {"threshold": str(t), "reset_states": len(reset)}),
+        stats=stats,
     )
-
-
-def synthesize(spec: SynthesisSpec, ceiling=None):
-    """Dispatch on which optional constraints the spec carries."""
-    if spec.assumption is not None and spec.threshold is not None:
-        return synth_assume_threshold(spec, ceiling)
-    if spec.assumption is not None:
-        return synth_assume(spec, ceiling)
-    if spec.threshold is not None:
-        return synth_threshold(spec, ceiling)
-    return synth(spec, ceiling)

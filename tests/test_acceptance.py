@@ -34,9 +34,7 @@ from hqsynth.synthesis import (
     SynthesisSpec,
     achievability_mdp,
     prob_of_assumption,
-    synth,
-    synth_assume,
-    synth_threshold,
+    synthesize,
 )
 
 import scenarios as S
@@ -77,7 +75,7 @@ def test_criterion_01_hard_drive_evaluation():
 
 def test_criterion_02_hard_drive_synthesis_optimal():
     phi = S.hard_drive_formula()
-    res = synth(SynthesisSpec(S.HD_INPUTS, S.HD_OUTPUTS, phi))
+    res = synthesize(SynthesisSpec(S.HD_INPUTS, S.HD_OUTPUTS, phi))
     assert res.expected_value == Fraction(3, 4)
     assert expected_value(res.transducer, phi) == Fraction(3, 4)
     RM, _ = achievability_mdp(phi, S.HD_INPUTS, S.HD_OUTPUTS)
@@ -95,11 +93,11 @@ def test_criterion_03_message_scenario():
     T2 = S.encode_cycles({0, 1})
     assert expected_value(T2, phi) == Fraction(5, 8)
 
-    res = synth(SynthesisSpec(S.MSG_INPUTS, S.MSG_OUTPUTS, phi))
+    res = synthesize(SynthesisSpec(S.MSG_INPUTS, S.MSG_OUTPUTS, phi))
     assert res.expected_value == Fraction(3, 4)
 
-    res = synth_threshold(SynthesisSpec(S.MSG_INPUTS, S.MSG_OUTPUTS, phi,
-                                        threshold=Fraction(3, 8)))
+    res = synthesize(SynthesisSpec(S.MSG_INPUTS, S.MSG_OUTPUTS, phi,
+                                   threshold=Fraction(3, 8)))
     assert isinstance(res, SynthesisResult)
     assert res.expected_value >= Fraction(5, 8)
     assert res.almost_sure_floor >= Fraction(3, 8)
@@ -115,8 +113,8 @@ def test_criterion_04_assumption_scenario():
     T5 = S.reactive_encoder(True)
     assert conditional_expected_value(T4, phi, psi) == Fraction(11, 16)
     assert conditional_expected_value(T5, phi, psi) == Fraction(13, 16)
-    res = synth_assume(SynthesisSpec(S.MSG_INPUTS, S.MSG_OUTPUTS, phi,
-                                     assumption=psi))
+    res = synthesize(SynthesisSpec(S.MSG_INPUTS, S.MSG_OUTPUTS, phi,
+                                   assumption=psi))
     assert res.expected_value == Fraction(13, 16)
     assert res.assumption_probability == Fraction(1, 4)
     assert conditional_expected_value(res.transducer, phi, psi) == Fraction(13, 16)

@@ -206,6 +206,23 @@ class TestErrorPaths:
         assert code == 1
         assert "0..n-1" in err
 
+    @pytest.mark.parametrize("doc, field", [
+        (dict(HD_SPEC, threshold=0.5), "threshold"),
+        ({"inputs": "ab", "outputs": ["o"], "formula": "a -> o"}, "inputs"),
+        (dict(HD_SPEC, inputs=[["data"]]), "inputs"),
+        (dict(HD_SPEC, distribution=dict(
+            UNIFORM_DATA, states=[{"id": 0}, {"id": 1, "input": ["data"]}])),
+         "input of distribution state 0"),
+        (dict(HD_SPEC, formula=5), "formula"),
+    ], ids=["float-threshold", "string-atoms", "nested-atoms", "state-without-input",
+            "number-formula"])
+    def test_malformed_field_types(self, tmp_path, capsys, doc, field):
+        spec = write_spec(tmp_path, doc)
+        code, _, err = run(capsys, "synth", spec)
+        assert code == 1
+        assert err.startswith("error:")
+        assert field in err
+
     def test_usage_errors_exit_one_not_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
         assert run(capsys)[0] == 1

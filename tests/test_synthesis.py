@@ -1,11 +1,14 @@
 """Controller synthesis: optimal values, thresholds, assumptions, and the
 shape of extracted controllers."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from hqsynth.cli import main
 from hqsynth.common import all_letters
 from hqsynth.evaluation import (
     almost_sure_value,
@@ -21,10 +24,6 @@ from hqsynth.synthesis import (
     Unrealizable,
     achievability_mdp,
     prob_of_assumption,
-    synth,
-    synth_assume,
-    synth_assume_threshold,
-    synth_threshold,
     synthesize,
 )
 
@@ -77,7 +76,7 @@ class TestHardDriveSynthesis:
         return SynthesisSpec(S.HD_INPUTS, S.HD_OUTPUTS, S.hard_drive_formula(), **kw)
 
     def test_optimal_value(self):
-        res = synth(self.spec())
+        res = synthesize(self.spec())
         assert isinstance(res, SynthesisResult)
         assert res.expected_value == Fraction(3, 4)
         assert expected_value(res.transducer, S.hard_drive_formula()) == Fraction(3, 4)
@@ -89,7 +88,7 @@ class TestHardDriveSynthesis:
         assert oracle_mean_payoff(RM) == Fraction(3, 4)
 
     def test_threshold_half_keeps_optimum(self):
-        res = synth_threshold(self.spec(threshold=HALF))
+        res = synthesize(self.spec(threshold=HALF))
         assert isinstance(res, SynthesisResult)
         assert res.expected_value == Fraction(3, 4)
         assert res.almost_sure_floor >= HALF
@@ -97,13 +96,13 @@ class TestHardDriveSynthesis:
         committed_outputs(res.transducer)
 
     def test_threshold_three_fifths_unrealizable(self):
-        res = synth_threshold(self.spec(threshold=Fraction(3, 5)))
+        res = synthesize(self.spec(threshold=Fraction(3, 5)))
         assert isinstance(res, Unrealizable)
         assert res.threshold == Fraction(3, 5)
         assert res.losing_region
 
     def test_threshold_zero_equals_plain(self):
-        res = synth_threshold(self.spec(threshold=Fraction(0)))
+        res = synthesize(self.spec(threshold=Fraction(0)))
         assert res.expected_value == Fraction(3, 4)
 
     def test_hard_constraint_mode(self):
@@ -111,7 +110,7 @@ class TestHardDriveSynthesis:
         # schedule still earns 3/4 in expectation
         spec = self.spec(threshold=Fraction(1),
                          hard_constraint=parse("(X data) -> !close"))
-        res = synth_threshold(spec)
+        res = synthesize(spec)
         assert isinstance(res, SynthesisResult)
         assert res.expected_value == Fraction(3, 4)
         assert almost_sure_value(res.transducer, parse("(X data) -> !close")) == 1
@@ -151,7 +150,7 @@ class TestDistributions:
         spec = SynthesisSpec(S.HD_INPUTS, S.HD_OUTPUTS, S.hard_drive_formula(),
                              distribution=indistinct_process())
         with pytest.raises(ValueError):
-            synth(spec)
+            synthesize(spec)
 
 
 class TestAssumptionProbability:
@@ -175,7 +174,7 @@ class TestAssumptionSynthesis:
     def test_small_conditional_optimum(self):
         # conditioning on the first input leaves the second free, so the
         # best the controller adds is its own constant output: 3/4
-        res = synth_assume(self.small())
+        res = synthesize(self.small())
         assert res.expected_value == Fraction(3, 4)
         assert res.assumption_probability == HALF
         got = conditional_expected_value(res.transducer, parse("wavg{1/2}(X i, o)"),
@@ -183,7 +182,7 @@ class TestAssumptionSynthesis:
         assert got == Fraction(3, 4)
 
     def test_small_conditional_threshold(self):
-        res = synth_assume_threshold(self.small(threshold=HALF))
+        res = synthesize(self.small(threshold=HALF))
         assert isinstance(res, SynthesisResult)
         assert res.expected_value == Fraction(3, 4)
         assert res.almost_sure_floor >= HALF
@@ -195,7 +194,7 @@ class TestAssumptionSynthesis:
         spec = SynthesisSpec(frozenset({"i"}), frozenset({"o"}),
                              parse("wavg{1/2}(X i, o)"),
                              assumption=parse("i | !i"))
-        res = synth_assume(spec)
+        res = synthesize(spec)
         assert res.assumption_probability == 1
         assert res.expected_value == Fraction(3, 4)
 
@@ -206,14 +205,14 @@ class TestAssumptionSynthesis:
 
 class TestRandomSpecs:
     def test_synthesis_beats_sampled_controllers_and_certifies(self):
-        # synth re-evaluates its own controller internally; here we add an
+        # synthesize re-evaluates its own controller internally; here we add an
         # external check plus a sampled lower-bound comparison
         rng = random.Random(701)
         from oracles import random_transducer
         for k in range(10):
             phi = random_formula(rng, ["i", "o"], rng.randint(1, 5))
             spec = SynthesisSpec(frozenset({"i"}), frozenset({"o"}), phi)
-            res = synth(spec)
+            res = synthesize(spec)
             committed_outputs(res.transducer)
             assert expected_value(res.transducer, phi) == res.expected_value
             for _ in range(5):
@@ -225,10 +224,149 @@ class TestRandomSpecs:
         for k in range(6):
             phi = random_formula(rng, ["i", "o"], rng.randint(1, 4))
             spec = SynthesisSpec(frozenset({"i"}), frozenset({"o"}), phi)
-            base = synth(spec)
+            base = synthesize(spec)
             floor = almost_sure_value(base.transducer, phi)
-            res = synth_threshold(SynthesisSpec(frozenset({"i"}), frozenset({"o"}),
-                                                phi, threshold=floor))
+            res = synthesize(SynthesisSpec(frozenset({"i"}), frozenset({"o"}),
+                                           phi, threshold=floor))
             assert isinstance(res, SynthesisResult)
             assert res.expected_value >= base.expected_value
             assert res.almost_sure_floor >= floor
+
+
+# --- golden reports ------------------------------------------------------
+
+GOLDEN_HD = {"inputs": ["data"], "outputs": ["close"],
+             "formula": "((X data) -> !close)"
+                        " & (((!(X data)) -> close) | factor{1/2} (X close))"}
+GOLDEN_SMALL = {"inputs": ["i"], "outputs": ["o"], "formula": "wavg{1/2}(X i, o)"}
+UNIFORM_DATA = {
+    "inputs": ["data"], "outputs": ["close"],
+    "states": [{"id": 0, "input": []}, {"id": 1, "input": ["data"]}],
+    "initial": 0,
+    "transitions": [
+        {"from": s, "output": o, "to": t, "prob": "1/2"}
+        for s in (0, 1) for o in ([], ["close"]) for t in (0, 1)
+    ],
+}
+
+# One spec per synthesis mode: (mode, spec, extra synth flags, exit code,
+# sha256 of the --out controller, exact report).
+GOLDEN = [
+    ("plain", GOLDEN_HD, [], 0,
+     "fff4d92a45bbc0ce69f5516312165abfc0d6b91c90386bff85722d9551234c22",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "automaton_states = 5, 5, 5\n"
+     "mdp_states = 6\n"
+     "product_states = 6\n"
+     "transducer_states = 6\n"
+     "values = 0, 1/2, 1\n"),
+    ("threshold", GOLDEN_HD, ["--threshold", "1/2"], 0,
+     "fff4d92a45bbc0ce69f5516312165abfc0d6b91c90386bff85722d9551234c22",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "threshold = 1/2\n"
+     "floor = 1/2\n"
+     "automaton_states = 5, 5\n"
+     "mdp_states = 4\n"
+     "product_states = 6\n"
+     "transducer_states = 6\n"
+     "values = 1/2, 1\n"),
+    ("unrealizable", GOLDEN_HD, ["--threshold", "3/5"], 2,
+     None,
+     "result = UNREALIZABLE\n"
+     "threshold = 3/5\n"
+     "losing_states = 4\n"
+     "mdp_states = 5\n"),
+    ("hard-constraint",
+     dict(GOLDEN_HD, threshold="1", hard_constraint="(X data) -> !close"), [], 0,
+     "fff4d92a45bbc0ce69f5516312165abfc0d6b91c90386bff85722d9551234c22",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "threshold = 1\n"
+     "floor = 1\n"
+     "automaton_states = 5, 5, 5\n"
+     "mdp_states = 5\n"
+     "product_states = 7\n"
+     "transducer_states = 6\n"
+     "values = 0, 1/2, 1\n"),
+    ("assumption", dict(GOLDEN_SMALL, assumption="i"), [], 0,
+     "2a5d328e4f1737c5a1facc2ead8077ed6e137ca029af22bbc18273469df42fd9",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "assumption_probability = 1/2\n"
+     "automaton_states = 4, 5, 4\n"
+     "mdp_states = 11\n"
+     "product_states = 11\n"
+     "reset_states = 5\n"
+     "transducer_states = 7\n"
+     "values = 0, 1/2, 1\n"),
+    ("assumption-threshold", dict(GOLDEN_SMALL, assumption="i", threshold="1/2"), [], 0,
+     "2a5d328e4f1737c5a1facc2ead8077ed6e137ca029af22bbc18273469df42fd9",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "threshold = 1/2\n"
+     "floor = 1/2\n"
+     "assumption_probability = 1/2\n"
+     "automaton_states = 5, 4\n"
+     "mdp_states = 7\n"
+     "product_states = 11\n"
+     "reset_states = 3\n"
+     "transducer_states = 7\n"
+     "values = 1/2, 1\n"),
+    ("sure-assumption", dict(GOLDEN_SMALL, assumption="i | !i"), [], 0,
+     "9721b6a60065a24e9f5f02c41e10bfb12b6274aaf7d2b895c58617442ce4026d",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "assumption_probability = 1\n"
+     "automaton_states = 4, 5, 4\n"
+     "mdp_states = 6\n"
+     "product_states = 6\n"
+     "transducer_states = 4\n"
+     "values = 0, 1/2, 1\n"),
+    ("sure-assumption-threshold",
+     dict(GOLDEN_SMALL, assumption="i | !i", threshold="1/2"), [], 0,
+     "9721b6a60065a24e9f5f02c41e10bfb12b6274aaf7d2b895c58617442ce4026d",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "threshold = 1/2\n"
+     "floor = 1/2\n"
+     "assumption_probability = 1\n"
+     "automaton_states = 5, 4\n"
+     "mdp_states = 4\n"
+     "product_states = 6\n"
+     "transducer_states = 4\n"
+     "values = 1/2, 1\n"),
+    ("input-process", dict(GOLDEN_HD, distribution=UNIFORM_DATA), [], 0,
+     "95f3a83fe82eea18031673fe51a5288ae68065d71249c9e6a356c9169ef16d32",
+     "result = OK\n"
+     "expected = 3/4\n"
+     "decimal = 0.75\n"
+     "automaton_states = 5, 5, 5\n"
+     "mdp_states = 11\n"
+     "product_states = 6\n"
+     "transducer_states = 9\n"
+     "values = 0, 1/2, 1\n"),
+]
+
+
+@pytest.mark.parametrize("mode, doc, flags, code, digest, report", GOLDEN,
+                         ids=[case[0] for case in GOLDEN])
+def test_golden_synth_report_and_controller(tmp_path, capsys, mode, doc, flags,
+                                            code, digest, report):
+    spec = tmp_path / "spec.json"
+    ctrl = tmp_path / "ctrl.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", str(spec), "--out", str(ctrl)] + flags) == code
+    assert capsys.readouterr().out == report
+    if digest is None:
+        assert not ctrl.exists()
+    else:
+        assert hashlib.sha256(ctrl.read_bytes()).hexdigest() == digest
