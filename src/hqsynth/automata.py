@@ -39,8 +39,8 @@ from .booleanize import (
 )
 from .common import (
     InternalConsistencyError,
-    StateLimitExceeded,
     all_letters,
+    explore,
     state_ceiling,
     strongly_connected_components,
 )
@@ -178,7 +178,6 @@ class NBW:
 
 
 def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
-    limit = state_ceiling(ceiling)
     if atoms is None:
         atoms = _bexpr_atoms(beta)
     atoms = frozenset(atoms)
@@ -244,16 +243,10 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
         return branches
 
     # States pair an obligation set with the degeneralization counter.
-    initial = (frozenset({root}), 0)
-    index: dict = {initial: 0}
-    states = [initial]
-    trans: dict = {}
-    queue = [initial]
-    while queue:
-        state = queue.pop()
+    def expand(state, number):
         obls, k = state
-        src = index[state]
         branches = cover(obls)
+        row = []
         for letter in letters:
             edges = []
             for pos, neg, nxt, post in branches:
@@ -266,17 +259,15 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
                     fair = k == m - 1
                 else:
                     k2, fair = k, False
-                succ = (frozenset(nxt), k2)
-                tgt = index.get(succ)
-                if tgt is None:
-                    tgt = index[succ] = len(states)
-                    states.append(succ)
-                    if len(states) > limit:
-                        raise StateLimitExceeded("tableau automaton", limit)
-                    queue.append(succ)
+                tgt = number((frozenset(nxt), k2))
                 if (tgt, fair) not in edges:
                     edges.append((tgt, fair))
-            trans[(src, letter)] = tuple(edges)
+            row.append(tuple(edges))
+        return row
+
+    states, rows = explore((frozenset({root}), 0), expand, "tableau automaton", ceiling)
+    trans = {(src, letter): edges for src, row in enumerate(rows)
+             for letter, edges in zip(letters, row)}
     return NBW(atoms, states, 0, trans)
 
 
@@ -336,7 +327,6 @@ class DPW:
 
 
 def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
-    limit = state_ceiling(ceiling)
     letters = all_letters(nbw.atoms)
     n = max(1, len(nbw.states))
     top_name = 2 * n + 2
@@ -435,26 +425,13 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
         )
         return newtree, prio
 
+    def expand(state, number):
+        return [number(tree_step(state[0], letter)) for letter in letters]
+
     init_tree = ((0, frozenset({nbw.initial})),)
-    initial = (init_tree, neutral)
-    index = {initial: 0}
-    states = [initial]
-    trans = {}
-    queue = [initial]
-    while queue:
-        state = queue.pop()
-        src = index[state]
-        for letter in letters:
-            tree, prio = tree_step(state[0], letter)
-            succ = (tree, prio)
-            tgt = index.get(succ)
-            if tgt is None:
-                tgt = index[succ] = len(states)
-                states.append(succ)
-                if len(states) > limit:
-                    raise StateLimitExceeded("determinized automaton", limit)
-                queue.append(succ)
-            trans[(src, letter)] = tgt
+    states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
+    trans = {(src, letter): tgt for src, row in enumerate(rows)
+             for letter, tgt in zip(letters, row)}
     rank = [ceil_prio - prio for (_, prio) in states]
     return DPW(nbw.atoms, len(states), 0, trans, rank)
 
@@ -496,28 +473,19 @@ class ProductPreAutomaton:
         for c in components[1:]:
             if c.atoms != atoms:
                 raise ValueError("product components disagree on the alphabet")
-        limit = state_ceiling(ceiling)
         self.atoms = atoms
         self.components = list(components)
         self.initial = tuple(c.initial for c in components)
         letters = all_letters(atoms)
-        states = [self.initial]
-        seen = {self.initial}
-        trans = {}
-        queue = [self.initial]
-        while queue:
-            s = queue.pop()
+        self.trans = {}
+
+        def expand(s, number):
             for letter in letters:
-                t = tuple(c.step(q, letter) for c, q in zip(self.components, s))
-                trans[(s, letter)] = t
-                if t not in seen:
-                    seen.add(t)
-                    states.append(t)
-                    if len(states) > limit:
-                        raise StateLimitExceeded("product automaton", limit)
-                    queue.append(t)
-        self.states = states
-        self.trans = trans
+                t = self.trans[(s, letter)] = tuple(
+                    c.step(q, letter) for c, q in zip(self.components, s))
+                number(t)
+
+        self.states, _ = explore(self.initial, expand, "product automaton", ceiling)
 
     def step(self, s: tuple, letter: frozenset) -> tuple:
         return self.trans[(s, letter)]

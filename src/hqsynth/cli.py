@@ -19,7 +19,15 @@ import math
 import sys
 from fractions import Fraction
 
-from .common import StateLimitExceeded, all_letters, format_fraction, parse_fraction
+from .common import (
+    StateLimitExceeded,
+    all_letters,
+    format_fraction,
+    json_atoms,
+    json_object,
+    json_records,
+    parse_fraction,
+)
 from .evaluation import (
     almost_sure_value,
     conditional_expected_value,
@@ -39,12 +47,6 @@ _SPEC_KEYS = {"inputs", "outputs", "formula", "assumption", "threshold",
 # --- file formats --------------------------------------------------------
 
 
-def _atom_list(value, what: str) -> frozenset:
-    if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
-        raise ValueError(f"{what} must be a list of atom names")
-    return frozenset(value)
-
-
 def _rational(value, what: str) -> Fraction:
     if not isinstance(value, str):
         raise ValueError(f'{what} must be a "num/den" string, not {value!r}')
@@ -61,27 +63,30 @@ def distribution_from_json(doc: dict) -> DistributionMDP:
     """Input-process JSON: states carry the input letter emitted on entry,
     transitions are (state, output letter) rows of "num/den" probabilities.
     """
-    for key in ("inputs", "outputs", "states", "initial", "transitions"):
-        if key not in doc:
-            raise ValueError(f"distribution is missing {key!r}")
-    inputs = _atom_list(doc["inputs"], "distribution inputs")
-    outputs = _atom_list(doc["outputs"], "distribution outputs")
-    states = doc["states"]
-    ids = [st["id"] for st in states]
-    if ids != list(range(len(states))):
+    json_object(doc, ("inputs", "outputs", "states", "initial", "transitions"),
+                "distribution")
+    inputs = json_atoms(doc["inputs"], "distribution inputs")
+    outputs = json_atoms(doc["outputs"], "distribution outputs")
+    states = json_records(doc["states"], ("id",), "distribution state")
+    n = len(states)
+
+    def state_id(q):
+        return q if type(q) is int and 0 <= q < n else None
+
+    if [state_id(st["id"]) for st in states] != list(range(n)):
         raise ValueError("distribution state ids must be 0..n-1 in order")
-    iota = [_atom_list(st.get("input"), f"input of distribution state {s}")
+    iota = [json_atoms(st.get("input"), f"input of distribution state {s}")
             for s, st in enumerate(states)]
-    trans = {(s, o): [] for s in ids for o in all_letters(outputs)}
-    for tr in doc["transitions"]:
-        key = (tr["from"], _atom_list(tr["output"], "distribution transition output"))
-        if key not in trans:
+    trans = {(s, o): [] for s in range(n) for o in all_letters(outputs)}
+    for tr in json_records(doc["transitions"], ("from", "output", "to", "prob"),
+                           "distribution transition"):
+        key = (state_id(tr["from"]), json_atoms(tr["output"], "distribution transition output"))
+        if state_id(tr["to"]) is None or key not in trans:
             raise ValueError(f"distribution transition from unknown state/output {tr!r}")
         trans[key].append((tr["to"], _rational(tr["prob"], "distribution transition prob")))
-    try:
-        return DistributionMDP(inputs, outputs, iota, doc["initial"], trans)
-    except (KeyError, IndexError) as exc:
-        raise ValueError(f"malformed distribution: {exc}") from None
+    if state_id(doc["initial"]) is None:
+        raise ValueError(f"distribution initial state {doc['initial']!r} is unknown")
+    return DistributionMDP(inputs, outputs, iota, doc["initial"], trans)
 
 
 def load_spec_file(path: str) -> SynthesisSpec:
@@ -96,8 +101,8 @@ def load_spec_file(path: str) -> SynthesisSpec:
         if key not in doc:
             raise ValueError(f"{path}: spec is missing {key!r}")
     return SynthesisSpec(
-        inputs=_atom_list(doc["inputs"], f"{path}: inputs"),
-        outputs=_atom_list(doc["outputs"], f"{path}: outputs"),
+        inputs=json_atoms(doc["inputs"], f"{path}: inputs"),
+        outputs=json_atoms(doc["outputs"], f"{path}: outputs"),
         formula=_formula(doc["formula"], f"{path}: formula"),
         assumption=(_formula(doc["assumption"], f"{path}: assumption")
                     if "assumption" in doc else None),

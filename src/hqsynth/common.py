@@ -1,4 +1,5 @@
-"""Shared helpers: exact rationals, alphabet letters, resource guards."""
+"""Shared helpers: exact rationals, alphabet letters, resource guards, and
+the one ceiling-guarded state-space explorer."""
 
 from __future__ import annotations
 
@@ -33,6 +34,69 @@ def state_ceiling(override: int | None = None) -> int:
         except ValueError:
             raise ValueError(f"{STATE_CEILING_ENV} must be an integer, got {raw!r}")
     return DEFAULT_STATE_CEILING
+
+
+def explore(start, expand, what: str, ceiling: int | None = None):
+    """(states, rows) of the state space reachable from `start`.
+
+    States are numbered in discovery order and expanded in that same order
+    (breadth first); the numbering breaks ties in later analyses, so every
+    construction explores this way.  `expand(state, number)` returns the
+    state's row, where `number(successor)` gives a successor's index and
+    numbers it when new.  Reaching more states than the ceiling raises
+    `StateLimitExceeded` naming `what`.
+    """
+    limit = state_ceiling(ceiling)
+    states = [start]
+    index = {start: 0}
+
+    def number(state) -> int:
+        j = index.get(state)
+        if j is None:
+            j = index[state] = len(states)
+            states.append(state)
+            if len(states) > limit:
+                raise StateLimitExceeded(what, limit)
+        return j
+
+    # the loop also walks the states `number` appends while it runs
+    rows = [expand(state, number) for state in states]
+    return states, rows
+
+
+def probability_row(branches, number) -> tuple:
+    """The ((index, probability), ...) row of (successor, probability)
+    branches: successors numbered in branch order, repeats added up, and
+    the row sorted by index."""
+    acc: dict = {}
+    for succ, p in branches:
+        j = number(succ)
+        acc[j] = acc.get(j, Fraction(0)) + p
+    return tuple(sorted(acc.items()))
+
+
+def json_object(value, keys, what: str) -> dict:
+    """`value`, checked to be a JSON object carrying every key in `keys`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{what} is missing {key!r}")
+    return value
+
+
+def json_atoms(value, what: str) -> frozenset:
+    if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
+        raise ValueError(f"{what} must be a list of atom names")
+    return frozenset(value)
+
+
+def json_records(value, keys, what: str) -> list:
+    """`value`, checked to be a list of JSON objects, each a `what` carrying
+    every key in `keys`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}s must be a list, not {value!r}")
+    return [json_object(record, keys, what) for record in value]
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -12,12 +12,14 @@ Worst-case evaluation is adversarial instead of stochastic: a parity lasso
 search over the product of the transducer with each value automaton, in
 ascending value order.
 
-Input processes are output-dependent in general, which creates a chicken
-and egg problem: the process needs the current output letter before the
-input is drawn, but a transducer's output may depend on the input just
-read.  Evaluation therefore requires either a process whose rows ignore
-the output or a transducer whose successors of each state share one label;
-anything else is rejected rather than silently approximated.
+The chain is driven by an input process (uniform inputs when `dist` is
+None).  Input processes are output-dependent in general, which creates a
+chicken and egg problem: the process needs the current output letter
+before the input is drawn, but a transducer's output may depend on the
+input just read.  Evaluation therefore requires, at every reachable
+process state, either rows that ignore the output or a transducer state
+whose successors share one label; anything else is rejected rather than
+silently approximated.
 """
 
 from __future__ import annotations
@@ -25,15 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .booleanize import AtLeast, EqualTo
-from .common import (
-    InternalConsistencyError,
-    StateLimitExceeded,
-    all_letters,
-    state_ceiling,
-)
+from .common import InternalConsistencyError, all_letters, explore, probability_row
 from .automata import dpw_for, parity_lasso
 from .formulas import Formula, LassoWord, eval_lasso, is_boolean, values
-from .mdp import MarkovChain, mc_ergodic_analysis
+from .mdp import MarkovChain, input_process, mc_ergodic_analysis
 from .transducers import Transducer, computation_lasso
 
 
@@ -41,75 +38,43 @@ class AssumptionHasZeroProbability(ValueError):
     """Conditioning on a probability-zero assumption is undefined."""
 
 
-def _check_alphabets(T: Transducer, formula: Formula, dist):
+def _check_formula(T: Transducer, formula: Formula):
     if not formula.atoms() <= T.inputs | T.outputs:
         raise ValueError("formula uses atoms the transducer does not carry")
-    if dist is not None:
-        if dist.inputs != T.inputs or dist.outputs != T.outputs:
-            raise ValueError("input process and transducer disagree on alphabets")
 
 
-def _branches(T: Transducer, dist, t, sd):
-    """One step of the driven transducer: (t', sd', full letter, probability).
+def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovChain:
+    """The chain over (transducer state, automaton state tuple, process state).
 
-    Uniform inputs when dist is None.  Otherwise the process must be told
-    the output letter before the draw; see the module docstring.
+    The process must be told the output letter before it draws the input;
+    see the module docstring.
     """
-    if dist is None:
-        letters = all_letters(T.inputs)
-        p = Fraction(1, len(letters))
-        out = []
-        for i in letters:
-            t2 = T.delta[(t, i)]
-            out.append((t2, None, i | T.labels[t2], p))
-        return out
-    committed = {T.labels[T.delta[(t, i)]] for i in all_letters(T.inputs)}
-    if len(committed) == 1:
-        rows = dist.rows(sd, next(iter(committed)))
-    else:
-        base = dist.rows(sd, frozenset())
-        for o in all_letters(T.outputs):
-            if dist.rows(sd, o) != base:
+    process = input_process(dist, T.inputs, T.outputs)
+    if process.inputs != T.inputs or process.outputs != T.outputs:
+        raise ValueError("input process and transducer disagree on alphabets")
+    in_letters = all_letters(T.inputs)
+
+    def expand(state, number):
+        t, qs, sd = state
+        committed = frozenset()
+        if not process.insensitive_at(sd):
+            labels = {T.labels[T.delta[(t, i)]] for i in in_letters}
+            if len(labels) != 1:
                 raise ValueError(
                     "output-sensitive input process needs outputs committed one "
                     "step ahead: all successors of a transducer state must share "
                     "a label")
-        rows = base
-    out = []
-    for sd2, p in rows:
-        if p == 0:
-            continue
-        i = dist.label(sd2)
-        t2 = T.delta[(t, i)]
-        out.append((t2, sd2, i | T.labels[t2], p))
-    return out
+            (committed,) = labels
+        branches = []
+        for i, sd2, p in process.branches(sd, committed):
+            t2 = T.delta[(t, i)]
+            letter = i | T.labels[t2]
+            branches.append(
+                ((t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2), p))
+        return probability_row(branches, number)
 
-
-def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovChain:
-    """The chain over (transducer state, automaton state tuple, process state);
-    the last entry is None under uniform inputs."""
-    limit = state_ceiling(ceiling)
-    init = (T.initial,
-            tuple(a.initial for a in automata),
-            dist.initial if dist is not None else None)
-    states = [init]
-    index = {init: 0}
-    rows = []
-    k = 0
-    while k < len(states):
-        t, qs, sd = states[k]
-        acc: dict[int, Fraction] = {}
-        for t2, sd2, letter, p in _branches(T, dist, t, sd):
-            succ = (t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2)
-            j = index.get(succ)
-            if j is None:
-                j = index[succ] = len(states)
-                states.append(succ)
-                if len(states) > limit:
-                    raise StateLimitExceeded("evaluation product", limit)
-            acc[j] = acc.get(j, Fraction(0)) + p
-        rows.append(tuple(sorted(acc.items())))
-        k += 1
+    init = (T.initial, tuple(a.initial for a in automata), process.initial)
+    states, rows = explore(init, expand, "evaluation product", ceiling)
     return MarkovChain(states, 0, rows)
 
 
@@ -133,7 +98,7 @@ def _classify(chain: MarkovChain, bottoms, dpws, vals):
 
 
 def _setup(T: Transducer, formula: Formula, extras=(), dist=None, ceiling=None):
-    _check_alphabets(T, formula, dist)
+    _check_formula(T, formula)
     atoms = T.inputs | T.outputs
     vals = values(formula, atoms, ceiling=ceiling)
     dpws = [dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling) for v in vals]
@@ -145,10 +110,11 @@ def _setup(T: Transducer, formula: Formula, extras=(), dist=None, ceiling=None):
     return chain, bottoms, rho, comp_values, len(dpws)
 
 
-def _check_assumption(T: Transducer, assumption: Formula):
+def check_assumption(assumption: Formula, inputs):
+    """Reject an assumption that is not a classical formula over the inputs."""
     if not is_boolean(assumption):
         raise ValueError("assumption must be a classical formula")
-    if not assumption.atoms() <= T.inputs:
+    if not assumption.atoms() <= inputs:
         raise ValueError("assumption must range over inputs only")
 
 
@@ -159,7 +125,7 @@ def expected_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> 
 
 def conditional_expected_value(T: Transducer, formula: Formula, assumption: Formula,
                                dist=None, ceiling=None) -> Fraction:
-    _check_assumption(T, assumption)
+    check_assumption(assumption, T.inputs)
     chain, bottoms, rho, comp_values, n_vals = _setup(
         T, formula, (assumption,), dist, ceiling)
     psi_dpw = dpw_for(assumption, AtLeast(Fraction(1)), T.inputs | T.outputs,
@@ -186,7 +152,7 @@ def conditional_almost_sure_floor(T: Transducer, formula: Formula, assumption: F
                                   dist=None, ceiling=None) -> Fraction:
     """The largest value reached with conditional probability one, given
     the assumption."""
-    _check_assumption(T, assumption)
+    check_assumption(assumption, T.inputs)
     chain, bottoms, rho, comp_values, n_vals = _setup(
         T, formula, (assumption,), dist, ceiling)
     psi_dpw = dpw_for(assumption, AtLeast(Fraction(1)), T.inputs | T.outputs,
@@ -213,7 +179,7 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
     value's automaton.  The witness is replayed through the transducer and
     re-evaluated before being returned.
     """
-    _check_alphabets(T, formula, None)
+    _check_formula(T, formula)
     atoms = T.inputs | T.outputs
     in_letters = all_letters(T.inputs)
     pos = {q: k for k, q in enumerate(T.states)}

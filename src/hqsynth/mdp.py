@@ -5,6 +5,16 @@ split into inputs and outputs: the controller picks the output letter, the
 environment draws the input letter, and the automaton state advances.  All
 probabilities and rewards are `Fraction`s; every solver below is exact.
 
+The environment is an input process with one interface: `UniformInputs`
+draws every input letter with the same probability, `DistributionMDP` is a
+finite-state process whose rows may depend on the output letter.  Each has
+an `initial` state, `branches(s, o)` listing (input letter, next state,
+p > 0) under output letter o, `insensitive_at(s)` and `output_insensitive()`
+telling whether rows ignore the output, and `next_state(s, o, i)` tracking
+the process from an observed input.  `input_process` turns the `dist=None`
+of public entry points into `UniformInputs`, so an induced MDP always
+labels its states (automaton state, process state).
+
 The analyses are the standard toolbox: maximal end components, the
 even-rank-stratified controllably-win-recurrent states, almost-sure parity
 winning (target the c.w.r. witnesses, then an almost-sure attractor), and
@@ -21,10 +31,10 @@ from fractions import Fraction
 
 from .common import (
     InternalConsistencyError,
-    StateLimitExceeded,
     all_letters,
+    explore,
     format_fraction,
-    state_ceiling,
+    probability_row,
     strongly_connected_components,
 )
 
@@ -107,53 +117,89 @@ class MarkovChain:
         return [t for t, p in self.rows[s] if p > 0]
 
 
+class UniformInputs:
+    """Input process drawing every input letter with the same probability,
+    whatever the output; it has the single state 0, and `branches` follows
+    the order of `all_letters`.  What `dist=None` stands for."""
+
+    initial = 0
+
+    def __init__(self, inputs, outputs):
+        self.inputs = frozenset(inputs)
+        self.outputs = frozenset(outputs)
+        letters = all_letters(self.inputs)
+        weight = Fraction(1, len(letters))
+        self._branches = tuple((i, 0, weight) for i in letters)
+
+    def branches(self, s: int, output: frozenset):
+        return self._branches
+
+    def insensitive_at(self, s: int) -> bool:
+        return True
+
+    def output_insensitive(self) -> bool:
+        return True
+
+    def label_deterministic(self) -> bool:
+        return True
+
+    def next_state(self, s: int, output: frozenset, letter: frozenset):
+        return 0
+
+
 class DistributionMDP:
     """Input process: an MDP over output actions whose states carry input
     letters.  The input consumed at a step is the label of the state the
     process moves into, so the initial state's label is never read.
+    `branches` follows the order of the rows.
     """
 
-    def __init__(self, inputs, outputs, iota, initial, trans, validate=True):
+    def __init__(self, inputs, outputs, iota, initial, trans):
         self.inputs = frozenset(inputs)
         self.outputs = frozenset(outputs)
         self.iota = [frozenset(x) for x in iota]
         self.initial = initial
         self.trans = trans
-        if validate:
-            out_letters = all_letters(self.outputs)
-            for s, lab in enumerate(self.iota):
-                if not lab <= self.inputs:
-                    raise ValueError(f"state {s} labeled outside the inputs")
-                for o in out_letters:
-                    rows = self.trans[(s, o)]
-                    if sum(p for _, p in rows) != 1:
-                        raise ValueError(f"distribution rows at ({s},{set(o)}) do not sum to 1")
-                    if any(p < 0 for _, p in rows):
-                        raise ValueError(f"negative probability at ({s},{set(o)})")
+        out_letters = all_letters(self.outputs)
+        for s, lab in enumerate(self.iota):
+            if not lab <= self.inputs:
+                raise ValueError(f"state {s} labeled outside the inputs")
+            for o in out_letters:
+                rows = self.trans[(s, o)]
+                if sum(p for _, p in rows) != 1:
+                    raise ValueError(f"distribution rows at ({s},{set(o)}) do not sum to 1")
+                if any(p < 0 for _, p in rows):
+                    raise ValueError(f"negative probability at ({s},{set(o)})")
+        self._insensitive = [
+            all(self.trans[(s, o)] == self.trans[(s, frozenset())] for o in out_letters)
+            for s in range(len(self.iota))]
 
-    @property
-    def n(self) -> int:
-        return len(self.iota)
+    def branches(self, s: int, output: frozenset):
+        return [(self.iota[t], t, p) for t, p in self.trans[(s, output)] if p > 0]
 
-    def rows(self, s: int, output: frozenset):
-        return self.trans[(s, output)]
+    def insensitive_at(self, s: int) -> bool:
+        return self._insensitive[s]
 
-    def label(self, s: int) -> frozenset:
-        return self.iota[s]
+    def output_insensitive(self) -> bool:
+        return all(self._insensitive)
 
     def label_deterministic(self) -> bool:
         """At most one positive successor per (state, output, input letter);
         needed when a controller must track this process from the inputs
         it observes."""
-        for (s, o), rows in self.trans.items():
-            seen = set()
-            for t, p in rows:
-                if p > 0:
-                    key = self.iota[t]
-                    if key in seen:
-                        return False
-                    seen.add(key)
-        return True
+        return all(len({i for i, _, _ in b}) == len(b)
+                   for b in (self.branches(s, o) for s, o in self.trans))
+
+    def next_state(self, s: int, output: frozenset, letter: frozenset):
+        """The state entered when the process emits `letter` under `output`,
+        or None when it cannot emit it; assumes `label_deterministic`."""
+        return next((t for i, t, _ in self.branches(s, output) if i == letter), None)
+
+
+def input_process(dist, inputs, outputs):
+    """The input process `dist`, or uniform inputs over the alphabets when
+    it is None: the one place that tells the two apart."""
+    return UniformInputs(inputs, outputs) if dist is None else dist
 
 
 @dataclass
@@ -176,74 +222,27 @@ class Strategy:
 # --- induced MDPs --------------------------------------------------------
 
 
-def induced_pre_mdp(automaton, inputs, outputs, ceiling: int | None = None) -> PreMDP:
-    """Uniform-input MDP of a deterministic automaton over 2^(I+O):
-    the action fixes the output letter, the input letter is drawn uniformly.
+def induced_pre_mdp(automaton, process, ceiling: int | None = None) -> PreMDP:
+    """MDP of a deterministic automaton over 2^(I+O) under an input process:
+    the action fixes the output letter, the process draws the input letter.
+    States are (automaton state, process state) pairs.
     """
-    limit = state_ceiling(ceiling)
-    inputs = frozenset(inputs)
-    outputs = frozenset(outputs)
-    in_letters = all_letters(inputs)
-    out_letters = all_letters(outputs)
-    weight = Fraction(1, len(in_letters))
+    out_letters = all_letters(process.outputs)
 
-    labels = [automaton.initial]
-    index = {automaton.initial: 0}
-    trans = {}
-    queue = [automaton.initial]
-    while queue:
-        q = queue.pop()
-        s = index[q]
-        for a, o in enumerate(out_letters):
-            dist: dict[int, Fraction] = {}
-            for i in in_letters:
-                q2 = automaton.step(q, i | o)
-                t = index.get(q2)
-                if t is None:
-                    t = index[q2] = len(labels)
-                    labels.append(q2)
-                    if len(labels) > limit:
-                        raise StateLimitExceeded("induced MDP", limit)
-                    queue.append(q2)
-                dist[t] = dist.get(t, Fraction(0)) + weight
-            trans[(s, a)] = tuple(sorted(dist.items()))
-    actions = [out_letters] * len(labels)
-    return PreMDP(labels, 0, actions, trans)
+    def expand(lab, number):
+        q, sd = lab
+        return [probability_row([((automaton.step(q, i | o), sd2), p)
+                                 for i, sd2, p in process.branches(sd, o)], number)
+                for o in out_letters]
+
+    labels, rows = explore((automaton.initial, process.initial), expand,
+                           "induced MDP", ceiling)
+    trans = {(s, a): row for s, acts in enumerate(rows) for a, row in enumerate(acts)}
+    return PreMDP(labels, 0, [out_letters] * len(labels), trans)
 
 
-def induced_pre_mdp_dist(automaton, dist_mdp, outputs, ceiling: int | None = None) -> PreMDP:
-    """Input distribution given by a state machine: inputs are read off the
-    labels of its successor states, so the initial label is never consumed.
-    """
-    limit = state_ceiling(ceiling)
-    out_letters = all_letters(frozenset(outputs))
-    start = (automaton.initial, dist_mdp.initial)
-    labels = [start]
-    index = {start: 0}
-    trans = {}
-    queue = [start]
-    while queue:
-        qs = queue.pop()
-        q, sd = qs
-        s = index[qs]
-        for a, o in enumerate(out_letters):
-            dist: dict[int, Fraction] = {}
-            for sd2, p in dist_mdp.rows(sd, o):
-                if p == 0:
-                    continue
-                q2 = automaton.step(q, dist_mdp.label(sd2) | o)
-                succ = (q2, sd2)
-                t = index.get(succ)
-                if t is None:
-                    t = index[succ] = len(labels)
-                    labels.append(succ)
-                    if len(labels) > limit:
-                        raise StateLimitExceeded("induced MDP", limit)
-                    queue.append(succ)
-                dist[t] = dist.get(t, Fraction(0)) + p
-            trans[(s, a)] = tuple(sorted(dist.items()))
-    actions = [out_letters] * len(labels)
-    return PreMDP(labels, 0, actions, trans)
+# Kept under its old name too, for callers that look builders up by name.
+induced_pre_mdp_dist = induced_pre_mdp
 
 
 def induced_chain(M: PreMDP, choice: dict) -> MarkovChain:
@@ -586,7 +585,11 @@ def _policy_action_value(i, a, node_actions, node_rows, terminal, values):
 
 def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy):
     # Unknowns for nodes not absorbing; stay-nodes pin their terminal value.
-    unknown = [i for i in range(n_nodes) if node_actions[i][policy[i]] != ("stay",)]
+    # Ordered sinks first, as in mc_ergodic_analysis.
+    comps = strongly_connected_components(
+        range(n_nodes), lambda i: [j for j, _ in node_rows.get((i, policy[i]), ())])
+    unknown = [i for comp in comps for i in comp
+               if node_actions[i][policy[i]] != ("stay",)]
     pos = {i: k for k, i in enumerate(unknown)}
     k = len(unknown)
     matrix = [[Fraction(0)] * (k + 1) for _ in range(k)]
@@ -634,16 +637,8 @@ def mc_ergodic_analysis(C: MarkovChain):
     Ergodic components are the bottom strongly connected components;
     absorption probabilities come from one exact linear solve and sum to 1.
     """
-    reachable = {C.initial}
-    queue = [C.initial]
-    while queue:
-        s = queue.pop()
-        for t in C.successors(s):
-            if t not in reachable:
-                reachable.add(t)
-                queue.append(t)
-    comps = strongly_connected_components(
-        sorted(reachable), lambda s: [t for t in C.successors(s) if t in reachable])
+    # the components reachable from the initial state, sinks first
+    comps = strongly_connected_components([C.initial], C.successors)
     bottoms = []
     for comp in comps:
         compset = set(comp)
@@ -655,7 +650,8 @@ def mc_ergodic_analysis(C: MarkovChain):
     for i, comp in enumerate(bottoms):
         for s in comp:
             comp_of[s] = i
-    transient = [s for s in sorted(reachable) if s not in comp_of]
+    # unknowns sinks first: elimination then fills in only within components
+    transient = [s for comp in comps for s in comp if s not in comp_of]
     pos = {s: r for r, s in enumerate(transient)}
     k = len(transient)
     width = len(bottoms)

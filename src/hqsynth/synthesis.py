@@ -32,6 +32,9 @@ The order of construction (floor automaton, value automata, assumption
 automaton) fixes the numbering of MDP states, which breaks ties in policy
 iteration and so decides the controller; changing it changes controllers.
 
+The environment is the spec's input process, uniform inputs when it has
+none; every MDP here labels its states (automaton state, process state).
+
 Extracted controllers commit each output one step ahead: the transducer
 state entered on input i is labeled with the output decided before i was
 read, so every state's successors share a label.  Controllers of this shape
@@ -46,20 +49,16 @@ from fractions import Fraction
 
 from .automata import ProductPreAutomaton, dpw_for
 from .booleanize import AtLeast, EqualTo
-from .common import (
-    InternalConsistencyError,
-    StateLimitExceeded,
-    all_letters,
-    state_ceiling,
-)
+from .common import InternalConsistencyError, all_letters, explore, probability_row
 from .evaluation import (
     AssumptionHasZeroProbability,
     almost_sure_value,
+    check_assumption,
     conditional_almost_sure_floor,
     conditional_expected_value,
     expected_value,
 )
-from .formulas import Formula, implies, is_boolean, values
+from .formulas import Formula, implies, values
 from .mdp import (
     DistributionMDP,
     MarkovChain,
@@ -69,7 +68,7 @@ from .mdp import (
     almost_sure_parity,
     induced_chain,
     induced_pre_mdp,
-    induced_pre_mdp_dist,
+    input_process,
     max_end_components,
     mc_ergodic_analysis,
     solve_mean_payoff,
@@ -95,10 +94,7 @@ class SynthesisSpec:
         if not self.formula.atoms() <= self.inputs | self.outputs:
             raise ValueError("formula uses atoms outside the declared alphabet")
         if self.assumption is not None:
-            if not is_boolean(self.assumption):
-                raise ValueError("assumption must be a classical formula")
-            if not self.assumption.atoms() <= self.inputs:
-                raise ValueError("assumption must range over inputs only")
+            check_assumption(self.assumption, self.inputs)
         if self.threshold is not None:
             self.threshold = Fraction(self.threshold)
             if not 0 <= self.threshold <= 1:
@@ -110,10 +106,9 @@ class SynthesisSpec:
                 raise ValueError("hard constraint and assumption cannot be combined")
             if not self.hard_constraint.atoms() <= self.inputs | self.outputs:
                 raise ValueError("hard constraint uses atoms outside the alphabet")
-        if self.distribution is not None:
-            d = self.distribution
-            if d.inputs != self.inputs or d.outputs != self.outputs:
-                raise ValueError("input process and spec disagree on alphabets")
+        process = input_process(self.distribution, self.inputs, self.outputs)
+        if process.inputs != self.inputs or process.outputs != self.outputs:
+            raise ValueError("input process and spec disagree on alphabets")
 
 
 @dataclass
@@ -139,50 +134,34 @@ class Unrealizable:
 
 
 # --- shared machinery ----------------------------------------------------
+#
+# Every MDP below is driven by an input process and labels its states
+# (automaton state, process state); under a product automaton the first
+# entry is the tuple of component states.
 
 
-def _induced(automaton, inputs, outputs, dist, ceiling):
-    if dist is None:
-        return induced_pre_mdp(automaton, inputs, outputs, ceiling=ceiling)
-    return induced_pre_mdp_dist(automaton, dist, outputs, ceiling=ceiling)
-
-
-def _proj_key(pos, label, dist):
-    # MDP labels are product tuples, or (tuple, process state) pairs
-    if dist is None:
-        return label[pos]
-    return (label[0][pos], label[1])
-
-
-def _att_state(pos, label, dist):
-    return label[pos] if dist is None else label[0][pos]
-
-
-def _component_win(dpw, M, outputs, dist):
+def _component_win(dpw, M):
     """Almost-sure parity winning region of one automaton's induced MDP M,
     as (winning keys, key -> winning output letter)."""
-    if dist is None:
-        ranks = [dpw.rank[lab] for lab in M.labels]
-    else:
-        ranks = [dpw.rank[lab[0]] for lab in M.labels]
+    ranks = [dpw.rank[q] for q, _ in M.labels]
     PM = ParityMDP(M.labels, M.initial, M.actions, M.trans, ranks, validate=False)
     win, strat = almost_sure_parity(PM)
-    out_letters = all_letters(outputs)
     keys = frozenset(M.labels[s] for s in win)
-    letters = {M.labels[s]: out_letters[a] for s, a in strat.items()}
+    letters = {M.labels[s]: M.actions[s][a] for s, a in strat.items()}
     return keys, letters
 
 
-def _gamma_rewards(M, vals, wins, dist):
+def _gamma_rewards(M, vals, wins):
     """Per-state reward: the largest value whose automaton projection is
     almost-surely winnable, for states inside some end component; 0 outside.
     Constant on every maximal end component, which is asserted."""
     gamma = [Fraction(0)] * M.n
     for states, _acts in max_end_components(M):
         for s in states:
+            qs, sd = M.labels[s]
             best = Fraction(0)
             for pos, (v, w) in enumerate(zip(vals, wins)):
-                if v > best and _proj_key(pos, M.labels[s], dist) in w:
+                if v > best and (qs[pos], sd) in w:
                     best = v
             gamma[s] = best
         if len({gamma[s] for s in states}) != 1:
@@ -190,54 +169,32 @@ def _gamma_rewards(M, vals, wins, dist):
     return gamma
 
 
-def _induced_restricted(prod, att_pos, att_win, inputs, outputs, dist, ceiling):
+def _induced_restricted(prod, att_pos, att_win, process, ceiling):
     """Induced MDP keeping only output letters under which every possible
     input stays inside the threshold automaton's winning region."""
-    limit = state_ceiling(ceiling)
-    out_letters = all_letters(frozenset(outputs))
-    in_letters = all_letters(frozenset(inputs))
-    weight = Fraction(1, len(in_letters))
-    start = prod.initial if dist is None else (prod.initial, dist.initial)
-    labels = [start]
-    index = {start: 0}
-    actions = []
-    trans = {}
-    k = 0
-    while k < len(labels):
-        lab = labels[k]
-        allowed = []
-        branch_lists = []
+    out_letters = all_letters(process.outputs)
+
+    def expand(lab, number):
+        qs, sd = lab
+        allowed, kept = [], []
         for o in out_letters:
-            if dist is None:
-                branches = [(prod.step(lab, i | o), None, weight) for i in in_letters]
-            else:
-                qs, sd = lab
-                branches = [(prod.step(qs, dist.label(sd2) | o), sd2, p)
-                            for sd2, p in dist.rows(sd, o) if p > 0]
-            if all(_proj_key(att_pos, (q, sd2) if dist is not None else q, dist)
-                   in att_win for q, sd2, _ in branches):
+            branches = [((prod.step(qs, i | o), sd2), p)
+                        for i, sd2, p in process.branches(sd, o)]
+            if all((qs2[att_pos], sd2) in att_win for (qs2, sd2), _ in branches):
                 allowed.append(o)
-                branch_lists.append(branches)
+                kept.append(branches)
         if not allowed:
             raise InternalConsistencyError("winning region is not action-closed")
-        for a, branches in enumerate(branch_lists):
-            acc: dict[int, Fraction] = {}
-            for q, sd2, p in branches:
-                succ = q if dist is None else (q, sd2)
-                j = index.get(succ)
-                if j is None:
-                    j = index[succ] = len(labels)
-                    labels.append(succ)
-                    if len(labels) > limit:
-                        raise StateLimitExceeded("restricted product MDP", limit)
-                acc[j] = acc.get(j, Fraction(0)) + p
-            trans[(k, a)] = tuple(sorted(acc.items()))
-        actions.append(tuple(allowed))
-        k += 1
-    return PreMDP(labels, 0, actions, trans, validate=False)
+        return tuple(allowed), [probability_row(b, number) for b in kept]
+
+    labels, rows = explore((prod.initial, process.initial), expand,
+                           "restricted product MDP", ceiling)
+    trans = {(s, a): row for s, (_, acts) in enumerate(rows)
+             for a, row in enumerate(acts)}
+    return PreMDP(labels, 0, [allowed for allowed, _ in rows], trans, validate=False)
 
 
-def _install_triggers(M, primary, vals, dist, att=None, t=None):
+def _install_triggers(M, primary, vals, att=None, t=None):
     """Absorption analysis of the primary strategy's chain.
 
     Positive-reward components switch to the matching value's winning
@@ -259,18 +216,14 @@ def _install_triggers(M, primary, vals, dist, att=None, t=None):
             for s in comp:
                 triggers[s] = key
         elif att is not None and t > 0:
-            top = max(att.rank[_att_state(len(vals), chain.labels[s], dist)]
-                      for s in comp)
+            top = max(att.rank[chain.labels[s][0][len(vals)]] for s in comp)
             if top % 2 == 1:
                 for s in comp:
                     triggers[s] = ("floor",)
     return triggers, realized
 
 
-_DEAD = ("dead",)
-
-
-def _extract(prod, M, primary, triggers, phase_letters, inputs, outputs, dist,
+def _extract(prod, M, primary, triggers, phase_letters, process,
              ceiling=None) -> Transducer:
     """Turn a two-phase MDP strategy into a transducer.
 
@@ -278,12 +231,13 @@ def _extract(prod, M, primary, triggers, phase_letters, inputs, outputs, dist,
     output appearing at a position belongs to the state entered on that
     position's input.  Transducer states therefore carry the output chosen
     one step earlier, and every state's successors share their label.
-    Memory is the current phase; triggers fire on entry.  Under an input
-    process, the process state is tracked from the observed inputs, and
-    impossible inputs lead to an absorbing unlabeled state.
+    Memory is the current phase; triggers fire on entry.  The process state
+    is tracked from the observed inputs; inputs the process cannot emit lead
+    to an absorbing sink.  Worst-case evaluation, which ignores the process,
+    reads the sink's label: it is empty, except where the process reads the
+    output, where it is the committed output so that successors share a label.
     """
-    limit = state_ceiling(ceiling)
-    in_letters = all_letters(frozenset(inputs))
+    in_letters = all_letters(process.inputs)
     index_of = {lab: s for s, lab in enumerate(M.labels)}
     trigger_by_label = {M.labels[s]: key for s, key in triggers.items()}
 
@@ -294,7 +248,8 @@ def _extract(prod, M, primary, triggers, phase_letters, inputs, outputs, dist,
                 raise InternalConsistencyError("primary play left the analyzed region")
             return M.actions[s][primary[s]]
         pos, letters = phase_letters[m]
-        letter = letters.get(_proj_key(pos, lab, dist))
+        qs, sd = lab
+        letter = letters.get((qs[pos], sd))
         if letter is None:
             raise InternalConsistencyError("phase play left its winning region")
         return letter
@@ -302,139 +257,75 @@ def _extract(prod, M, primary, triggers, phase_letters, inputs, outputs, dist,
     def upd(m, lab):
         return trigger_by_label.get(lab) if m is None else m
 
-    def step(lab, i, o):
-        if dist is None:
-            return prod.step(lab, i | o)
+    # nodes are (MDP label, phase, stored output); sinks are (None, None, label)
+    def expand(node, number):
+        lab, m, stored = node
+        if lab is None:
+            return stored, [number(node)] * len(in_letters)
+        out = act(m, lab)
         qs, sd = lab
-        cand = [sd2 for sd2, p in dist.rows(sd, o) if p > 0 and dist.label(sd2) == i]
-        if not cand:
-            return None
-        if len(cand) > 1:
-            raise InternalConsistencyError("input process tracking is ambiguous")
-        return (prod.step(qs, i | o), cand[0])
+        sink = (None, None, frozenset() if process.insensitive_at(sd) else out)
+        succs = []
+        for i in in_letters:
+            sd2 = process.next_state(sd, out, i)
+            if sd2 is None:
+                succs.append(number(sink))
+            else:
+                lab2 = (prod.step(qs, i | out), sd2)
+                succs.append(number((lab2, upd(m, lab2), out)))
+        return stored, succs
 
     start = M.labels[M.initial]
     m0 = upd(None, start)
-    first = (start, m0, act(m0, start))
-    nodes = [first]
-    index = {first: 0}
-    delta = {}
-    labels = {}
-    k = 0
-    while k < len(nodes):
-        node = nodes[k]
-        if node == _DEAD:
-            labels[k] = frozenset()
-            for i in in_letters:
-                delta[(k, i)] = k
-            k += 1
-            continue
-        lab, m, stored = node
-        labels[k] = stored
-        out = act(m, lab)
-        for i in in_letters:
-            lab2 = step(lab, i, out)
-            succ = _DEAD if lab2 is None else (lab2, upd(m, lab2), out)
-            j = index.get(succ)
-            if j is None:
-                j = index[succ] = len(nodes)
-                nodes.append(succ)
-                if len(nodes) > limit:
-                    raise StateLimitExceeded("transducer extraction", limit)
-            delta[(k, i)] = j
-        k += 1
-    return Transducer(inputs, outputs, list(range(len(nodes))), 0, delta, labels)
-
-
-def _require_trackable(dist):
-    if dist is not None and not dist.label_deterministic():
-        raise ValueError(
-            "controller extraction needs an input process whose next state "
-            "is determined by the observed input letter")
-
-
-def _output_insensitive(dist) -> bool:
-    if dist is None:
-        return True
-    base_letters = all_letters(dist.outputs)
-    for s in range(dist.n):
-        rows = dist.rows(s, frozenset())
-        if any(dist.rows(s, o) != rows for o in base_letters):
-            return False
-    return True
+    nodes, rows = explore((start, m0, act(m0, start)), expand,
+                          "transducer extraction", ceiling)
+    delta = {(k, i): j for k, (_, succs) in enumerate(rows)
+             for i, j in zip(in_letters, succs)}
+    labels = {k: stored for k, (stored, _) in enumerate(rows)}
+    return Transducer(process.inputs, process.outputs, range(len(nodes)), 0,
+                      delta, labels)
 
 
 # --- assumption probability ----------------------------------------------
 
 
-def _input_chain(step_fn, initial, inputs, dist, ceiling):
-    """Chain of an input-driven automaton under the input process (outputs
-    fixed to the empty letter, legitimate only for insensitive processes)."""
-    limit = state_ceiling(ceiling)
-    in_letters = all_letters(frozenset(inputs))
-    weight = Fraction(1, len(in_letters))
-    start = initial if dist is None else (initial, dist.initial)
-    labels = [start]
-    index = {start: 0}
-    rows = []
-    k = 0
-    while k < len(labels):
-        lab = labels[k]
-        acc: dict[int, Fraction] = {}
-        if dist is None:
-            branches = [(step_fn(lab, i), weight) for i in in_letters]
+def _assumption_chain(psi_dpw, process, ceiling):
+    """(probability that the input word satisfies the assumption, the
+    (automaton state, process state) keys inside rejecting ergodic
+    components, where the assumption fails surely), from one analysis of
+    the assumption automaton's chain under the input process.  Outputs are
+    fixed to the empty letter, which is legitimate only for
+    output-insensitive processes."""
+
+    def expand(lab, number):
+        q, sd = lab
+        return probability_row([((psi_dpw.step(q, i), sd2), p)
+                                for i, sd2, p in process.branches(sd, frozenset())],
+                               number)
+
+    labels, rows = explore((psi_dpw.initial, process.initial), expand,
+                           "assumption chain", ceiling)
+    bottoms, rho = mc_ergodic_analysis(MarkovChain(labels, 0, rows, validate=False))
+    prob = Fraction(0)
+    rejecting = set()
+    for comp, p in zip(bottoms, rho):
+        keys = [labels[s] for s in comp]
+        if max(psi_dpw.rank[q] for q, _ in keys) % 2 == 0:
+            prob += p
         else:
-            q, sd = lab
-            branches = [((step_fn(q, dist.label(sd2)), sd2), p)
-                        for sd2, p in dist.rows(sd, frozenset()) if p > 0]
-        for succ, p in branches:
-            j = index.get(succ)
-            if j is None:
-                j = index[succ] = len(labels)
-                labels.append(succ)
-                if len(labels) > limit:
-                    raise StateLimitExceeded("assumption chain", limit)
-            acc[j] = acc.get(j, Fraction(0)) + p
-        rows.append(tuple(sorted(acc.items())))
-        k += 1
-    return MarkovChain(labels, 0, rows, validate=False)
+            rejecting.update(keys)
+    return prob, rejecting
 
 
 def prob_of_assumption(assumption: Formula, inputs, dist=None, ceiling=None) -> Fraction:
     """Probability that the input word satisfies a classical formula."""
-    if not is_boolean(assumption):
-        raise ValueError("assumption must be a classical formula")
     inputs = frozenset(inputs)
-    if not assumption.atoms() <= inputs:
-        raise ValueError("assumption must range over inputs only")
-    if not _output_insensitive(dist):
+    check_assumption(assumption, inputs)
+    process = input_process(dist, inputs, frozenset())
+    if not process.output_insensitive():
         raise ValueError("assumption probability needs an output-insensitive input process")
     dpw = dpw_for(assumption, AtLeast(Fraction(1)), inputs, ceiling=ceiling)
-    chain = _input_chain(dpw.step, dpw.initial, inputs, dist, ceiling)
-    bottoms, rho = mc_ergodic_analysis(chain)
-    total = Fraction(0)
-    for comp, p in zip(bottoms, rho):
-        qs = [chain.labels[s] if dist is None else chain.labels[s][0] for s in comp]
-        if max(dpw.rank[q] for q in qs) % 2 == 0:
-            total += p
-    return total
-
-
-def _rejecting_keys(psi_dpw, inputs, dist, ceiling):
-    """Assumption-automaton states (paired with the process state when one
-    is given) inside rejecting ergodic components of the input chain: once
-    there, the assumption fails surely."""
-    chain = _input_chain(psi_dpw.step, psi_dpw.initial, inputs, dist, ceiling)
-    bottoms, _ = mc_ergodic_analysis(chain)
-    rej = set()
-    for comp in bottoms:
-        labs = [chain.labels[s] for s in comp]
-        qs = [lab if dist is None else lab[0] for lab in labs]
-        if max(psi_dpw.rank[q] for q in qs) % 2 == 1:
-            rej.update(labs)
-    return rej
-
-
+    return _assumption_chain(dpw, process, ceiling)[0]
 
 
 # --- the pipeline --------------------------------------------------------
@@ -443,21 +334,21 @@ def _rejecting_keys(psi_dpw, inputs, dist, ceiling):
 def achievability_mdp(formula: Formula, inputs, outputs, dist=None, ceiling=None):
     """(reward MDP, metadata) for the plain expected-value problem: the MDP
     `synthesize` solves for a spec with no threshold and no assumption."""
-    return _reward_mdp(formula, frozenset(inputs), frozenset(outputs), dist, ceiling)
+    return _reward_mdp(formula, input_process(dist, inputs, outputs), ceiling)
 
 
-def _reward_mdp(formula, inputs, outputs, dist, ceiling,
-                low=None, att=None, att_win=None, psi=None):
+def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
+                assumption=None):
     """(reward MDP, metadata) over the product of the value automata, then
     the threshold automaton `att` when given, then the assumption's.
 
     Values below `low` are left out.  With `att`, only output letters that
     keep every input inside its winning region `att_win` are actions.  With
-    an assumption psi, every state whose assumption component is doomed
-    jumps back to the initial state; the metadata keeps the MDP before
-    those resets and the list of reset states.
+    an assumption (its automaton and rejecting keys), every state whose
+    assumption component is doomed jumps back to the initial state; the
+    metadata keeps the MDP before those resets and the list of reset states.
     """
-    atoms = inputs | outputs
+    atoms = process.inputs | process.outputs
     vals = values(formula, atoms, ceiling=ceiling)
     dpws = [dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling) for v in vals]
     if low is not None:
@@ -467,20 +358,17 @@ def _reward_mdp(formula, inputs, outputs, dist, ceiling,
                 "threshold automaton is winnable but no value reaches it")
         vals, dpws = vals[first:], dpws[first:]
     parts = dpws + ([att] if att is not None else [])
-    if psi is not None:
-        psi_dpw = dpw_for(psi, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
+    if assumption is not None:
+        psi_dpw, rejecting = assumption
         parts.append(psi_dpw)
     prod = ProductPreAutomaton(parts, ceiling=ceiling)
     if att is None:
-        M = _induced(prod, inputs, outputs, dist, ceiling)
+        M = induced_pre_mdp(prod, process, ceiling)
     else:
-        M = _induced_restricted(prod, len(dpws), att_win, inputs, outputs,
-                                dist, ceiling)
+        M = _induced_restricted(prod, len(dpws), att_win, process, ceiling)
     played, reset = M, []
-    if psi is not None:
-        rej = _rejecting_keys(psi_dpw, inputs, dist, ceiling)
-        reset = [s for s in range(M.n)
-                 if _proj_key(len(parts) - 1, M.labels[s], dist) in rej]
+    if assumption is not None:
+        reset = [s for s, (qs, sd) in enumerate(M.labels) if (qs[-1], sd) in rejecting]
         trans = dict(M.trans)
         for s in reset:
             for a in range(len(M.actions[s])):
@@ -489,11 +377,10 @@ def _reward_mdp(formula, inputs, outputs, dist, ceiling,
     wins = []
     sigma = []
     for dpw in dpws:
-        w, s = _component_win(dpw, _induced(dpw, inputs, outputs, dist, ceiling),
-                              outputs, dist)
+        w, s = _component_win(dpw, induced_pre_mdp(dpw, process, ceiling))
         wins.append(w)
         sigma.append(s)
-    gamma = _gamma_rewards(played, vals, wins, dist)
+    gamma = _gamma_rewards(played, vals, wins)
     RM = RewardMDP(played.labels, played.initial, played.actions, played.trans,
                    gamma, validate=False)
     meta = {
@@ -519,19 +406,25 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
     the assumption holds" is the unconditional floor of that formula.
     Returns `Unrealizable` when no controller keeps the floor.
     """
-    dist = spec.distribution
-    _require_trackable(dist)
-    inputs, outputs, t = spec.inputs, spec.outputs, spec.threshold
-    psi, pr = spec.assumption, None
+    process = input_process(spec.distribution, spec.inputs, spec.outputs)
+    if not process.label_deterministic():
+        raise ValueError(
+            "controller extraction needs an input process whose next state "
+            "is determined by the observed input letter")
+    atoms, t = spec.inputs | spec.outputs, spec.threshold
+    psi, pr, assumption = spec.assumption, None, None
     if psi is not None:
-        if not _output_insensitive(dist):
+        if not process.output_insensitive():
             raise ValueError(
                 "conditional synthesis needs an output-insensitive input process")
-        pr = prob_of_assumption(psi, inputs, dist, ceiling)
+        psi_dpw = dpw_for(psi, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
+        pr, rejecting = _assumption_chain(psi_dpw, process, ceiling)
         if pr == 0:
             raise AssumptionHasZeroProbability("the assumption holds with probability 0")
         if pr == 1:
             psi = None
+        else:
+            assumption = (psi_dpw, rejecting)
 
     att = att_win = att_sigma = None
     if t is not None:
@@ -541,19 +434,19 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
             floor_formula = implies(psi, spec.formula)
         else:
             floor_formula = spec.formula
-        att = dpw_for(floor_formula, AtLeast(t), inputs | outputs, ceiling=ceiling)
-        att_M = _induced(att, inputs, outputs, dist, ceiling)
-        att_win, att_sigma = _component_win(att, att_M, outputs, dist)
+        att = dpw_for(floor_formula, AtLeast(t), atoms, ceiling=ceiling)
+        att_M = induced_pre_mdp(att, process, ceiling)
+        att_win, att_sigma = _component_win(att, att_M)
         if att_M.labels[att_M.initial] not in att_win:
             losing = tuple(lab for lab in att_M.labels if lab not in att_win)
             return Unrealizable(t, losing, {"mdp_states": att_M.n})
 
     low = t if spec.hard_constraint is None else None
-    RM, meta = _reward_mdp(spec.formula, inputs, outputs, dist, ceiling,
-                           low, att, att_win, psi)
+    RM, meta = _reward_mdp(spec.formula, process, ceiling, low, att, att_win,
+                           assumption)
     vals = meta["values"]
     value, strat = solve_mean_payoff(RM)
-    triggers, realized = _install_triggers(RM, strat.primary, vals, dist, att, t)
+    triggers, realized = _install_triggers(RM, strat.primary, vals, att, t)
     if spec.hard_constraint is None and realized != value:
         raise InternalConsistencyError("refined strategy changes the expected reward")
     # runs through a reset state fail the assumption and do not count
@@ -564,12 +457,12 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
     if att is not None:
         phase_letters[("floor",)] = (len(vals), att_sigma)
     T = _extract(meta["product"], meta["mdp"], primary, triggers, phase_letters,
-                 inputs, outputs, dist, ceiling)
+                 process, ceiling)
 
     if psi is None:
-        check = expected_value(T, spec.formula, dist, ceiling)
+        check = expected_value(T, spec.formula, process, ceiling)
     else:
-        check = conditional_expected_value(T, spec.formula, psi, dist, ceiling)
+        check = conditional_expected_value(T, spec.formula, psi, process, ceiling)
     if spec.hard_constraint is not None:
         # floor redirects may add value on top of the reward lower bound
         if check < value:
@@ -581,9 +474,9 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
     floor = None
     if t is not None:
         if psi is None:
-            floor = almost_sure_value(T, floor_formula, dist, ceiling)
+            floor = almost_sure_value(T, floor_formula, process, ceiling)
         else:
-            floor = conditional_almost_sure_floor(T, spec.formula, psi, dist, ceiling)
+            floor = conditional_almost_sure_floor(T, spec.formula, psi, process, ceiling)
         if floor < t:
             raise InternalConsistencyError(
                 f"almost-sure floor {floor} fails the threshold {t}")

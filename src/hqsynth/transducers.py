@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from .common import all_letters, json_atoms, json_object, json_records
 from .formulas import LassoWord
 
 
@@ -24,8 +25,6 @@ class Transducer:
         self._validate()
 
     def _validate(self):
-        from .common import all_letters
-
         ids = set(self.states)
         if len(ids) != len(self.states):
             raise ValueError("duplicate state ids")
@@ -98,8 +97,6 @@ def computation_lasso(T: Transducer, word: LassoWord) -> LassoWord:
 
 
 def transducer_to_json(T: Transducer) -> dict:
-    from .common import all_letters
-
     return {
         "inputs": sorted(T.inputs),
         "outputs": sorted(T.outputs),
@@ -114,13 +111,23 @@ def transducer_to_json(T: Transducer) -> dict:
 
 
 def transducer_from_json(doc: dict) -> Transducer:
-    states = [st["id"] for st in doc["states"]]
-    labels = {st["id"]: frozenset(st["label"]) for st in doc["states"]}
-    delta = {
-        (tr["from"], frozenset(tr["input"])): tr["to"]
-        for tr in doc["transitions"]
-    }
-    return Transducer(doc["inputs"], doc["outputs"], states, doc["initial"], delta, labels)
+    json_object(doc, ("inputs", "outputs", "states", "initial", "transitions"),
+                "controller")
+    records = json_records(doc["states"], ("id", "label"), "controller state")
+    transitions = json_records(doc["transitions"], ("from", "input", "to"),
+                               "controller transition")
+    ids = ([doc["initial"]] + [st["id"] for st in records]
+           + [tr[k] for tr in transitions for k in ("from", "to")])
+    for q in ids:
+        if not isinstance(q, (int, str)):
+            raise ValueError(f"controller state ids must be integers or strings, not {q!r}")
+    labels = {st["id"]: json_atoms(st["label"], "controller state label")
+              for st in records}
+    delta = {(tr["from"], json_atoms(tr["input"], "controller transition input")): tr["to"]
+             for tr in transitions}
+    return Transducer(json_atoms(doc["inputs"], "controller inputs"),
+                      json_atoms(doc["outputs"], "controller outputs"),
+                      [st["id"] for st in records], doc["initial"], delta, labels)
 
 
 def save_transducer(T: Transducer, path: str):
@@ -135,8 +142,6 @@ def load_transducer(path: str) -> Transducer:
 
 
 def transducer_to_dot(T: Transducer, name: str = "transducer") -> str:
-    from .common import all_letters
-
     def fmt(letter):
         return "{" + ",".join(sorted(letter)) + "}"
 

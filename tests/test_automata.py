@@ -8,6 +8,7 @@ import pytest
 
 from hqsynth.automata import (
     DPW,
+    ProductPreAutomaton,
     accepting_lasso_from,
     determinize,
     dpw_for,
@@ -20,7 +21,10 @@ from hqsynth.automata import (
 )
 from hqsynth.booleanize import AtLeast, B_TRUE, EqualTo, booleanize
 from hqsynth.common import StateLimitExceeded, all_letters
+from hqsynth.evaluation import product_chain
 from hqsynth.formulas import Atom, LassoWord, eval_lasso, parse, values
+from hqsynth.mdp import DistributionMDP, UniformInputs, induced_pre_mdp
+from hqsynth.transducers import Transducer
 
 from oracles import oracle_eval, random_formula, random_lasso
 
@@ -188,3 +192,62 @@ class TestRunsAndEmptiness:
         dot = dpw_to_dot(dpw)
         assert dot.startswith("digraph")
         assert dot.count("shape=") >= dpw.n_states
+
+
+# --- the shared state ceiling --------------------------------------------
+
+CEILING_IO = frozenset({"i", "o"})
+
+
+def _ceiling_beta():
+    return booleanize(parse("G F i & (i U o)"), AtLeast(Fraction(1)))
+
+
+def _ceiling_dpw():
+    return determinize(ltl_to_nbw(_ceiling_beta(), CEILING_IO))
+
+
+def _ceiling_coin():
+    half = Fraction(1, 2)
+    trans = {(s, o): [(0, half), (1, half)]
+             for s in (0, 1) for o in all_letters(frozenset({"o"}))}
+    return DistributionMDP({"i"}, {"o"}, [frozenset(), frozenset({"i"})], 0, trans)
+
+
+def _ceiling_transducer():
+    none, i = frozenset(), frozenset({"i"})
+    delta = {(q, letter): int(letter == i) for q in (0, 1) for letter in (none, i)}
+    return Transducer({"i"}, {"o"}, [0, 1], 0, delta, {0: none, 1: frozenset({"o"})})
+
+
+# construction -> (stage named by the guard, size of the construction under
+# a given ceiling)
+CEILING_CASES = {
+    "ltl_to_nbw": ("tableau automaton",
+                   lambda c: len(ltl_to_nbw(_ceiling_beta(), CEILING_IO, ceiling=c))),
+    "determinize": ("determinized automaton",
+                    lambda c: determinize(ltl_to_nbw(_ceiling_beta(), CEILING_IO),
+                                          ceiling=c).n_states),
+    "product": ("product automaton",
+                lambda c: len(ProductPreAutomaton([_ceiling_dpw(), _ceiling_dpw()],
+                                                  ceiling=c))),
+    "induced-uniform": ("induced MDP",
+                        lambda c: induced_pre_mdp(_ceiling_dpw(),
+                                                  UniformInputs({"i"}, {"o"}), c).n),
+    "induced-markov": ("induced MDP",
+                       lambda c: induced_pre_mdp(_ceiling_dpw(), _ceiling_coin(), c).n),
+    "product-chain": ("evaluation product",
+                      lambda c: product_chain(_ceiling_transducer(), [_ceiling_dpw()],
+                                              None, c).n),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(CEILING_CASES))
+def test_state_ceiling_boundary(construction):
+    what, build = CEILING_CASES[construction]
+    size = build(None)
+    assert size > 1
+    assert build(size) == size
+    with pytest.raises(StateLimitExceeded) as info:
+        build(size - 1)
+    assert info.value.what == what

@@ -206,19 +206,30 @@ class TestErrorPaths:
         assert code == 1
         assert "0..n-1" in err
 
-    @pytest.mark.parametrize("doc, field", [
-        (dict(HD_SPEC, threshold=0.5), "threshold"),
-        ({"inputs": "ab", "outputs": ["o"], "formula": "a -> o"}, "inputs"),
-        (dict(HD_SPEC, inputs=[["data"]]), "inputs"),
+    @pytest.mark.parametrize("doc, controller, field", [
+        (dict(HD_SPEC, threshold=0.5), None, "threshold"),
+        ({"inputs": "ab", "outputs": ["o"], "formula": "a -> o"}, None, "inputs"),
+        (dict(HD_SPEC, inputs=[["data"]]), None, "inputs"),
         (dict(HD_SPEC, distribution=dict(
-            UNIFORM_DATA, states=[{"id": 0}, {"id": 1, "input": ["data"]}])),
+            UNIFORM_DATA, states=[{"id": 0}, {"id": 1, "input": ["data"]}])), None,
          "input of distribution state 0"),
-        (dict(HD_SPEC, formula=5), "formula"),
+        (dict(HD_SPEC, formula=5), None, "formula"),
+        (dict(HD_SPEC, distribution=dict(UNIFORM_DATA, states=3)), None,
+         "distribution states"),
+        (dict(HD_SPEC, distribution=dict(UNIFORM_DATA, transitions=[
+            {"from": 0, "output": [], "prob": "1"}])), None, "'to'"),
+        (HD_SPEC, {"inputs": ["data"], "outputs": ["close"], "initial": 0,
+                   "transitions": []}, "'states'"),
     ], ids=["float-threshold", "string-atoms", "nested-atoms", "state-without-input",
-            "number-formula"])
-    def test_malformed_field_types(self, tmp_path, capsys, doc, field):
+            "number-formula", "number-states", "transition-without-to",
+            "controller-without-states"])
+    def test_malformed_field_types(self, tmp_path, capsys, doc, controller, field):
         spec = write_spec(tmp_path, doc)
-        code, _, err = run(capsys, "synth", spec)
+        if controller is None:
+            code, _, err = run(capsys, "synth", spec)
+        else:
+            ctrl = write_spec(tmp_path, controller, "ctrl.json")
+            code, _, err = run(capsys, "eval", spec, ctrl)
         assert code == 1
         assert err.startswith("error:")
         assert field in err

@@ -17,11 +17,11 @@ from hqsynth.mdp import (
     PreMDP,
     RewardMDP,
     Strategy,
+    UniformInputs,
     almost_sure_parity,
     cwr_states,
     induced_chain,
     induced_pre_mdp,
-    induced_pre_mdp_dist,
     max_end_components,
     mc_ergodic_analysis,
     solve_mean_payoff,
@@ -62,7 +62,7 @@ class TestInducedUniform:
     def test_input_split_gives_half_half(self):
         io = frozenset({"i", "o"})
         prod = product([dpw_for(Atom("i"), EqualTo(ONE), atoms=io)])
-        M = induced_pre_mdp(prod, {"i"}, {"o"})
+        M = induced_pre_mdp(prod, UniformInputs({"i"}, {"o"}))
         for a in range(len(M.actions[0])):
             assert sum(p for _, p in M.trans[(0, a)]) == 1
             assert all(p == HALF for _, p in M.trans[(0, a)])
@@ -70,7 +70,7 @@ class TestInducedUniform:
     def test_single_letter_input_is_deterministic(self):
         io = frozenset({"o"})
         prod = product([dpw_for(Atom("o"), EqualTo(ONE), atoms=io)])
-        M = induced_pre_mdp(prod, set(), {"o"})
+        M = induced_pre_mdp(prod, UniformInputs(set(), {"o"}))
         for (s, a), rows in M.trans.items():
             assert len(rows) == 1 and rows[0][1] == 1
 
@@ -89,23 +89,23 @@ class TestInducedDistribution:
     def test_fair_coin_matches_uniform(self):
         io = frozenset({"i", "o"})
         prod = product([dpw_for(Atom("i"), EqualTo(ONE), atoms=io)])
-        uni = induced_pre_mdp(prod, {"i"}, {"o"})
-        via_d = induced_pre_mdp_dist(prod, coin_distribution(HALF), {"o"})
-        uni_index = {lab: s for s, lab in enumerate(uni.labels)}
+        uni = induced_pre_mdp(prod, UniformInputs({"i"}, {"o"}))
+        via_d = induced_pre_mdp(prod, coin_distribution(HALF))
+        uni_index = {lab[0]: s for s, lab in enumerate(uni.labels)}
         for s, (q, sd) in enumerate(via_d.labels):
             for a in range(len(via_d.actions[s])):
                 agg: dict = {}
                 for t, p in via_d.trans[(s, a)]:
                     q2 = via_d.labels[t][0]
                     agg[q2] = agg.get(q2, Fraction(0)) + p
-                want = {uni.labels[t]: p
+                want = {uni.labels[t][0]: p
                         for t, p in uni.trans[(uni_index[q], a)]}
                 assert agg == want
 
     def test_biased_coin_probabilities(self):
         io = frozenset({"i", "o"})
         prod = product([dpw_for(Atom("i"), EqualTo(ONE), atoms=io)])
-        M = induced_pre_mdp_dist(prod, coin_distribution(Fraction(1, 4)), {"o"})
+        M = induced_pre_mdp(prod, coin_distribution(Fraction(1, 4)))
         probs = sorted(p for p in
                        (p for _, p in M.trans[(0, 0)]))
         assert probs == [Fraction(1, 4), Fraction(3, 4)]
@@ -117,8 +117,7 @@ class TestInducedDistribution:
             f = O.random_formula(rng, ["i", "o"], rng.randint(1, 5))
             vs_d = dpw_for(f, EqualTo(ONE), atoms=io)
             prod = product([vs_d])
-            M = induced_pre_mdp_dist(prod, coin_distribution(Fraction(1, 3)),
-                                     {"o"})
+            M = induced_pre_mdp(prod, coin_distribution(Fraction(1, 3)))
             for (s, a), rows in M.trans.items():
                 assert sum(p for _, p in rows) == 1
 

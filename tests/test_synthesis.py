@@ -248,6 +248,29 @@ UNIFORM_DATA = {
         for s in (0, 1) for o in ([], ["close"]) for t in (0, 1)
     ],
 }
+# An input process whose rows depend on the output letter.
+SENSITIVE_ROWS = [
+    (0, [], [(0, "1/3"), (2, "1/3"), (3, "1/3")]),
+    (0, ["o"], [(1, "3/4"), (2, "1/4")]),
+    (1, [], [(0, "1/2"), (1, "1/4"), (2, "1/4")]),
+    (1, ["o"], [(1, "1/2"), (3, "1/2")]),
+    (2, [], [(0, "1/8"), (1, "3/8"), (2, "3/8"), (3, "1/8")]),
+    (2, ["o"], [(0, "3/7"), (1, "2/7"), (3, "2/7")]),
+    (3, [], [(1, "1/2"), (2, "1/6"), (3, "1/3")]),
+    (3, ["o"], [(0, "1/5"), (1, "3/10"), (2, "1/5"), (3, "3/10")]),
+]
+SENSITIVE = {
+    "inputs": ["i0", "i1"], "outputs": ["o"],
+    "formula": "max(factor{2/3} (i0), false)",
+    "distribution": {
+        "inputs": ["i0", "i1"], "outputs": ["o"],
+        "states": [{"id": s, "input": letter}
+                   for s, letter in enumerate([[], ["i0"], ["i1"], ["i0", "i1"]])],
+        "initial": 1,
+        "transitions": [{"from": s, "output": o, "to": t, "prob": p}
+                        for s, o, row in SENSITIVE_ROWS for t, p in row],
+    },
+}
 
 # One spec per synthesis mode: (mode, spec, extra synth flags, exit code,
 # sha256 of the --out controller, exact report).
@@ -354,6 +377,16 @@ GOLDEN = [
      "product_states = 6\n"
      "transducer_states = 9\n"
      "values = 0, 1/2, 1\n"),
+    ("output-sensitive-process", SENSITIVE, [], 0,
+     "43bbf07fc9cbc1a3c84df36fe20a2508c8079b17b4987726efac528775c41310",
+     "result = OK\n"
+     "expected = 2/3\n"
+     "decimal = 0.6666666666666666\n"
+     "automaton_states = 3, 3\n"
+     "mdp_states = 9\n"
+     "product_states = 3\n"
+     "transducer_states = 9\n"
+     "values = 0, 2/3\n"),
 ]
 
 
