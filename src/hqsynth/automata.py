@@ -2,7 +2,22 @@
 
 The pipeline is classic: negation normal form, a tableau-built Buchi
 automaton, then a Safra-style determinization into a parity automaton.
-Two local conventions keep the two halves compatible:
+Three local conventions keep it fast and the halves compatible:
+
+* The tableau works on small ints.  `NNF` interns the negation normal form
+  of a Boolean formula once per automaton: every structurally distinct
+  subformula gets a dense id, so node equality is int equality, a set of
+  obligations (and the `done`, next-step and postponed sets of a branch)
+  is an int bitmask, and literals and letters are bitmasks over the sorted
+  atoms.  Tableau states are (obligation bitmask, counter) pairs.
+
+* Ids follow the sort order of each node's text in the form
+  `NAnd(args=(NLit(name='a', negated=False), ...))`, the representation
+  the tableau used to sort obligations by.  The tableau expands
+  obligations in ascending id, and that order fixes the state numbering
+  and edge order of the Buchi automaton, hence the determinized automaton
+  and the tie-breaks of every later analysis; keeping it keeps synthesized
+  controllers the same.  The texts are built bottom-up, without recursion.
 
 * The intermediate Buchi automaton carries acceptance on transitions, one
   fairness index per until subformula (a transition is fair for an until
@@ -22,8 +37,6 @@ deterministic form.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .booleanize import (
     BAnd,
@@ -47,113 +60,128 @@ from .common import (
 from .formulas import Formula, LassoWord
 
 
-# --- negation normal form ------------------------------------------------
+# --- negation normal form, interned -------------------------------------
+
+TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE = range(8)
+
+# The text each node kind contributes to a node's sort key (see `NNF`).
+_KEY_TEXT = {TRUE: "NTrue()", FALSE: "NFalse()", LIT: "NLit(name={}, negated={})",
+             AND: "NAnd(args=({}))", OR: "NOr(args=({}))", NEXT: "NNext(child={})",
+             UNTIL: "NUntil(left={}, right={})", RELEASE: "NRelease(left={}, right={})"}
 
 
-class NF:
-    pass
+class NNF:
+    """The negation normal form of one Boolean formula, as a table of
+    interned nodes numbered 0..n-1.
 
+    `kind[i]` is one of TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE and
+    `args[i]` holds its operands: (atom name, negated) for a literal, the
+    child ids otherwise.  Structurally equal subformulas share one id, so
+    equality is id equality and a set of nodes is an int bitmask.  Ids
+    follow the order of a sort-key text built bottom-up for every node
+    (the kind's text in `_KEY_TEXT` with the operands' texts filled in);
+    the tableau expands obligations in ascending id, and that order fixes
+    the numbering and edge order of every tableau automaton.
+    """
 
-@dataclass(frozen=True)
-class NTrue(NF):
-    pass
+    def __init__(self, beta: BExpr):
+        kind, args, index = [], [], {}
 
+        def make(k, a):
+            key = (k, a)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(kind)
+                kind.append(k)
+                args.append(a)
+            return j
 
-@dataclass(frozen=True)
-class NFalse(NF):
-    pass
+        true, false = make(TRUE, ()), make(FALSE, ())
 
+        def junction(k, parts):
+            # Flatten nested junctions of the same kind, drop units, absorb
+            # on zeros and drop repeats of the parts given directly.
+            unit, zero = (true, false) if k == AND else (false, true)
+            flat = []
+            for a in parts:
+                if a == zero:
+                    return zero
+                if a == unit:
+                    continue
+                if kind[a] == k:
+                    flat.extend(args[a])
+                elif a not in flat:
+                    flat.append(a)
+            if not flat:
+                return unit
+            return flat[0] if len(flat) == 1 else make(k, tuple(flat))
 
-@dataclass(frozen=True)
-class NLit(NF):
-    name: str
-    negated: bool
+        # Post-order over (subexpression, negated) pairs, without recursion.
+        made: dict = {}
+        stack = [(beta, False, None)]
+        while stack:
+            e, neg, kids = stack.pop()
+            if (id(e), neg) in made:
+                continue
+            if kids is None:
+                kids = ((e.child, not neg),) if isinstance(e, BNot) else \
+                    tuple((c, neg) for c in e.children())
+                stack.append((e, neg, kids))
+                stack.extend((c, n, None) for c, n in reversed(kids))
+                continue
+            got = [made[(id(c), n)] for c, n in kids]
+            if isinstance(e, (BTrue, BFalse)):
+                j = true if isinstance(e, BTrue) != neg else false
+            elif isinstance(e, BAtom):
+                j = make(LIT, (e.name, neg))
+            elif isinstance(e, BNot):
+                j = got[0]
+            elif isinstance(e, (BAnd, BOr)):
+                j = junction(OR if isinstance(e, BAnd) == neg else AND, got)
+            elif isinstance(e, BNext):
+                j = make(NEXT, tuple(got))
+            elif isinstance(e, BUntil):
+                j = make(RELEASE if neg else UNTIL, tuple(got))
+            else:
+                raise TypeError(f"unknown node {type(e).__name__}")
+            made[(id(e), neg)] = j
+        root = made[(id(beta), False)]
 
+        # Keep the nodes reachable from the root, renumbered by sort key.
+        # Operands are made before the nodes that use them, so one pass in
+        # creation order builds every key from finished operand keys.
+        live = {root}
+        for j in range(root, -1, -1):
+            if j in live and kind[j] != LIT:
+                live.update(args[j])
+        text: dict = {}
+        for j in sorted(live):
+            k, a = kind[j], args[j]
+            if k == LIT:
+                fill = (repr(a[0]), a[1])
+            elif k in (AND, OR):
+                fill = (", ".join(text[c] for c in a),)
+            else:
+                fill = tuple(text[c] for c in a)
+            text[j] = _KEY_TEXT[k].format(*fill)
+        order = sorted(live, key=text.__getitem__)
+        new = {old: i for i, old in enumerate(order)}
+        self.kind = [kind[j] for j in order]
+        self.args = [args[j] if kind[j] == LIT else tuple(new[c] for c in args[j])
+                     for j in order]
+        self.root = new[root]
 
-@dataclass(frozen=True)
-class NAnd(NF):
-    args: tuple
-
-
-@dataclass(frozen=True)
-class NOr(NF):
-    args: tuple
-
-
-@dataclass(frozen=True)
-class NNext(NF):
-    child: NF
-
-
-@dataclass(frozen=True)
-class NUntil(NF):
-    left: NF
-    right: NF
-
-
-@dataclass(frozen=True)
-class NRelease(NF):
-    left: NF
-    right: NF
-
-
-N_TRUE = NTrue()
-N_FALSE = NFalse()
-
-
-def _nand(args) -> NF:
-    flat = []
-    for a in args:
-        if isinstance(a, NFalse):
-            return N_FALSE
-        if isinstance(a, NTrue):
-            continue
-        if isinstance(a, NAnd):
-            flat.extend(a.args)
-        elif a not in flat:
-            flat.append(a)
-    if not flat:
-        return N_TRUE
-    return flat[0] if len(flat) == 1 else NAnd(tuple(flat))
-
-
-def _nor(args) -> NF:
-    flat = []
-    for a in args:
-        if isinstance(a, NTrue):
-            return N_TRUE
-        if isinstance(a, NFalse):
-            continue
-        if isinstance(a, NOr):
-            flat.extend(a.args)
-        elif a not in flat:
-            flat.append(a)
-    if not flat:
-        return N_FALSE
-    return flat[0] if len(flat) == 1 else NOr(tuple(flat))
-
-
-def to_nnf(e: BExpr, negate: bool = False) -> NF:
-    if isinstance(e, BTrue):
-        return N_FALSE if negate else N_TRUE
-    if isinstance(e, BFalse):
-        return N_TRUE if negate else N_FALSE
-    if isinstance(e, BAtom):
-        return NLit(e.name, negate)
-    if isinstance(e, BNot):
-        return to_nnf(e.child, not negate)
-    if isinstance(e, BAnd):
-        parts = [to_nnf(a, negate) for a in e.args]
-        return _nor(parts) if negate else _nand(parts)
-    if isinstance(e, BOr):
-        parts = [to_nnf(a, negate) for a in e.args]
-        return _nand(parts) if negate else _nor(parts)
-    if isinstance(e, BNext):
-        return NNext(to_nnf(e.child, negate))
-    if isinstance(e, BUntil):
-        left, right = to_nnf(e.left, negate), to_nnf(e.right, negate)
-        return NRelease(left, right) if negate else NUntil(left, right)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    def untils(self) -> list:
+        """The until nodes in breadth-first order from the root."""
+        seen = {self.root}
+        queue = [self.root]
+        for j in queue:
+            if self.kind[j] != LIT:
+                for c in self.args[j]:
+                    if c not in seen:
+                        seen.add(c)
+                        queue.append(c)
+        return [j for j in queue if self.kind[j] == UNTIL]
 
 
 # --- tableau construction ------------------------------------------------
@@ -178,94 +206,110 @@ class NBW:
 
 
 def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
+    """The tableau automaton of `beta` over `atoms`.
+
+    Its states are (obligation bitmask over `NNF` ids, degeneralization
+    counter) pairs; letters are bitmasks too, letter j of `all_letters`
+    being the bitmask j over the sorted atoms.
+    """
     if atoms is None:
         atoms = _bexpr_atoms(beta)
     atoms = frozenset(atoms)
-    root = to_nnf(beta)
-    untils = _collect_untils(root)
+    nnf = NNF(beta)
+    kind, args = nnf.kind, nnf.args
+    untils = nnf.untils()
     m = len(untils)
     letters = all_letters(atoms)
+    # Atoms outside the alphabet get bits above every letter, so a literal
+    # asserting one matches no letter.
+    names = sorted(atoms)
+    names += sorted({a[0] for k, a in zip(kind, args) if k == LIT} - atoms)
+    atom_bit = {name: 1 << i for i, name in enumerate(names)}
 
-    cover_memo: dict[frozenset, list] = {}
+    cover_memo: dict[int, list] = {}
 
-    def cover(obls: frozenset) -> list:
+    def cover(obls: int) -> list:
+        """The (pos, neg, nxt, post) branches that discharge `obls`, in
+        depth-first order: pos/neg are atom bitmasks, nxt the obligations
+        for the next step, post the untils postponed across it."""
         got = cover_memo.get(obls)
         if got is not None:
             return got
-        branches = []
-
-        def go(pending, done, pos, neg, nxt, post):
+        branches: dict = {}
+        # pending is popped from the end: obligations in ascending id.
+        todo = [([j for j in range(obls.bit_length() - 1, -1, -1) if obls >> j & 1],
+                 0, 0, 0, 0, 0)]
+        while todo:
+            pending, done, pos, neg, nxt, post = todo.pop()
             while pending:
-                f = pending[-1]
-                pending = pending[:-1]
-                if f in done:
+                f = pending.pop()
+                if done >> f & 1:
                     continue
-                done = done | {f}
-                if isinstance(f, NTrue):
+                done |= 1 << f
+                k = kind[f]
+                if k == TRUE:
                     continue
-                if isinstance(f, NFalse):
-                    return
-                if isinstance(f, NLit):
-                    if f.name in (pos if f.negated else neg):
-                        return
-                    if f.negated:
-                        neg = neg | {f.name}
+                if k == LIT:
+                    name, negated = args[f]
+                    bit = atom_bit[name]
+                    if bit & (pos if negated else neg):
+                        break
+                    if negated:
+                        neg |= bit
                     else:
-                        pos = pos | {f.name}
+                        pos |= bit
                     continue
-                if isinstance(f, NAnd):
-                    pending = pending + tuple(reversed(f.args))
+                if k == AND:
+                    pending.extend(reversed(args[f]))
                     continue
-                if isinstance(f, NOr):
-                    for a in f.args:
-                        go(pending + (a,), done, pos, neg, nxt, post)
-                    return
-                if isinstance(f, NNext):
-                    nxt = nxt | {f.child}
+                if k == NEXT:
+                    nxt |= 1 << args[f][0]
                     continue
-                if isinstance(f, NUntil):
-                    go(pending + (f.right,), done, pos, neg, nxt, post)
-                    go(pending + (f.left,), done, pos, neg, nxt | {f}, post | {f})
-                    return
-                if isinstance(f, NRelease):
-                    go(pending + (f.right, f.left), done, pos, neg, nxt, post)
-                    go(pending + (f.right,), done, pos, neg, nxt | {f}, post)
-                    return
-                raise TypeError(f"unknown node {type(f).__name__}")
-            branch = (frozenset(pos), frozenset(neg), frozenset(nxt), frozenset(post))
-            if branch not in branches:
-                branches.append(branch)
+                # FALSE closes the branch; OR, UNTIL and RELEASE split it,
+                # the first alternative pushed last so that it runs first.
+                if k == OR:
+                    for a in reversed(args[f]):
+                        todo.append((pending + [a], done, pos, neg, nxt, post))
+                elif k == UNTIL:
+                    left, right = args[f]
+                    todo.append((pending + [left], done, pos, neg,
+                                 nxt | 1 << f, post | 1 << f))
+                    todo.append((pending + [right], done, pos, neg, nxt, post))
+                elif k == RELEASE:
+                    left, right = args[f]
+                    todo.append((pending + [right], done, pos, neg, nxt | 1 << f, post))
+                    todo.append((pending + [right, left], done, pos, neg, nxt, post))
+                break
+            else:
+                branches.setdefault((pos, neg, nxt, post))
+        got = cover_memo[obls] = list(branches)
+        return got
 
-        ordered = tuple(sorted(obls, key=repr))
-        go(tuple(reversed(ordered)), frozenset(), frozenset(), frozenset(),
-           frozenset(), frozenset())
-        cover_memo[obls] = branches
-        return branches
-
-    # States pair an obligation set with the degeneralization counter.
     def expand(state, number):
         obls, k = state
-        branches = cover(obls)
+        targets = []
+        for pos, neg, nxt, post in cover(obls):
+            if m == 0:
+                k2, fair = 0, True
+            elif not post >> untils[k] & 1:
+                k2 = (k + 1) % m
+                fair = k == m - 1
+            else:
+                k2, fair = k, False
+            targets.append((pos, neg, (nxt, k2), fair))
         row = []
-        for letter in letters:
+        for letter in range(len(letters)):
             edges = []
-            for pos, neg, nxt, post in branches:
-                if not pos <= letter or neg & letter:
+            for pos, neg, tgt, fair in targets:
+                if pos & ~letter or neg & letter:
                     continue
-                if m == 0:
-                    k2, fair = 0, True
-                elif untils[k] not in post:
-                    k2 = (k + 1) % m
-                    fair = k == m - 1
-                else:
-                    k2, fair = k, False
-                tgt = number((frozenset(nxt), k2))
-                if (tgt, fair) not in edges:
-                    edges.append((tgt, fair))
+                edge = (number(tgt), fair)
+                if edge not in edges:
+                    edges.append(edge)
             row.append(tuple(edges))
         return row
 
-    states, rows = explore((frozenset({root}), 0), expand, "tableau automaton", ceiling)
+    states, rows = explore((1 << nnf.root, 0), expand, "tableau automaton", ceiling)
     trans = {(src, letter): edges for src, row in enumerate(rows)
              for letter, edges in zip(letters, row)}
     return NBW(atoms, states, 0, trans)
@@ -280,22 +324,6 @@ def _bexpr_atoms(e: BExpr) -> frozenset:
             out.add(node.name)
         stack.extend(node.children())
     return frozenset(out)
-
-
-def _collect_untils(root: NF) -> list:
-    out = []
-    stack = [root]
-    while stack:
-        f = stack.pop(0)
-        if isinstance(f, NUntil) and f not in out:
-            out.append(f)
-        if isinstance(f, (NAnd, NOr)):
-            stack.extend(f.args)
-        elif isinstance(f, NNext):
-            stack.append(f.child)
-        elif isinstance(f, (NUntil, NRelease)):
-            stack.extend((f.left, f.right))
-    return out
 
 
 # --- determinization -----------------------------------------------------

@@ -1,9 +1,12 @@
 """Reduction of value predicates on quality formulas to Boolean LTL.
 
 `booleanize(f, AtLeast(v))` builds a crisp formula that holds on exactly
-the words where f's satisfaction value reaches v.  The two threshold
-recursions are mutually recursive because complementation to 1 swaps
-"at least" with the dual "strictly above".
+the words where f's satisfaction value reaches v.  One recursion serves
+"at least" and the dual "strictly above", because complementation to 1
+swaps the two.  Within one call it is memoized per (subformula, bound,
+strictness), and so are the candidate values of subformulas that weighted
+averages enumerate: nested averages ask for the same subformulas at the
+same bounds many times over.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .formulas import (
     TrueFormula,
     Until,
     WAvg,
-    candidate_values,
+    candidate_value_sets,
 )
 
 
@@ -246,94 +249,90 @@ class EqualTo:
 
 
 def booleanize(f: Formula, predicate) -> BExpr:
+    thresholds = _Thresholds()
     if isinstance(predicate, AtLeast):
-        return _at_least(f, Fraction(predicate.bound))
+        return thresholds.clears(f, Fraction(predicate.bound), False)
     if isinstance(predicate, GreaterThan):
-        return _greater(f, Fraction(predicate.bound))
+        return thresholds.clears(f, Fraction(predicate.bound), True)
     if isinstance(predicate, EqualTo):
         v = Fraction(predicate.bound)
-        return band(_at_least(f, v), bnot(_greater(f, v)))
+        return band(thresholds.clears(f, v, False), bnot(thresholds.clears(f, v, True)))
     raise TypeError(f"unknown predicate {predicate!r}")
 
 
-def _at_least(f: Formula, v: Fraction) -> BExpr:
-    if v <= 0:
-        return B_TRUE
-    if v > 1:
-        return B_FALSE
-    # 0 < v <= 1 from here on.
-    if isinstance(f, TrueFormula):
-        return B_TRUE
-    if isinstance(f, FalseFormula):
-        return B_FALSE
-    if isinstance(f, Atom):
-        return BAtom(f.name)
-    if isinstance(f, Not):
-        return bnot(_greater(f.child, 1 - v))
-    if isinstance(f, Min):
-        return band(*[_at_least(a, v) for a in f.args])
-    if isinstance(f, Max):
-        return bor(*[_at_least(a, v) for a in f.args])
-    if isinstance(f, Factor):
-        if f.lam == 0:
+class _Thresholds:
+    """The threshold recursion of one `booleanize` call, memoized by
+    (subformula identity, bound, strictness), with the candidate values of
+    subformulas memoized by identity too.  Identity keys are safe because
+    the formula being reduced keeps its subformulas alive for the call."""
+
+    def __init__(self):
+        self.memo: dict = {}
+        self.values = candidate_value_sets()
+
+    def clears(self, f: Formula, v: Fraction, strict: bool) -> BExpr:
+        """The Boolean formula of "f's value is at least v" (strict:
+        "above v")."""
+        key = (id(f), v, strict)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = self._clears(f, v, strict)
+        return got
+
+    def _clears(self, f: Formula, v: Fraction, strict: bool) -> BExpr:
+        if v < 0 or (v == 0 and not strict):
+            return B_TRUE
+        if v > 1 or (v == 1 and strict):
             return B_FALSE
-        return _at_least(f.child, v / f.lam)
-    if isinstance(f, WAvg):
-        return _avg_threshold(f, v, strict=False)
-    if isinstance(f, Next):
-        return bnext(_at_least(f.child, v))
-    if isinstance(f, Until):
-        return buntil(_at_least(f.left, v), _at_least(f.right, v))
-    raise TypeError(f"unknown node {type(f).__name__}")
-
-
-def _greater(f: Formula, v: Fraction) -> BExpr:
-    if v < 0:
-        return B_TRUE
-    if v >= 1:
-        return B_FALSE
-    # 0 <= v < 1 from here on.
-    if isinstance(f, TrueFormula):
-        return B_TRUE
-    if isinstance(f, FalseFormula):
-        return B_FALSE
-    if isinstance(f, Atom):
-        return BAtom(f.name)
-    if isinstance(f, Not):
-        return bnot(_at_least(f.child, 1 - v))
-    if isinstance(f, Min):
-        return band(*[_greater(a, v) for a in f.args])
-    if isinstance(f, Max):
-        return bor(*[_greater(a, v) for a in f.args])
-    if isinstance(f, Factor):
-        if f.lam == 0:
+        # The bound lies strictly inside the value range [0, 1] from here on.
+        if isinstance(f, TrueFormula):
+            return B_TRUE
+        if isinstance(f, FalseFormula):
             return B_FALSE
-        return _greater(f.child, v / f.lam)
-    if isinstance(f, WAvg):
-        return _avg_threshold(f, v, strict=True)
-    if isinstance(f, Next):
-        return bnext(_greater(f.child, v))
-    if isinstance(f, Until):
-        return buntil(_greater(f.left, v), _greater(f.right, v))
-    raise TypeError(f"unknown node {type(f).__name__}")
+        if isinstance(f, Atom):
+            return BAtom(f.name)
+        if isinstance(f, Not):
+            # Complementation to 1 swaps "at least" with "strictly above".
+            return bnot(self.clears(f.child, 1 - v, not strict))
+        if isinstance(f, Min):
+            return band(*[self.clears(a, v, strict) for a in f.args])
+        if isinstance(f, Max):
+            return bor(*[self.clears(a, v, strict) for a in f.args])
+        if isinstance(f, Factor):
+            if f.lam == 0:
+                return B_FALSE
+            return self.clears(f.child, v / f.lam, strict)
+        if isinstance(f, WAvg):
+            return self._avg(f, v, strict)
+        if isinstance(f, Next):
+            return bnext(self.clears(f.child, v, strict))
+        if isinstance(f, Until):
+            return buntil(self.clears(f.left, v, strict), self.clears(f.right, v, strict))
+        raise TypeError(f"unknown node {type(f).__name__}")
 
-
-def _avg_threshold(f: WAvg, v: Fraction, strict: bool) -> BExpr:
-    # The average clears the bound iff some pair of attainable child values
-    # does, and both children reach their half of that pair.  Enumerating a
-    # superset of the attainable values is still sound: extra pairs only
-    # add disjuncts that imply one already present.
-    if f.lam == 1:
-        return _greater(f.left, v) if strict else _at_least(f.left, v)
-    if f.lam == 0:
-        return _greater(f.right, v) if strict else _at_least(f.right, v)
-    pairs = []
-    for x in candidate_values(f.left):
-        for y in candidate_values(f.right):
-            mixed = f.lam * x + (1 - f.lam) * y
-            if mixed > v or (not strict and mixed == v):
-                pairs.append((x, y))
-    minimal = [p for p in pairs
-               if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs)]
-    return bor(*[band(_at_least(f.left, x), _at_least(f.right, y))
-                 for x, y in sorted(minimal)])
+    def _avg(self, f: WAvg, v: Fraction, strict: bool) -> BExpr:
+        # The average clears the bound iff some pair of attainable child
+        # values does, and both children reach their half of that pair.
+        # Enumerating a superset of the attainable values is still sound:
+        # extra pairs only add disjuncts that imply one already present.
+        if f.lam == 1:
+            return self.clears(f.left, v, strict)
+        if f.lam == 0:
+            return self.clears(f.right, v, strict)
+        # Only the pairs minimal in both coordinates give disjuncts.  The
+        # average grows with each child value, so for a left value x the one
+        # candidate is the least right value y that clears the bound, and
+        # (x, y) is minimal iff y is below the y of every smaller x.
+        ys = sorted(self.values(f.right))
+        disjuncts, least = [], None
+        for x in sorted(self.values(f.left)):
+            for y in ys:
+                if least is not None and y >= least:
+                    break
+                mixed = f.lam * x + (1 - f.lam) * y
+                if mixed > v or (not strict and mixed == v):
+                    disjuncts.append(band(self.clears(f.left, x, False),
+                                          self.clears(f.right, y, False)))
+                    least = y
+                    break
+        return bor(*disjuncts)

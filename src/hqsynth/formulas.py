@@ -15,8 +15,10 @@ construction time, so the core AST has exactly ten node kinds.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .common import parse_fraction
 
@@ -187,6 +189,14 @@ def is_boolean(f: Formula) -> bool:
 
 _UNARY_WORDS = {"X", "F", "G"}
 
+# Deepest nesting `parse` accepts.  A level is a parenthesized group, the
+# operand of a prefix operator, the right side of `U` or `->`, or the
+# argument list of wavg/min/max.  The parser and the quality-level
+# recursions (booleanization, candidate values, lasso evaluation) take
+# stack frames per level; this keeps them well inside Python's default
+# recursion limit, so a deeper formula is a parse error, not a crash.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     pass
@@ -196,6 +206,16 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    @contextmanager
+    def nested(self):
+        """One nesting level deeper for the parse inside the block."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"formula nests deeper than {MAX_NESTING} levels")
+        yield
+        self.depth -= 1
 
     def error(self, msg: str):
         raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
@@ -262,7 +282,8 @@ def parse(text: str) -> Formula:
 def _parse_implies(toks: _Tokens) -> Formula:
     left = _parse_or(toks)
     if toks.try_symbol("->"):
-        return implies(left, _parse_implies(toks))
+        with toks.nested():
+            return implies(left, _parse_implies(toks))
     return left
 
 
@@ -283,31 +304,36 @@ def _parse_and(toks: _Tokens) -> Formula:
 def _parse_until(toks: _Tokens) -> Formula:
     left = _parse_unary(toks)
     if toks.try_word("U"):
-        return Until(left, _parse_until(toks))
+        with toks.nested():
+            return Until(left, _parse_until(toks))
     return left
 
 
 def _parse_unary(toks: _Tokens) -> Formula:
     if toks.try_symbol("!"):
-        return Not(_parse_unary(toks))
-    if toks.try_word("X"):
-        return Next(_parse_unary(toks))
-    if toks.try_word("F"):
-        return eventually(_parse_unary(toks))
-    if toks.try_word("G"):
-        return globally(_parse_unary(toks))
-    if toks.try_word("factor"):
+        build = Not
+    elif toks.try_word("X"):
+        build = Next
+    elif toks.try_word("F"):
+        build = eventually
+    elif toks.try_word("G"):
+        build = globally
+    elif toks.try_word("factor"):
         toks.expect("{")
         lam = toks.rational()
         toks.expect("}")
         _check_lambda(toks, lam)
-        return Factor(lam, _parse_unary(toks))
-    return _parse_atomic(toks)
+        build = partial(Factor, lam)
+    else:
+        return _parse_atomic(toks)
+    with toks.nested():
+        return build(_parse_unary(toks))
 
 
 def _parse_atomic(toks: _Tokens) -> Formula:
     if toks.try_symbol("("):
-        f = _parse_implies(toks)
+        with toks.nested():
+            f = _parse_implies(toks)
         toks.expect(")")
         return f
     if toks.try_word("true"):
@@ -320,9 +346,10 @@ def _parse_atomic(toks: _Tokens) -> Formula:
         toks.expect("}")
         _check_lambda(toks, lam)
         toks.expect("(")
-        a = _parse_implies(toks)
-        toks.expect(",")
-        b = _parse_implies(toks)
+        with toks.nested():
+            a = _parse_implies(toks)
+            toks.expect(",")
+            b = _parse_implies(toks)
         toks.expect(")")
         return WAvg(lam, a, b)
     if toks.try_word("min"):
@@ -337,9 +364,10 @@ def _parse_atomic(toks: _Tokens) -> Formula:
 
 def _parse_args(toks: _Tokens) -> list:
     toks.expect("(")
-    args = [_parse_implies(toks)]
-    while toks.try_symbol(","):
-        args.append(_parse_implies(toks))
+    with toks.nested():
+        args = [_parse_implies(toks)]
+        while toks.try_symbol(","):
+            args.append(_parse_implies(toks))
     toks.expect(")")
     if len(args) < 2:
         toks.error("min/max need at least two arguments")
@@ -464,10 +492,17 @@ def candidate_values(formula: Formula) -> list[Fraction]:
     Computed structurally: scalar images for pointwise operators, unions for
     the temporal ones (min/max over a set of scalars stays inside the set).
     """
-    memo: dict[Formula, frozenset] = {}
+    return sorted(candidate_value_sets()(formula))
+
+
+def candidate_value_sets():
+    """The map from a formula to the frozenset `candidate_values` sorts,
+    memoized by node identity across calls; the caller keeps the formulas
+    it passes alive while it uses the map."""
+    memo: dict[int, frozenset] = {}
 
     def go(f: Formula) -> frozenset:
-        got = memo.get(f)
+        got = memo.get(id(f))
         if got is not None:
             return got
         if isinstance(f, TrueFormula):
@@ -497,10 +532,10 @@ def candidate_values(formula: Formula) -> list[Fraction]:
             s = go(f.left) | go(f.right)
         else:
             raise TypeError(f"unknown node {type(f).__name__}")
-        memo[f] = s
+        memo[id(f)] = s
         return s
 
-    return sorted(go(formula))
+    return go
 
 
 def values(formula: Formula, atoms=None, ceiling: int | None = None) -> list[Fraction]:

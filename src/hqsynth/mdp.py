@@ -161,11 +161,23 @@ class DistributionMDP:
         self.initial = initial
         self.trans = trans
         out_letters = all_letters(self.outputs)
+        n = len(self.iota)
+
+        def known(t):
+            return type(t) is int and 0 <= t < n
+
+        if not known(initial):
+            raise ValueError(f"initial state {initial!r} is not one of the {n} states")
         for s, lab in enumerate(self.iota):
             if not lab <= self.inputs:
                 raise ValueError(f"state {s} labeled outside the inputs")
             for o in out_letters:
-                rows = self.trans[(s, o)]
+                rows = self.trans.get((s, o))
+                if rows is None:
+                    raise ValueError(f"no distribution row at ({s},{set(o)})")
+                if not all(known(t) for t, _ in rows):
+                    raise ValueError(f"distribution row at ({s},{set(o)}) "
+                                     f"leads outside the {n} states")
                 if sum(p for _, p in rows) != 1:
                     raise ValueError(f"distribution rows at ({s},{set(o)}) do not sum to 1")
                 if any(p < 0 for _, p in rows):

@@ -1,5 +1,6 @@
 """LTL -> NBW -> DPW pipeline, products, lasso runs, nonemptiness."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -251,3 +252,57 @@ def test_state_ceiling_boundary(construction):
     with pytest.raises(StateLimitExceeded) as info:
         build(size - 1)
     assert info.value.what == what
+
+
+# --- the tableau, pinned -------------------------------------------------
+
+GOLDEN_FORMULAS = {
+    "message": ("wavg{1/2}(wavg{1/2}(max(min(!noise, !encode), factor{3/4} encode),"
+                " X max(min(!noise, !encode), factor{3/4} encode)),"
+                " wavg{1/2}(X (X max(min(!noise, !encode), factor{3/4} encode)),"
+                " X (X (X max(min(!noise, !encode), factor{3/4} encode)))))",
+                {"noise", "encode"}),
+    "hard_drive": ("min(max(!(X data), !close), max(max(!(!(X data)), close),"
+                   " factor{1/2} (X close)))", {"data", "close"}),
+    "gf2": ("(G F i0) | (G F i1) & (F i0 | !i0) & (F i1 | !i1)", {"i0", "i1", "o"}),
+}
+
+# (spec, value, NBW states, DPW states, sha256 of the NBW transition table)
+GOLDEN_TABLEAU = [
+    ("message", "0", 5, 6, "f45b708fa55bc34bbb5d7bdc6d4f1f0fca4e109316ab9489c9f17d7d823e6054"),
+    ("message", "3/16", 25, 9, "0fca0d89d86b05afe82844f173f86d7b6d70225240ef82617dcc7856554b0b87"),
+    ("message", "1/4", 42, 12, "577cc57b560535ea0ab2e638240eb178647d7421c54423ec0b98880c95d68cc8"),
+    ("message", "3/8", 83, 13, "706d8e44269511678b544c0dee76f6f0aff60dd0b4652c0bd1552d66fd06ed82"),
+    ("message", "7/16", 334, 16, "e6910a978a61457b517a3bcc4c1e143c9a919a548b58b04e698d7fa88a016814"),
+    ("message", "1/2", 74, 15, "df87b4e737edb446912cec0519b82a03f1ce04a76c1c7ad64de2b293fe1b8ce1"),
+    ("message", "9/16", 109, 13, "e65993e6755f5ddd2d9d4677100312346ae4fcf2e3edd18cfd05cab35ff6f8dc"),
+    ("message", "5/8", 402, 15, "feccf23ea34bb0861b1cc82f39856c943810d3838ff4542c2eb36405ada4c839"),
+    ("message", "11/16", 383, 16, "d756fa7673c7818abc828dbbdb47133bd27b25af9e514de47283b6b79584378d"),
+    ("message", "3/4", 158, 16, "d642a5d5f9ed06d41ed1dd13391efd93d2d24c560514d58c1d418618f8e990e4"),
+    ("message", "13/16", 186, 11, "ea449dca75e2dfd9d5a7bde2e3b6b4a1a055a7b896581072862e336cc3f58be9"),
+    ("message", "7/8", 148, 11, "c3e5df179e3a203c46ebd44956b9a92580d5f583f27cab90436c07cfb3678ac6"),
+    ("message", "15/16", 25, 9, "444b77f342b204d9f3be37be054257de230d0fb9baa25c6809122adef8001540"),
+    ("message", "1", 5, 6, "3b7cb1d5aaa8fe9489f687b551e3da2b28fc17c01e5bfe3561916c1e4919fda1"),
+    ("hard_drive", "0", 4, 5, "3a9babf28ec5036689ed40d04b009c65a0c455494d86fe83d1bcf94e9b01d4a1"),
+    ("hard_drive", "1/2", 5, 5, "3eec6c3fc4b6d8efd7b65239a699697bec89f8d286d6cb86cbaf55062d79cc93"),
+    ("hard_drive", "1", 5, 5, "6964167d2ad20ee12758654d0712dbd785f848bfc699841641e62c05be1fee01"),
+    ("gf2", "1", 9, 192, "884920178e037832620bb274f70b0287e678c18aa3922784d65f23d487c84da4"),
+]
+
+
+def _transition_table_sha(nbw):
+    rows = sorted((s, sorted(letter), edges) for (s, letter), edges in nbw.trans.items())
+    text = "\n".join(f"{s} {letter} -> {list(edges)}" for s, letter, edges in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,value,nbw_states,dpw_states,sha", GOLDEN_TABLEAU)
+def test_tableau_golden(spec, value, nbw_states, dpw_states, sha):
+    # The value automata of the worked examples, recorded before the tableau
+    # moved to interned node ids: state numbering and edge order must not
+    # change, because determinization and every later tie-break follow them.
+    text, atoms = GOLDEN_FORMULAS[spec]
+    nbw = ltl_to_nbw(booleanize(parse(text), EqualTo(Fraction(value))), frozenset(atoms))
+    assert len(nbw) == nbw_states
+    assert len(determinize(nbw)) == dpw_states
+    assert _transition_table_sha(nbw) == sha

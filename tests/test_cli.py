@@ -10,7 +10,7 @@ import pytest
 
 from hqsynth.cli import main
 from hqsynth.evaluation import expected_value
-from hqsynth.formulas import parse
+from hqsynth.formulas import MAX_NESTING, parse
 from hqsynth.transducers import load_transducer
 
 HD_FORMULA = ("((X data) -> !close)"
@@ -233,6 +233,26 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
         assert field in err
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"inputs": ["a"], "outputs": ["b"],
+                                     "formula": "X " * 1200 + "a"})
+        code, _, err = run(capsys, "synth", spec)
+        assert code == 1
+        assert err.startswith("error:")
+        assert f"deeper than {MAX_NESTING} levels" in err
+
+    @pytest.mark.parametrize("formula, expected", [
+        ("X " * MAX_NESTING + "a", Fraction(1, 2)),
+        ("wavg{1/2}(true, " * MAX_NESTING + "a" + ")" * MAX_NESTING,
+         1 - Fraction(1, 2 ** (MAX_NESTING + 1))),
+    ], ids=["next", "wavg"])
+    def test_nesting_at_the_limit_certifies(self, tmp_path, capsys, formula, expected):
+        spec = write_spec(tmp_path, {"inputs": ["a"], "outputs": ["b"], "formula": formula})
+        code, text, _ = run(capsys, "synth", spec)
+        assert code == 0
+        assert "result = OK" in text
+        assert f"expected = {expected.numerator}/{expected.denominator}" in text
 
     def test_usage_errors_exit_one_not_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -85,6 +85,37 @@ def coin_distribution(p, outputs=("o",)):
                            0, trans)
 
 
+KEEP = object()
+
+
+def data_distribution(initial=0, close_row=KEEP):
+    """The hard-drive data process: data arrives with chance 1/2 whatever
+    the output.  `close_row` replaces the row of state 0 under output
+    {close}, or deletes it when None."""
+    trans = {(s, o): [(0, HALF), (1, HALF)]
+             for s in (0, 1) for o in all_letters(frozenset({"close"}))}
+    if close_row is None:
+        del trans[(0, frozenset({"close"}))]
+    elif close_row is not KEEP:
+        trans[(0, frozenset({"close"}))] = close_row
+    return DistributionMDP({"data"}, {"close"}, [frozenset(), frozenset({"data"})],
+                           initial, trans)
+
+
+class TestDistributionValidation:
+    def test_well_formed_process_constructs(self):
+        assert data_distribution().initial == 0
+
+    @pytest.mark.parametrize("initial, close_row, message", [
+        (7, KEEP, "initial state 7"),
+        (0, [(0, HALF), (2, HALF)], "leads outside the 2 states"),
+        (0, None, "no distribution row"),
+    ], ids=["initial-out-of-range", "target-out-of-range", "missing-row"])
+    def test_malformed_process_rejected(self, initial, close_row, message):
+        with pytest.raises(ValueError, match=message):
+            data_distribution(initial, close_row)
+
+
 class TestInducedDistribution:
     def test_fair_coin_matches_uniform(self):
         io = frozenset({"i", "o"})
