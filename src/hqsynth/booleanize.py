@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import formulas
 from .formulas import (
     Atom,
     FalseFormula,
@@ -185,31 +184,6 @@ def buntil(left: BExpr, right: BExpr) -> BExpr:
     if isinstance(left, BFalse):
         return right
     return BUntil(left, right)
-
-
-def to_formula(e: BExpr) -> Formula:
-    """Embed a Boolean expression back into the quality syntax.
-
-    The image only takes values 0 and 1, so a lasso evaluation equal to 1
-    is the same as Boolean satisfaction.  Used by tests as an oracle.
-    """
-    if isinstance(e, BTrue):
-        return formulas.TRUE
-    if isinstance(e, BFalse):
-        return formulas.FALSE
-    if isinstance(e, BAtom):
-        return Atom(e.name)
-    if isinstance(e, BNot):
-        return Not(to_formula(e.child))
-    if isinstance(e, BAnd):
-        return formulas.conj(*[to_formula(a) for a in e.args])
-    if isinstance(e, BOr):
-        return formulas.disj(*[to_formula(a) for a in e.args])
-    if isinstance(e, BNext):
-        return Next(to_formula(e.child))
-    if isinstance(e, BUntil):
-        return Until(to_formula(e.left), to_formula(e.right))
-    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # --- value predicates ----------------------------------------------------

@@ -91,7 +91,10 @@ def distribution_from_json(doc: dict) -> DistributionMDP:
 
 def load_spec_file(path: str) -> SynthesisSpec:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
     unknown = set(doc) - _SPEC_KEYS

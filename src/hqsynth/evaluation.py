@@ -118,54 +118,51 @@ def check_assumption(assumption: Formula, inputs):
         raise ValueError("assumption must range over inputs only")
 
 
-def expected_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
-    _, _, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
-    return sum((p * v for p, v in zip(rho, comp_values)), Fraction(0))
-
-
-def conditional_expected_value(T: Transducer, formula: Formula, assumption: Formula,
-                               dist=None, ceiling=None) -> Fraction:
+def _outcomes(T: Transducer, formula: Formula, assumption=None, dist=None,
+              ceiling=None):
+    """(probability, value) of each ergodic component of the product chain;
+    given an assumption, of the components where it holds, with their
+    probabilities conditioned on it."""
+    if assumption is None:
+        _, _, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
+        return list(zip(rho, comp_values))
     check_assumption(assumption, T.inputs)
     chain, bottoms, rho, comp_values, n_vals = _setup(
         T, formula, (assumption,), dist, ceiling)
     psi_dpw = dpw_for(assumption, AtLeast(Fraction(1)), T.inputs | T.outputs,
                       ceiling=ceiling)
-    mass = Fraction(0)
-    gain = Fraction(0)
-    for comp, p, v in zip(bottoms, rho, comp_values):
-        if _component_accepts(chain, comp, n_vals, psi_dpw):
-            mass += p
-            gain += p * v
+    kept = [(p, v) for comp, p, v in zip(bottoms, rho, comp_values)
+            if _component_accepts(chain, comp, n_vals, psi_dpw)]
+    mass = sum((p for p, _ in kept), Fraction(0))
     if mass == 0:
         raise AssumptionHasZeroProbability("the assumption holds with probability 0")
-    return gain / mass
+    return [(p / mass, v) for p, v in kept]
+
+
+def expected_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
+    outcomes = _outcomes(T, formula, None, dist, ceiling)
+    return sum((p * v for p, v in outcomes), Fraction(0))
+
+
+def conditional_expected_value(T: Transducer, formula: Formula, assumption: Formula,
+                               dist=None, ceiling=None) -> Fraction:
+    outcomes = _outcomes(T, formula, assumption, dist, ceiling)
+    return sum((p * v for p, v in outcomes), Fraction(0))
 
 
 def almost_sure_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
     """The largest value the computation reaches with probability one, i.e.
     the smallest value among ergodic components that carry mass."""
-    _, _, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
-    return min(v for p, v in zip(rho, comp_values) if p > 0)
+    outcomes = _outcomes(T, formula, None, dist, ceiling)
+    return min(v for p, v in outcomes if p > 0)
 
 
 def conditional_almost_sure_floor(T: Transducer, formula: Formula, assumption: Formula,
                                   dist=None, ceiling=None) -> Fraction:
     """The largest value reached with conditional probability one, given
     the assumption."""
-    check_assumption(assumption, T.inputs)
-    chain, bottoms, rho, comp_values, n_vals = _setup(
-        T, formula, (assumption,), dist, ceiling)
-    psi_dpw = dpw_for(assumption, AtLeast(Fraction(1)), T.inputs | T.outputs,
-                      ceiling=ceiling)
-    floor = None
-    mass = Fraction(0)
-    for comp, p, v in zip(bottoms, rho, comp_values):
-        if p > 0 and _component_accepts(chain, comp, n_vals, psi_dpw):
-            mass += p
-            floor = v if floor is None else min(floor, v)
-    if mass == 0:
-        raise AssumptionHasZeroProbability("the assumption holds with probability 0")
-    return floor
+    outcomes = _outcomes(T, formula, assumption, dist, ceiling)
+    return min(v for p, v in outcomes if p > 0)
 
 
 # --- worst case ----------------------------------------------------------

@@ -224,10 +224,6 @@ class _Tokens:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def try_symbol(self, sym: str) -> bool:
         self.skip_ws()
         if self.text.startswith(sym, self.pos):
@@ -419,12 +415,6 @@ class LassoWord:
         if j >= self.positions():
             return len(self.prefix)
         return j
-
-    def shift(self) -> "LassoWord":
-        """The suffix word dropping the first letter."""
-        if self.prefix:
-            return LassoWord(self.prefix[1:], self.period, self.atoms)
-        return LassoWord((), self.period[1:] + self.period[:1], self.atoms)
 
 
 def eval_lasso(formula: Formula, word: LassoWord) -> Fraction:

@@ -22,11 +22,17 @@ mean payoff through the end-component quotient.  Mean payoff is only
 solved for reward functions constant on each maximal end component; the
 achievability rewards used by synthesis have that shape by construction,
 and the precondition is checked rather than trusted.
+
+An analysis of a sub-MDP restricts the MDP it is given: `max_end_components`
+takes the state set to stay `within`, and `almost_sure_reach` the allowed
+actions `acts` of each state, so every state and action index they return
+is one of that MDP.  Strategies are plain maps state -> action index.
+Absorption probabilities and policy values come from one builder of the
+sinks-first system x = P x + b, solved by `solve_linear_system`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .common import (
@@ -74,9 +80,6 @@ class PreMDP:
 
     def successors(self, s: int, a: int):
         return [t for t, p in self.trans[(s, a)] if p > 0]
-
-    def action_index(self, s: int, label) -> int:
-        return self.actions[s].index(label)
 
 
 class RewardMDP(PreMDP):
@@ -214,23 +217,6 @@ def input_process(dist, inputs, outputs):
     return UniformInputs(inputs, outputs) if dist is None else dist
 
 
-@dataclass
-class Strategy:
-    """Memoryless map plus an optional switch into per-trigger phase maps.
-
-    `primary[s]` is the action index played before any switch.  When the
-    run first hits a state in `triggers`, play moves to the phase map named
-    there and stays with it.  Memoryless strategies leave both empty.
-    """
-
-    primary: dict
-    phases: dict = field(default_factory=dict)
-    triggers: dict = field(default_factory=dict)
-
-    def memoryless(self) -> bool:
-        return not self.triggers
-
-
 # --- induced MDPs --------------------------------------------------------
 
 
@@ -266,14 +252,16 @@ def induced_chain(M: PreMDP, choice: dict) -> MarkovChain:
 # --- end components ------------------------------------------------------
 
 
-def max_end_components(M: PreMDP):
-    """Maximal end components as (state set, per-state action-index sets),
-    sorted by smallest member state."""
+def max_end_components(M: PreMDP, within=None):
+    """Maximal end components of M restricted to the states `within` (all
+    states when None), as (state set, per-state action-index sets), sorted
+    by smallest member state.  Only actions that stay inside `within` count.
+    """
     out = []
-    queue = [frozenset(range(M.n))]
+    queue = [frozenset(range(M.n)) if within is None else frozenset(within)]
     while queue:
         block = set(queue.pop())
-        while True:
+        while block:
             acts = {}
             dead = set()
             for s in block:
@@ -285,8 +273,6 @@ def max_end_components(M: PreMDP):
                     dead.add(s)
             if dead:
                 block -= dead
-                if not block:
-                    break
                 continue
 
             def succ(s):
@@ -311,15 +297,6 @@ def max_end_components(M: PreMDP):
     return out
 
 
-def _restricted_mdp_actions(M: PreMDP, allowed: set):
-    """Per-state surviving action indices when play must stay in `allowed`."""
-    return {
-        s: [a for a in range(len(M.actions[s]))
-            if all(t in allowed for t in M.successors(s, a))]
-        for s in allowed
-    }
-
-
 def cwr_states(M: ParityMDP):
     """Controllably-win-recurrent states with one witness end component each.
 
@@ -330,87 +307,46 @@ def cwr_states(M: ParityMDP):
     cwr = set()
     witness = {}
     for d in sorted({r for r in M.rank if r % 2 == 0}):
-        allowed = {s for s in range(M.n) if M.rank[s] <= d}
-        if not allowed:
-            continue
-        sub = _subset_mdp(M, allowed)
-        for states, acts in max_end_components(sub):
-            orig_states = frozenset(sub.labels[s] for s in states)
-            orig_acts = {sub.labels[s]: frozenset(
-                _lift_action_indices(M, sub, s, acts[s])) for s in states}
-            for s in orig_states:
+        allowed = [s for s in range(M.n) if M.rank[s] <= d]
+        for states, acts in max_end_components(M, allowed):
+            for s in states:
                 if M.rank[s] == d:
                     cwr.add(s)
-                    witness[s] = (orig_states, orig_acts)
+                    witness[s] = (states, acts)
     return cwr, witness
 
 
-def _subset_mdp(M: PreMDP, allowed: set) -> PreMDP:
-    """Restriction to `allowed` keeping only inside-staying actions.
-
-    States left without any such action get an empty action list; the end
-    component machinery then discards them instead of inventing loops.
-    """
-    order = sorted(allowed)
-    index = {s: i for i, s in enumerate(order)}
-    acts_keep = _restricted_mdp_actions(M, set(allowed))
-    actions = []
-    trans = {}
-    for i, s in enumerate(order):
-        keep = acts_keep[s]
-        actions.append(tuple(keep))
-        for j, a in enumerate(keep):
-            trans[(i, j)] = tuple((index[t], p) for t, p in M.trans[(s, a)])
-    initial = index.get(M.initial, 0)
-    return PreMDP(order, initial, actions, trans, validate=False)
-
-
-def _lift_action_indices(M: PreMDP, sub: PreMDP, sub_state: int, sub_acts):
-    # Sub-MDP action labels are the original action indices themselves.
-    return [sub.actions[sub_state][a] for a in sub_acts]
-
-
-def almost_sure_reach(M: PreMDP, target: set, domain: set | None = None):
+def almost_sure_reach(M: PreMDP, target: set, acts: dict | None = None):
     """(states reaching `target` with probability 1, attractor choice).
 
-    Classic two-level fixpoint: repeatedly keep the states that can reach
-    the target with positive probability without ever leaving the kept set.
-    The returned choice map covers the winning states outside the target.
+    `acts` maps each state of the sub-MDP to analyze to its allowed action
+    indices, tried in the order given; by default every state and action.
+    Classic two-level fixpoint: grow the target backwards through actions
+    that stay in the kept set and may enter the grown set, keep what grew,
+    and repeat until the kept set stops shrinking.  The choice map of the
+    last sweep covers the winning states outside the target.
     """
-    universe = set(range(M.n)) if domain is None else set(domain)
-    target = set(target) & universe
-    allowed = set(universe)
+    if acts is None:
+        acts = {s: range(len(M.actions[s])) for s in range(M.n)}
+    allowed = set(acts)
+    target = set(target) & allowed
     while True:
         reach = set(target)
+        choice = {}
         frontier = True
         while frontier:
             frontier = False
             for s in sorted(allowed - reach):
-                for a in range(len(M.actions[s])):
+                for a in acts[s]:
                     succs = M.successors(s, a)
                     if all(t in allowed for t in succs) and any(t in reach for t in succs):
                         reach.add(s)
+                        choice[s] = a
                         frontier = True
                         break
         if reach == allowed:
-            break
+            return allowed, choice
         allowed = reach
-    choice = {}
-    # Rank states by distance to the target for a proper attractor.
-    dist = {s: 0 for s in target}
-    frontier = set(target)
-    while frontier:
-        nxt = set()
-        for s in sorted(allowed - set(dist)):
-            for a in range(len(M.actions[s])):
-                succs = M.successors(s, a)
-                if all(t in allowed for t in succs) and any(t in frontier or t in dist for t in succs):
-                    dist[s] = 1 + min(dist[t] for t in succs if t in dist)
-                    choice[s] = a
-                    nxt.add(s)
-                    break
-        frontier = nxt
-    return allowed, choice
 
 
 def almost_sure_parity(M: ParityMDP):
@@ -456,28 +392,17 @@ def almost_sure_parity(M: ParityMDP):
 
 def _witness_visiting_choice(M: PreMDP, states, acts, goal: int):
     """Within an end component, head for `goal`; at `goal`, stay inside."""
-    index = {s: i for i, s in enumerate(sorted(states))}
-    order = sorted(states)
-    sub_actions = []
-    sub_trans = {}
-    for i, s in enumerate(order):
-        keep = sorted(acts[s])
-        sub_actions.append(tuple(keep))
-        for j, a in enumerate(keep):
-            sub_trans[(i, j)] = tuple((index[t], p) for t, p in M.trans[(s, a)])
-    sub = PreMDP(order, index.get(goal, 0), sub_actions, sub_trans, validate=False)
-    _, attract = almost_sure_reach(sub, {index[goal]})
+    ordered = {s: sorted(acts[s]) for s in states}
+    _, attract = almost_sure_reach(M, {goal}, ordered)
     choice = {}
-    for s in order:
-        i = index[s]
+    for s in sorted(states):
         if s == goal:
-            choice[s] = sub_actions[i][0]
-        elif i in attract:
-            choice[s] = sub_actions[i][attract[i]]
+            choice[s] = ordered[s][0]
+        elif s in attract:
+            choice[s] = attract[s]
         else:
             raise InternalConsistencyError(
                 f"witness component cannot steer {s} to its designated state")
-    # Map sub action labels (= original indices) straight through.
     return choice
 
 
@@ -494,12 +419,13 @@ class MecRewardMismatch(ValueError):
 
 
 def solve_mean_payoff(M: RewardMDP):
-    """(optimal expected mean payoff from the initial state, Strategy).
+    """(optimal expected mean payoff from the initial state, memoryless
+    optimal choice map state -> action index).
 
     Reduction: collapse each maximal end component to a node that can
     either absorb its constant reward or play one of its exiting actions,
     keep other states as singleton nodes, and maximize the expected
-    absorbed reward by exact policy iteration.  The strategy is pulled back
+    absorbed reward by exact policy iteration.  The choice is pulled back
     to the original states (inside a component: steer to the member whose
     exiting action was chosen, or anywhere inside when absorbing).
     """
@@ -574,7 +500,7 @@ def solve_mean_payoff(M: RewardMDP):
             inner = _witness_visiting_choice(M, states, acts, exit_state)
             for s in states:
                 primary[s] = inner[s] if s != exit_state else exit_action
-    return values[node_of[M.initial]], Strategy(primary=primary)
+    return values[node_of[M.initial]], primary
 
 
 def _add_node_action(M, node_of, node_actions, node_rows, i, s, a):
@@ -602,22 +528,33 @@ def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy):
         range(n_nodes), lambda i: [j for j, _ in node_rows.get((i, policy[i]), ())])
     unknown = [i for comp in comps for i in comp
                if node_actions[i][policy[i]] != ("stay",)]
-    pos = {i: k for k, i in enumerate(unknown)}
-    k = len(unknown)
-    matrix = [[Fraction(0)] * (k + 1) for _ in range(k)]
-    for i in unknown:
-        r = pos[i]
+    rows = {i: node_rows[(i, policy[i])] for i in unknown}
+    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1)
+    return [sol[i][0] if i in sol else terminal[i] for i in range(n_nodes)]
+
+
+def _solve_absorption(unknowns, rows, known, width):
+    """Solve x = P x + b exactly, the unknowns in the order given: `rows[s]`
+    lists the (successor, probability) pairs of unknown s, and a successor t
+    that is not an unknown adds p * w to right-hand side c, where
+    (c, w) = known(t).  Returns unknown -> solution row, one entry per
+    right-hand side."""
+    pos = {s: r for r, s in enumerate(unknowns)}
+    k = len(unknowns)
+    matrix = [[Fraction(0)] * (k + width) for _ in range(k)]
+    for s in unknowns:
+        r = pos[s]
         matrix[r][r] += 1
-        for j, p in node_rows[(i, policy[i])]:
-            if j in pos:
-                matrix[r][pos[j]] -= p
+        for t, p in rows[s]:
+            if p == 0:
+                continue
+            if t in pos:
+                matrix[r][pos[t]] -= p
             else:
-                matrix[r][k] += p * terminal[j]
+                c, w = known(t)
+                matrix[r][k + c] += p * w
     sol = solve_linear_system(matrix)
-    values = list(terminal) + [Fraction(0)] * (n_nodes - len(terminal))
-    for i in range(n_nodes):
-        values[i] = sol[pos[i]][0] if i in pos else terminal[i]
-    return values
+    return {s: sol[r] for s, r in pos.items()}
 
 
 def solve_linear_system(matrix):
@@ -664,27 +601,12 @@ def mc_ergodic_analysis(C: MarkovChain):
             comp_of[s] = i
     # unknowns sinks first: elimination then fills in only within components
     transient = [s for comp in comps for s in comp if s not in comp_of]
-    pos = {s: r for r, s in enumerate(transient)}
-    k = len(transient)
-    width = len(bottoms)
-    matrix = [[Fraction(0)] * (k + width) for _ in range(k)]
-    for s in transient:
-        r = pos[s]
-        matrix[r][r] += 1
-        for t, p in C.rows[s]:
-            if p == 0:
-                continue
-            if t in pos:
-                matrix[r][pos[t]] -= p
-            else:
-                matrix[r][k + comp_of[t]] += p
-    sol = solve_linear_system(matrix)
-    rho = []
-    for i in range(width):
-        if C.initial in pos:
-            rho.append(sol[pos[C.initial]][i])
-        else:
-            rho.append(Fraction(1) if comp_of[C.initial] == i else Fraction(0))
+    sol = _solve_absorption(transient, C.rows, lambda t: (comp_of[t], 1), len(bottoms))
+    if C.initial in sol:
+        rho = list(sol[C.initial])
+    else:
+        rho = [Fraction(1) if comp_of[C.initial] == i else Fraction(0)
+               for i in range(len(bottoms))]
     if sum(rho) != 1:
         raise InternalConsistencyError("absorption probabilities do not sum to 1")
     return bottoms, rho

@@ -69,7 +69,6 @@ from .mdp import (
     induced_chain,
     induced_pre_mdp,
     input_process,
-    max_end_components,
     mc_ergodic_analysis,
     solve_mean_payoff,
 )
@@ -153,19 +152,15 @@ def _component_win(dpw, M):
 
 def _gamma_rewards(M, vals, wins):
     """Per-state reward: the largest value whose automaton projection is
-    almost-surely winnable, for states inside some end component; 0 outside.
-    Constant on every maximal end component, which is asserted."""
-    gamma = [Fraction(0)] * M.n
-    for states, _acts in max_end_components(M):
-        for s in states:
-            qs, sd = M.labels[s]
-            best = Fraction(0)
-            for pos, (v, w) in enumerate(zip(vals, wins)):
-                if v > best and (qs[pos], sd) in w:
-                    best = v
-            gamma[s] = best
-        if len({gamma[s] for s in states}) != 1:
-            raise InternalConsistencyError("end component mixes reward values")
+    almost-surely winnable.  Only read on end-component states, where it is
+    constant on every maximal end component; `solve_mean_payoff` checks that."""
+    gamma = []
+    for qs, sd in M.labels:
+        best = Fraction(0)
+        for pos, (v, w) in enumerate(zip(vals, wins)):
+            if v > best and (qs[pos], sd) in w:
+                best = v
+        gamma.append(best)
     return gamma
 
 
@@ -445,12 +440,11 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
     RM, meta = _reward_mdp(spec.formula, process, ceiling, low, att, att_win,
                            assumption)
     vals = meta["values"]
-    value, strat = solve_mean_payoff(RM)
-    triggers, realized = _install_triggers(RM, strat.primary, vals, att, t)
+    value, primary = solve_mean_payoff(RM)
+    triggers, realized = _install_triggers(RM, primary, vals, att, t)
     if spec.hard_constraint is None and realized != value:
         raise InternalConsistencyError("refined strategy changes the expected reward")
     # runs through a reset state fail the assumption and do not count
-    primary = dict(strat.primary)
     for s in meta["reset"]:
         primary[s] = 0
     phase_letters = {("win", i): (i, sigma) for i, sigma in enumerate(meta["sigma"])}

@@ -138,7 +138,11 @@ def save_transducer(T: Transducer, path: str):
 
 def load_transducer(path: str) -> Transducer:
     with open(path) as fh:
-        return transducer_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
+    return transducer_from_json(doc)
 
 
 def transducer_to_dot(T: Transducer, name: str = "transducer") -> str:

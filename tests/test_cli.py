@@ -242,6 +242,18 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert f"deeper than {MAX_NESTING} levels" in err
 
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_deeply_nested_json_is_an_error(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        if command == "synth":
+            code, _, err = run(capsys, "synth", str(deep))
+        else:
+            code, _, err = run(capsys, "eval", write_spec(tmp_path, HD_SPEC), str(deep))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "nests too deeply" in err
+
     @pytest.mark.parametrize("formula, expected", [
         ("X " * MAX_NESTING + "a", Fraction(1, 2)),
         ("wavg{1/2}(true, " * MAX_NESTING + "a" + ")" * MAX_NESTING,

@@ -16,7 +16,6 @@ from hqsynth.mdp import (
     ParityMDP,
     PreMDP,
     RewardMDP,
-    Strategy,
     UniformInputs,
     almost_sure_parity,
     cwr_states,
@@ -51,11 +50,6 @@ class TestValidation:
     def test_ranks_start_at_one(self):
         with pytest.raises(ValueError):
             ParityMDP([0], 0, [("go",)], {(0, 0): ((0, ONE),)}, [0])
-
-    def test_strategy_memoryless_flag(self):
-        assert Strategy({0: 0}).memoryless()
-        assert not Strategy({0: 0}, phases={"w": {0: 0}},
-                            triggers={1: "w"}).memoryless()
 
 
 class TestInducedUniform:
@@ -185,6 +179,23 @@ class TestEndComponents:
                         assert all(t in S for t, p in M.trans[(s, a)] if p > 0)
 
 
+def test_mecs_within_match_subset_oracle():
+    rng = random.Random(411)
+    for _ in range(40):
+        M = O.random_pre_mdp(rng, rng.randint(2, 6))
+        W = frozenset(s for s in range(M.n) if rng.random() < 0.6)
+        inside = [S for S in O.ec_state_sets(M) if S <= W]
+        want = sorted((S for S in inside if not any(S < T for T in inside)), key=min)
+        got = max_end_components(M, W)
+        assert [frozenset(S) for S, _ in got] == want
+        for S, acts in got:
+            assert set(acts) == S
+            for s in S:
+                assert acts[s]
+                for a in acts[s]:
+                    assert all(t in S for t, p in M.trans[(s, a)] if p > 0)
+
+
 def parity(rows_by_rank):
     """Single-action parity MDP from [(successor-row, rank), ...]."""
     rows = [r for r, _ in rows_by_rank]
@@ -266,18 +277,17 @@ class TestAlmostSureParity:
 class TestMeanPayoff:
     def test_single_absorbing_state(self):
         M = RewardMDP([0], 0, [("go",)], {(0, 0): ((0, ONE),)}, [Fraction(2, 3)])
-        value, strat = solve_mean_payoff(M)
+        value, choice = solve_mean_payoff(M)
         assert value == Fraction(2, 3)
-        assert strat.memoryless()
 
     def test_picks_the_better_sink(self):
         trans = {(0, 0): ((1, ONE),), (0, 1): ((2, ONE),),
                  (1, 0): ((1, ONE),), (2, 0): ((2, ONE),)}
         M = RewardMDP([0, 1, 2], 0, [("a", "b"), ("go",), ("go",)], trans,
                       [Fraction(0), Fraction(0), ONE])
-        value, strat = solve_mean_payoff(M)
+        value, choice = solve_mean_payoff(M)
         assert value == 1
-        assert strat.primary[0] == 1
+        assert choice[0] == 1
 
     def test_mixed_reward_component_rejected(self):
         trans = {(0, 0): ((1, ONE),), (1, 0): ((0, ONE),)}
@@ -296,12 +306,11 @@ class TestMeanPayoff:
         rng = random.Random(408)
         for _ in range(20):
             M = O.random_reward_mdp(rng, rng.randint(2, 6))
-            value, strat = solve_mean_payoff(M)
-            if strat.memoryless():
-                choice = {s: strat.primary.get(s, 0) for s in range(M.n)}
-                got = O.chain_value(O.chain_of_strategy(M, choice),
-                                    M.initial, M.reward)
-                assert got == value
+            value, primary = solve_mean_payoff(M)
+            choice = {s: primary.get(s, 0) for s in range(M.n)}
+            got = O.chain_value(O.chain_of_strategy(M, choice),
+                                M.initial, M.reward)
+            assert got == value
 
 
 class TestErgodicAnalysis:
