@@ -11,7 +11,8 @@ DEFAULT_STATE_CEILING = 10**6
 
 
 class StateLimitExceeded(RuntimeError):
-    """Raised when an automaton or product construction exceeds the ceiling."""
+    """Raised when a construction, an alphabet or a linear system exceeds
+    the ceiling."""
 
     def __init__(self, what: str, limit: int):
         super().__init__(f"{what} exceeded the state ceiling of {limit}; "
@@ -113,8 +114,12 @@ def format_fraction(x: Fraction) -> str:
 
 
 def all_letters(atoms) -> list[frozenset]:
-    """Every subset of the atom set, in a fixed bitmask order."""
+    """Every subset of the atom set, in a fixed bitmask order.  An alphabet
+    of more letters than the state ceiling raises `StateLimitExceeded`."""
     names = sorted(atoms)
+    limit = state_ceiling()
+    if 1 << len(names) > limit:
+        raise StateLimitExceeded(f"alphabet of {len(names)} atoms", limit)
     out = []
     for mask in range(1 << len(names)):
         out.append(frozenset(names[i] for i in range(len(names)) if mask >> i & 1))

@@ -105,7 +105,7 @@ def _setup(T: Transducer, formula: Formula, extras=(), dist=None, ceiling=None):
     extra_dpws = [dpw_for(g, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
                   for g in extras]
     chain = product_chain(T, dpws + extra_dpws, dist, ceiling)
-    bottoms, rho = mc_ergodic_analysis(chain)
+    bottoms, rho = mc_ergodic_analysis(chain, ceiling)
     comp_values = _classify(chain, bottoms, dpws, vals)
     return chain, bottoms, rho, comp_values, len(dpws)
 

@@ -28,7 +28,9 @@ takes the state set to stay `within`, and `almost_sure_reach` the allowed
 actions `acts` of each state, so every state and action index they return
 is one of that MDP.  Strategies are plain maps state -> action index.
 Absorption probabilities and policy values come from one builder of the
-sinks-first system x = P x + b, solved by `solve_linear_system`.
+sinks-first system x = P x + b.  It stores each row sparsely, as a map
+from column to nonzero entry, and `solve_linear_system` eliminates on those
+rows; the nonzeros stored at once count against the state ceiling.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ from fractions import Fraction
 
 from .common import (
     InternalConsistencyError,
+    StateLimitExceeded,
     all_letters,
     explore,
     format_fraction,
     probability_row,
+    state_ceiling,
     strongly_connected_components,
 )
 
@@ -418,7 +422,7 @@ class MecRewardMismatch(ValueError):
         self.states = states
 
 
-def solve_mean_payoff(M: RewardMDP):
+def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
     """(optimal expected mean payoff from the initial state, memoryless
     optimal choice map state -> action index).
 
@@ -461,7 +465,8 @@ def solve_mean_payoff(M: RewardMDP):
 
     terminal = [M.reward[min(states)] for states, _ in mecs]
     policy = [0] * n_nodes
-    values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy)
+    values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
+                              ceiling)
     while True:
         improved = False
         for i in range(n_nodes):
@@ -474,13 +479,15 @@ def solve_mean_payoff(M: RewardMDP):
             policy[i] = best_a
         if not improved:
             break
-        values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy)
+        values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
+                                  ceiling)
     for i in range(n_nodes):
         for a in range(len(node_actions[i])):
             if _policy_action_value(i, a, node_actions, node_rows, terminal, values) == values[i]:
                 policy[i] = a
                 break
-    normalized = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy)
+    normalized = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
+                                  ceiling)
     if normalized != values:
         raise InternalConsistencyError("argmax normalization changed the value")
     values = normalized
@@ -521,7 +528,7 @@ def _policy_action_value(i, a, node_actions, node_rows, terminal, values):
     return sum(p * values[j] for j, p in node_rows[(i, a)])
 
 
-def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy):
+def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, ceiling):
     # Unknowns for nodes not absorbing; stay-nodes pin their terminal value.
     # Ordered sinks first, as in mc_ergodic_analysis.
     comps = strongly_connected_components(
@@ -529,11 +536,11 @@ def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy):
     unknown = [i for comp in comps for i in comp
                if node_actions[i][policy[i]] != ("stay",)]
     rows = {i: node_rows[(i, policy[i])] for i in unknown}
-    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1)
+    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1, ceiling)
     return [sol[i][0] if i in sol else terminal[i] for i in range(n_nodes)]
 
 
-def _solve_absorption(unknowns, rows, known, width):
+def _solve_absorption(unknowns, rows, known, width, ceiling):
     """Solve x = P x + b exactly, the unknowns in the order given: `rows[s]`
     lists the (successor, probability) pairs of unknown s, and a successor t
     that is not an unknown adds p * w to right-hand side c, where
@@ -541,46 +548,66 @@ def _solve_absorption(unknowns, rows, known, width):
     right-hand side."""
     pos = {s: r for r, s in enumerate(unknowns)}
     k = len(unknowns)
-    matrix = [[Fraction(0)] * (k + width) for _ in range(k)]
+    system = []
     for s in unknowns:
-        r = pos[s]
-        matrix[r][r] += 1
+        row = {pos[s]: Fraction(1)}
         for t, p in rows[s]:
-            if p == 0:
-                continue
             if t in pos:
-                matrix[r][pos[t]] -= p
+                col, v = pos[t], -p
             else:
                 c, w = known(t)
-                matrix[r][k + c] += p * w
-    sol = solve_linear_system(matrix)
+                col, v = k + c, p * w
+            row[col] = row.get(col, 0) + v
+        system.append({col: v for col, v in row.items() if v})
+    sol = solve_linear_system(system, width, ceiling)
     return {s: sol[r] for s, r in pos.items()}
 
 
-def solve_linear_system(matrix):
-    """Gaussian elimination on an augmented k x (k+w) matrix of Fractions:
-    k unknowns and w right-hand sides, read off the row width.  Returns the
-    k solution rows, one entry per right-hand side."""
-    k = len(matrix)
-    m = [row[:] for row in matrix]
+def solve_linear_system(rows, width, ceiling=None):
+    """Gauss-Jordan elimination on k sparse augmented rows of Fractions:
+    `rows[r]` maps a column to its nonzero entry, columns 0..k-1 being the
+    unknowns and k + c right-hand side c < `width`.  Returns the k solution
+    rows, one entry per right-hand side.  Storing more nonzeros at once than
+    the state ceiling raises `StateLimitExceeded`."""
+    limit = state_ceiling(ceiling)
+    k = len(rows)
+    m = [dict(row) for row in rows]
+    stored = sum(map(len, m))
+    if stored > limit:
+        raise StateLimitExceeded("linear system", limit)
     for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, k) if col in m[r]), None)
         if pivot is None:
             raise InternalConsistencyError("singular linear system")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][k:] for r in range(k)]
+        prow = m[col]
+        inv = prow[col]
+        if inv != 1:
+            for c in prow:
+                prow[c] /= inv
+        items = list(prow.items())
+        for row in m:
+            factor = row.get(col)
+            if factor is None or row is prow:
+                continue
+            before = len(row)
+            for c, v in items:
+                x = row.get(c, 0) - factor * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            stored += len(row) - before
+            if stored > limit:
+                raise StateLimitExceeded("linear system", limit)
+    zero = Fraction(0)
+    return [[row.get(k + c, zero) for c in range(width)] for row in m]
 
 
 # --- Markov chain analysis ----------------------------------------------
 
 
-def mc_ergodic_analysis(C: MarkovChain):
+def mc_ergodic_analysis(C: MarkovChain, ceiling: int | None = None):
     """(ergodic components, absorption probabilities from the initial state).
 
     Ergodic components are the bottom strongly connected components;
@@ -601,7 +628,8 @@ def mc_ergodic_analysis(C: MarkovChain):
             comp_of[s] = i
     # unknowns sinks first: elimination then fills in only within components
     transient = [s for comp in comps for s in comp if s not in comp_of]
-    sol = _solve_absorption(transient, C.rows, lambda t: (comp_of[t], 1), len(bottoms))
+    sol = _solve_absorption(transient, C.rows, lambda t: (comp_of[t], 1), len(bottoms),
+                            ceiling)
     if C.initial in sol:
         rho = list(sol[C.initial])
     else:

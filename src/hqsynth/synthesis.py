@@ -189,7 +189,7 @@ def _induced_restricted(prod, att_pos, att_win, process, ceiling):
     return PreMDP(labels, 0, [allowed for allowed, _ in rows], trans, validate=False)
 
 
-def _install_triggers(M, primary, vals, att=None, t=None):
+def _install_triggers(M, primary, vals, att, t, ceiling):
     """Absorption analysis of the primary strategy's chain.
 
     Positive-reward components switch to the matching value's winning
@@ -200,7 +200,7 @@ def _install_triggers(M, primary, vals, att=None, t=None):
     strategy.
     """
     chain = induced_chain(M, primary)
-    bottoms, rho = mc_ergodic_analysis(chain)
+    bottoms, rho = mc_ergodic_analysis(chain, ceiling)
     triggers = {}
     realized = Fraction(0)
     for comp, p in zip(bottoms, rho):
@@ -300,7 +300,8 @@ def _assumption_chain(psi_dpw, process, ceiling):
 
     labels, rows = explore((psi_dpw.initial, process.initial), expand,
                            "assumption chain", ceiling)
-    bottoms, rho = mc_ergodic_analysis(MarkovChain(labels, 0, rows, validate=False))
+    bottoms, rho = mc_ergodic_analysis(MarkovChain(labels, 0, rows, validate=False),
+                                       ceiling)
     prob = Fraction(0)
     rejecting = set()
     for comp, p in zip(bottoms, rho):
@@ -440,8 +441,8 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
     RM, meta = _reward_mdp(spec.formula, process, ceiling, low, att, att_win,
                            assumption)
     vals = meta["values"]
-    value, primary = solve_mean_payoff(RM)
-    triggers, realized = _install_triggers(RM, primary, vals, att, t)
+    value, primary = solve_mean_payoff(RM, ceiling)
+    triggers, realized = _install_triggers(RM, primary, vals, att, t, ceiling)
     if spec.hard_constraint is None and realized != value:
         raise InternalConsistencyError("refined strategy changes the expected reward")
     # runs through a reset state fail the assumption and do not count

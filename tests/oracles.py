@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from hqsynth.common import InternalConsistencyError
 from hqsynth.formulas import (
     Atom,
     FalseFormula,
@@ -156,20 +157,24 @@ def chain_of_strategy(M: PreMDP, choice) -> list:
     return rows
 
 
-def gauss_solve(matrix):
-    """Solve [A | b] rows in place over Fractions; returns the solution."""
+def dense_solve(matrix):
+    """Gauss-Jordan elimination on a dense augmented k x (k+w) matrix of
+    Fractions: k unknowns and w right-hand sides, read off the row width.
+    Returns the k solution rows, one entry per right-hand side."""
+    k = len(matrix)
     m = [list(row) for row in matrix]
-    n = len(m)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
+        if pivot is None:
+            raise InternalConsistencyError("singular linear system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = m[col][col]
+        m[col] = [x / inv for x in m[col]]
+        for r in range(k):
             if r != col and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    return [m[r][k:] for r in range(k)]
 
 
 def absorption_probability(rows, start, target, others) -> Fraction:
@@ -198,8 +203,7 @@ def absorption_probability(rows, start, target, others) -> Fraction:
             elif t in absorbed:
                 row[len(free)] += p
         system.append(row)
-    sol = gauss_solve(system)
-    return sol[idx[start]]
+    return dense_solve(system)[idx[start]][0]
 
 
 def chain_value(rows, start, reward) -> Fraction:

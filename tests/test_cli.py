@@ -254,6 +254,16 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "nests too deeply" in err
 
+    def test_alphabet_past_the_ceiling_is_an_error(self, tmp_path, capsys):
+        # 2^21 input letters exceed the default ceiling of 10^6
+        inputs = [f"i{j}" for j in range(21)]
+        spec = write_spec(tmp_path, {"inputs": inputs, "outputs": ["o"],
+                                     "formula": "i0 -> o"})
+        code, _, err = run(capsys, "synth", spec)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "alphabet of 21 atoms" in err
+
     @pytest.mark.parametrize("formula, expected", [
         ("X " * MAX_NESTING + "a", Fraction(1, 2)),
         ("wavg{1/2}(true, " * MAX_NESTING + "a" + ")" * MAX_NESTING,

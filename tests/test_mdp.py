@@ -7,7 +7,7 @@ import pytest
 
 from hqsynth.automata import dpw_for, product
 from hqsynth.booleanize import EqualTo
-from hqsynth.common import all_letters
+from hqsynth.common import InternalConsistencyError, StateLimitExceeded, all_letters
 from hqsynth.formulas import Atom
 from hqsynth.mdp import (
     DistributionMDP,
@@ -23,6 +23,7 @@ from hqsynth.mdp import (
     induced_pre_mdp,
     max_end_components,
     mc_ergodic_analysis,
+    solve_linear_system,
     solve_mean_payoff,
 )
 
@@ -357,3 +358,55 @@ class TestErgodicAnalysis:
         assert C.n == M.n
         for s in range(M.n):
             assert sum(p for _, p in C.rows[s]) == 1
+
+
+def test_sparse_solve_matches_dense_oracle():
+    rng = random.Random(411)
+    solved = singular = 0
+    while solved < 200:
+        k, width = rng.randint(1, 12), rng.randint(1, 3)
+        density = rng.choice([0.2, 0.5, 1.0])
+        matrix = []
+        for _ in range(k):
+            fill = 1.0 if rng.random() < 0.2 else density
+            matrix.append([Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                           if rng.random() < fill else Fraction(0)
+                           for _ in range(k + width)])
+        rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+        try:
+            want = O.dense_solve(matrix)
+        except InternalConsistencyError:
+            singular += 1
+            with pytest.raises(InternalConsistencyError):
+                solve_linear_system(rows, width)
+            continue
+        assert solve_linear_system(rows, width) == want
+        solved += 1
+    assert singular > 0
+
+
+def test_singular_system_raises():
+    rows = [{0: ONE, 1: ONE, 2: ONE}, {0: 2 * ONE, 1: 2 * ONE, 2: HALF}]
+    with pytest.raises(InternalConsistencyError, match="singular"):
+        solve_linear_system(rows, 1)
+
+
+class TestSolverCeiling:
+    # 8 nonzeros stored at first; eliminating column 0 fills two more,
+    # so the peak is 10.
+    ROWS = [{0: ONE, 1: ONE, 2: ONE, 3: ONE}, {0: ONE, 1: 2 * ONE}, {0: ONE, 2: 3 * ONE}]
+
+    def test_fill_in_past_the_ceiling_raises(self):
+        with pytest.raises(StateLimitExceeded, match="linear system") as exc:
+            solve_linear_system(self.ROWS, 1, ceiling=9)
+        assert exc.value.limit == 9
+
+    def test_ceiling_at_the_peak_passes(self):
+        assert solve_linear_system(self.ROWS, 1, ceiling=10) == [[6], [-3], [-2]]
+
+    def test_ergodic_analysis_passes_its_ceiling_on(self):
+        C = MarkovChain([0, 1, 2], 0,
+                        [((1, HALF), (2, HALF)), ((1, ONE),), ((2, ONE),)])
+        with pytest.raises(StateLimitExceeded, match="linear system"):
+            mc_ergodic_analysis(C, ceiling=2)
+        assert mc_ergodic_analysis(C, ceiling=3)[1] == [HALF, HALF]

@@ -233,6 +233,19 @@ class TestRandomSpecs:
             assert res.almost_sure_floor >= floor
 
 
+# Nested chains build automata of several hundred states (500 for eight
+# levels of G, where G a needs 3) and linear systems of the same size.
+@pytest.mark.parametrize("formula, value", [
+    ("G G G G G G G G a", 0),
+    ("F F F F F F F F a", 1),
+    ("a U a U a U a U a U a U b", 1),
+])
+def test_nested_chain_certifies(formula, value):
+    res = synthesize(SynthesisSpec(frozenset({"a"}), frozenset({"b"}), parse(formula)))
+    assert isinstance(res, SynthesisResult)
+    assert res.expected_value == value
+
+
 # --- golden reports ------------------------------------------------------
 
 GOLDEN_HD = {"inputs": ["data"], "outputs": ["close"],
