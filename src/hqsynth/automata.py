@@ -2,7 +2,7 @@
 
 The pipeline is classic: negation normal form, a tableau-built Buchi
 automaton, then a Safra-style determinization into a parity automaton.
-Three local conventions keep it fast and the halves compatible:
+These local conventions keep it fast and the halves compatible:
 
 * The tableau works on small ints.  `NNF` interns the negation normal form
   of a Boolean formula once per automaton: every structurally distinct
@@ -19,13 +19,29 @@ Three local conventions keep it fast and the halves compatible:
   and the tie-breaks of every later analysis; keeping it keeps synthesized
   controllers the same.  The texts are built bottom-up, without recursion.
 
+* Covers are composed, not re-derived.  A state's cover is the list of
+  branches a depth-first expansion of its obligations reaches, in
+  ascending id; each obligation's expansion finishes before the next one
+  starts, and reads only the `done` bits inside its own closure.  So the
+  branches of one node are memoized under (node, `done` within its
+  closure) and composed in depth-first order (an AND's operands in
+  sequence, an OR's alternatives in order, an until's right branch before
+  its postponing left one, a release's both-operands branch before its
+  postponing right one), filtering literal clashes when branches combine.
+  A state's cover extends the memoized cover of its obligations without
+  the highest id by that id.  The memos live for one `ltl_to_nbw` call,
+  and the expansions run on an explicit stack, since formulas built
+  through the library can nest deeper than the recursion limit.
+
 * The intermediate Buchi automaton carries acceptance on transitions, one
   fairness index per until subformula (a transition is fair for an until
   when that until was not postponed across it), degeneralized with a
   round-robin counter.  Transition acceptance is what the determinization
   consumes, so no state-based translation step is needed.
 
-* Determinization uses compact ordered trees of Buchi state sets.  Node
+* Determinization uses compact ordered trees of Buchi state sets, each
+  label an int bitmask over the Buchi states, with the successor masks of
+  each (label, letter) pair memoized for one `determinize` call.  Node
   names are kept compact after every step by an order-preserving rename;
   the priority of a step is derived from the smallest name removed and the
   smallest name marked before renaming.  Priorities are turned into ranks
@@ -170,6 +186,8 @@ class NNF:
         self.args = [args[j] if kind[j] == LIT else tuple(new[c] for c in args[j])
                      for j in order]
         self.root = new[root]
+        # every node after its operands
+        self.topo = [new[j] for j in sorted(live)]
 
     def untils(self) -> list:
         """The until nodes in breadth-first order from the root."""
@@ -226,68 +244,134 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
     names += sorted({a[0] for k, a in zip(kind, args) if k == LIT} - atoms)
     atom_bit = {name: 1 << i for i, name in enumerate(names)}
 
-    cover_memo: dict[int, list] = {}
+    # closure[j]: j and every node its expansion pops; a next-step
+    # operand waits for the next state, so it is not part of it.
+    closure = [0] * len(kind)
+    for j in nnf.topo:
+        closure[j] = 1 << j
+        if kind[j] not in (LIT, NEXT):
+            for c in args[j]:
+                closure[j] |= closure[c]
+
+    # Branches are (done, pos, neg, nxt, post): `done` the obligations
+    # discharged so far, pos/neg atom bitmasks, nxt the obligations for the
+    # next step and post the untils postponed across it.
+    expansions: dict = {}
+
+    def extend(branches, f):
+        """`branches`, each followed by the expansion of obligation `f`, in
+        depth-first order without repeats.  Yields the (node, done) keys
+        whose expansions are not known yet and receives them."""
+        out: dict = {}
+        for branch in branches:
+            done, pos, neg, nxt, post = branch
+            if done >> f & 1:
+                out[branch] = None
+                continue
+            key = (f, done & closure[f])
+            sub = expansions.get(key)
+            if sub is None:
+                sub = yield key
+            for done2, pos2, neg2, nxt2, post2 in sub:
+                if pos2 & neg or neg2 & pos:
+                    continue
+                out[(done | done2, pos | pos2, neg | neg2, nxt | nxt2, post | post2)] = None
+        return list(out)
+
+    def expansion(f, done):
+        """The branches that discharge node `f` alone, starting from `done`
+        (the discharged obligations inside `f`'s closure, `f` not among
+        them)."""
+        done |= 1 << f
+        k = kind[f]
+        base = [(done, 0, 0, 0, 0)]
+        if k == TRUE:
+            return base
+        if k == FALSE:
+            return []
+        if k == LIT:
+            name, negated = args[f]
+            bit = atom_bit[name]
+            return [(done, 0, bit, 0, 0) if negated else (done, bit, 0, 0, 0)]
+        if k == NEXT:
+            return [(done, 0, 0, 1 << args[f][0], 0)]
+        if k == AND:
+            for c in args[f]:
+                base = yield from extend(base, c)
+            return base
+        if k == OR:
+            alternatives = []
+            for a in args[f]:
+                alternatives += yield from extend(base, a)
+        else:
+            # UNTIL: the right operand now, or the left one and the until
+            # again next step; RELEASE: both operands now, or the right one
+            # and the release again next step.
+            left, right = args[f]
+            if k == UNTIL:
+                now = yield from extend(base, right)
+                later = yield from extend(base, left)
+                marks = (1 << f, 1 << f)
+            else:
+                now = yield from extend((yield from extend(base, left)), right)
+                later = yield from extend(base, right)
+                marks = (1 << f, 0)
+            alternatives = now + [(d, p, n, x | marks[0], s | marks[1])
+                                  for d, p, n, x, s in later]
+        return list(dict.fromkeys(alternatives))
+
+    def run(gen):
+        """The value of the generator `gen`, computing the expansions it
+        asks for on an explicit stack: formulas can nest deeper than the
+        interpreter's recursion limit."""
+        stack = [(None, gen)]
+        value = None
+        while True:
+            key, it = stack[-1]
+            try:
+                want = it.send(value)
+            except StopIteration as stop:
+                value = stop.value
+                stack.pop()
+                if key is None:
+                    return value
+                expansions[key] = value
+                continue
+            stack.append((want, expansion(*want)))
+            value = None
+
+    prefixes: dict = {0: [(0, 0, 0, 0, 0)]}
+    covers: dict = {}
+
+    def grow(rest, tops):
+        """The branches of `rest | tops`: the known branches of `rest`
+        extended by the obligations `tops`, highest first, each above
+        `rest`."""
+        branches = prefixes[rest]
+        for top in reversed(tops):
+            rest |= 1 << top
+            branches = prefixes[rest] = yield from extend(branches, top)
+        return branches
 
     def cover(obls: int) -> list:
-        """The (pos, neg, nxt, post) branches that discharge `obls`, in
-        depth-first order: pos/neg are atom bitmasks, nxt the obligations
-        for the next step, post the untils postponed across it."""
-        got = cover_memo.get(obls)
-        if got is not None:
-            return got
-        branches: dict = {}
-        # pending is popped from the end: obligations in ascending id.
-        todo = [([j for j in range(obls.bit_length() - 1, -1, -1) if obls >> j & 1],
-                 0, 0, 0, 0, 0)]
-        while todo:
-            pending, done, pos, neg, nxt, post = todo.pop()
-            while pending:
-                f = pending.pop()
-                if done >> f & 1:
-                    continue
-                done |= 1 << f
-                k = kind[f]
-                if k == TRUE:
-                    continue
-                if k == LIT:
-                    name, negated = args[f]
-                    bit = atom_bit[name]
-                    if bit & (pos if negated else neg):
-                        break
-                    if negated:
-                        neg |= bit
-                    else:
-                        pos |= bit
-                    continue
-                if k == AND:
-                    pending.extend(reversed(args[f]))
-                    continue
-                if k == NEXT:
-                    nxt |= 1 << args[f][0]
-                    continue
-                # FALSE closes the branch; OR, UNTIL and RELEASE split it,
-                # the first alternative pushed last so that it runs first.
-                if k == OR:
-                    for a in reversed(args[f]):
-                        todo.append((pending + [a], done, pos, neg, nxt, post))
-                elif k == UNTIL:
-                    left, right = args[f]
-                    todo.append((pending + [left], done, pos, neg,
-                                 nxt | 1 << f, post | 1 << f))
-                    todo.append((pending + [right], done, pos, neg, nxt, post))
-                elif k == RELEASE:
-                    left, right = args[f]
-                    todo.append((pending + [right], done, pos, neg, nxt | 1 << f, post))
-                    todo.append((pending + [right, left], done, pos, neg, nxt, post))
-                break
-            else:
-                branches.setdefault((pos, neg, nxt, post))
-        got = cover_memo[obls] = list(branches)
+        """The (pos, neg, nxt, post) branches that discharge `obls`, in the
+        order of a depth-first expansion of the obligations in ascending
+        id: the cover of `obls` without its highest id, extended by it."""
+        got = covers.get(obls)
+        if got is None:
+            rest, tops = obls, []
+            while rest not in prefixes:
+                tops.append(rest.bit_length() - 1)
+                rest &= ~(1 << tops[-1])
+            branches = run(grow(rest, tops))
+            got = covers[obls] = list(dict.fromkeys(b[1:] for b in branches))
         return got
+
+    fits: dict = {}
 
     def expand(state, number):
         obls, k = state
-        targets = []
+        by_letter = [[] for _ in letters]
         for pos, neg, nxt, post in cover(obls):
             if m == 0:
                 k2, fair = 0, True
@@ -296,17 +380,24 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
                 fair = k == m - 1
             else:
                 k2, fair = k, False
-            targets.append((pos, neg, (nxt, k2), fair))
+            fit = fits.get((pos, neg))
+            if fit is None:
+                fit = fits[(pos, neg)] = [letter for letter in range(len(letters))
+                                          if not (pos & ~letter or neg & letter)]
+            edge = ((nxt, k2), fair)
+            for letter in fit:
+                by_letter[letter].append(edge)
+        # Successors are numbered on first use, letter by letter.
+        ids: dict = {}
         row = []
-        for letter in range(len(letters)):
-            edges = []
-            for pos, neg, tgt, fair in targets:
-                if pos & ~letter or neg & letter:
-                    continue
-                edge = (number(tgt), fair)
-                if edge not in edges:
-                    edges.append(edge)
-            row.append(tuple(edges))
+        for edges in by_letter:
+            out = []
+            for tgt, fair in dict.fromkeys(edges):
+                j = ids.get(tgt)
+                if j is None:
+                    j = ids[tgt] = number(tgt)
+                out.append((j, fair))
+            row.append(tuple(out))
         return row
 
     states, rows = explore((1 << nnf.root, 0), expand, "tableau automaton", ceiling)
@@ -361,102 +452,113 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
     neutral = 2 * top_name + 1
     ceil_prio = 2 * top_name + 2
 
-    succmap = {}
-    for q in range(len(nbw.states)):
-        for letter in letters:
-            alls, accs = set(), set()
-            for tgt, fair in nbw.trans[(q, letter)]:
-                alls.add(tgt)
-                if fair:
-                    accs.add(tgt)
-            succmap[(q, letter)] = (frozenset(alls), frozenset(accs))
+    # succ[i][q]: the (all, fair) successor bitmasks of state q on letter i
+    succ = []
+    for letter in letters:
+        row = []
+        for q in range(len(nbw.states)):
+            alls = fair = 0
+            for tgt, is_fair in nbw.trans[(q, letter)]:
+                alls |= 1 << tgt
+                if is_fair:
+                    fair |= 1 << tgt
+            row.append((alls, fair))
+        succ.append(row)
+    posts: list[dict] = [{} for _ in letters]
 
-    def tree_step(tree, letter):
+    def post(label: int, i: int):
+        """The (all, fair) successor bitmasks of a label on letter i."""
+        got = posts[i].get(label)
+        if got is None:
+            row = succ[i]
+            alls = fair = 0
+            rest = label
+            while rest:
+                low = rest & -rest
+                a, f = row[low.bit_length() - 1]
+                alls |= a
+                fair |= f
+                rest ^= low
+            got = posts[i][label] = (alls, fair)
+        return got
+
+    def tree_step(tree, i):
         if not tree:
             return tree, 1
+        # Nodes are named by position from 1; the child that node v grows
+        # for its fair successors is named k + v.  A parent's name is below
+        # its children's, so ascending names visit parents first.
         k = len(tree)
-        parent: dict[int, int] = {}
-        label: dict[int, set] = {}
-        for pos, (par, lab) in enumerate(tree):
-            name = pos + 1
+        size = 2 * k + 1
+        parent = [0] * size
+        label = [0] * size
+        names = list(range(1, k + 1))
+        for name, (par, lab) in enumerate(tree, 1):
             parent[name] = par
-            new, acc = set(), set()
-            for q in lab:
-                alls, accs = succmap[(q, letter)]
-                new |= alls
-                acc |= accs
-            label[name] = new
-            if acc:
+            label[name], fair = post(lab, i)
+            if fair:
                 parent[k + name] = name
-                label[k + name] = acc
-        children: dict[int, list] = {}
-        for name in sorted(label):
-            children.setdefault(parent[name], []).append(name)
+                label[k + name] = fair
+                names.append(k + name)
+        children: list[list] = [[] for _ in range(size)]
+        for name in names:
+            children[parent[name]].append(name)
 
         def subtree(name):
-            stack = [name]
-            while stack:
-                v = stack.pop()
-                yield v
-                stack.extend(children.get(v, ()))
+            out = [name]
+            for v in out:
+                out.extend(children[v])
+            return out
 
         # Horizontal merge: a state stays with the oldest sibling holding it.
-        for par in sorted(children):
-            seen: set = set()
-            for c in children[par]:
+        for kids in children:
+            seen = 0
+            for c in kids:
                 clash = label[c] & seen
                 if clash:
                     for d in subtree(c):
-                        label[d] -= clash
+                        label[d] &= ~clash
                 seen |= label[c]
 
-        removed: set = set()
-        for name in label:
-            if not label[name]:
-                removed.add(name)
-        if 1 in removed:
+        if not label[1]:
             return (), 1
+        removed = [not label[name] for name in range(size)]
 
         # Vertical merge: a node whose children cover it absorbs them.
-        marked: set = set()
-
-        def alive_children(name):
-            return [c for c in children.get(name, ()) if c not in removed]
-
+        marked = []
         stack = [1]
         while stack:
             v = stack.pop()
-            ch = alive_children(v)
-            cover = set()
+            ch = [c for c in children[v] if not removed[c]]
+            cover = 0
             for c in ch:
                 cover |= label[c]
             if ch and label[v] == cover:
-                marked.add(v)
-                cull = []
+                marked.append(v)
                 for c in ch:
-                    cull.extend(subtree(c))
-                removed.update(c for c in cull if c not in removed)
+                    for d in subtree(c):
+                        removed[d] = True
             else:
                 stack.extend(ch)
 
         cands = []
-        if removed:
-            cands.append(2 * min(removed) - 1)
+        gone = [name for name in names if removed[name]]
+        if gone:
+            cands.append(2 * gone[0] - 1)
         if marked:
             cands.append(2 * min(marked))
         prio = min(cands) if cands else neutral
 
-        alive = sorted(set(label) - removed)
-        rename = {old: new + 1 for new, old in enumerate(alive)}
-        newtree = tuple(
-            (rename.get(parent[name], 0), frozenset(label[name])) for name in alive
-        )
-        return newtree, prio
+        rename = [0] * size
+        alive = [name for name in names if not removed[name]]
+        for new, name in enumerate(alive, 1):
+            rename[name] = new
+        return tuple((rename[parent[name]], label[name]) for name in alive), prio
 
     def expand(state, number):
-        return [number(tree_step(state[0], letter)) for letter in letters]
+        return [number(tree_step(state[0], i)) for i in range(len(letters))]
 
-    init_tree = ((0, frozenset({nbw.initial})),)
+    init_tree = ((0, 1 << nbw.initial),)
     states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
     trans = {(src, letter): tgt for src, row in enumerate(rows)
              for letter, tgt in zip(letters, row)}

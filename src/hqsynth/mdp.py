@@ -263,14 +263,15 @@ def max_end_components(M: PreMDP, within=None):
     """
     out = []
     queue = [frozenset(range(M.n)) if within is None else frozenset(within)]
+    # post[s][a]: the successors of (s, a) with positive probability
+    post = {s: [M.successors(s, a) for a in range(len(M.actions[s]))] for s in queue[0]}
     while queue:
         block = set(queue.pop())
         while block:
             acts = {}
             dead = set()
             for s in block:
-                keep = [a for a in range(len(M.actions[s]))
-                        if all(t in block for t in M.successors(s, a))]
+                keep = [a for a, ts in enumerate(post[s]) if all(t in block for t in ts)]
                 if keep:
                     acts[s] = keep
                 else:
@@ -280,12 +281,7 @@ def max_end_components(M: PreMDP, within=None):
                 continue
 
             def succ(s):
-                seen = []
-                for a in acts[s]:
-                    for t in M.successors(s, a):
-                        if t not in seen:
-                            seen.append(t)
-                return seen
+                return list(dict.fromkeys(t for a in acts[s] for t in post[s][a]))
 
             comps = strongly_connected_components(sorted(block), succ)
             if len(comps) > 1:
@@ -575,28 +571,47 @@ def solve_linear_system(rows, width, ceiling=None):
     stored = sum(map(len, m))
     if stored > limit:
         raise StateLimitExceeded("linear system", limit)
+    # holding[c]: the positions of the rows with a nonzero in unknown column c
+    holding = [set() for _ in range(k)]
+    for r, row in enumerate(m):
+        for c in row:
+            if c < k:
+                holding[c].add(r)
     for col in range(k):
-        pivot = next((r for r in range(col, k) if col in m[r]), None)
+        pivot = min((r for r in holding[col] if r >= col), default=None)
         if pivot is None:
             raise InternalConsistencyError("singular linear system")
-        m[col], m[pivot] = m[pivot], m[col]
+        if pivot != col:
+            for r, other in ((col, pivot), (pivot, col)):
+                for c in m[r].keys() - m[other].keys():
+                    if c < k:
+                        holding[c].discard(r)
+                        holding[c].add(other)
+            m[col], m[pivot] = m[pivot], m[col]
         prow = m[col]
         inv = prow[col]
         if inv != 1:
             for c in prow:
                 prow[c] /= inv
         items = list(prow.items())
-        for row in m:
-            factor = row.get(col)
-            if factor is None or row is prow:
+        # ascending positions, as the running count of stored nonzeros is
+        # checked after each row
+        for r in sorted(holding[col]):
+            if r == col:
                 continue
+            row = m[r]
+            factor = row[col]
             before = len(row)
             for c, v in items:
                 x = row.get(c, 0) - factor * v
                 if x:
+                    if c < k and c not in row:
+                        holding[c].add(r)
                     row[c] = x
                 else:
                     del row[c]
+                    if c < k:
+                        holding[c].discard(r)
             stored += len(row) - before
             if stored > limit:
                 raise StateLimitExceeded("linear system", limit)

@@ -20,7 +20,17 @@ from hqsynth.automata import (
     product,
     run_lasso,
 )
-from hqsynth.booleanize import AtLeast, B_TRUE, EqualTo, booleanize
+from hqsynth.booleanize import (
+    AtLeast,
+    B_TRUE,
+    BAtom,
+    EqualTo,
+    GreaterThan,
+    band,
+    bnext,
+    booleanize,
+    bor,
+)
 from hqsynth.common import StateLimitExceeded, all_letters
 from hqsynth.evaluation import product_chain
 from hqsynth.formulas import Atom, LassoWord, eval_lasso, parse, values
@@ -265,6 +275,7 @@ GOLDEN_FORMULAS = {
     "hard_drive": ("min(max(!(X data), !close), max(max(!(!(X data)), close),"
                    " factor{1/2} (X close)))", {"data", "close"}),
     "gf2": ("(G F i0) | (G F i1) & (F i0 | !i0) & (F i1 | !i1)", {"i0", "i1", "o"}),
+    "until7": ("a U a U a U a U a U a U b", {"a", "b"}),
 }
 
 # (spec, value, NBW states, DPW states, sha256 of the NBW transition table)
@@ -287,6 +298,8 @@ GOLDEN_TABLEAU = [
     ("hard_drive", "1/2", 5, 5, "3eec6c3fc4b6d8efd7b65239a699697bec89f8d286d6cb86cbaf55062d79cc93"),
     ("hard_drive", "1", 5, 5, "6964167d2ad20ee12758654d0712dbd785f848bfc699841641e62c05be1fee01"),
     ("gf2", "1", 9, 192, "884920178e037832620bb274f70b0287e678c18aa3922784d65f23d487c84da4"),
+    ("until7", "0", 64, 6, "dad6c1bb6e28fb1526aceeebb64922d1887a07df373272bc9643d39b5f2db5ad"),
+    ("until7", "1", 22, 390, "103308b864666e766d49a65a341a790436d4a33d862e750ab18f2a2b2175be28"),
 ]
 
 
@@ -306,3 +319,75 @@ def test_tableau_golden(spec, value, nbw_states, dpw_states, sha):
     assert len(nbw) == nbw_states
     assert len(determinize(nbw)) == dpw_states
     assert _transition_table_sha(nbw) == sha
+
+
+def _dpw_table_sha(dpw):
+    # letters as sorted tuples, so the text does not depend on the hash seed
+    rows = sorted((q, tuple(sorted(letter)), t) for (q, letter), t in dpw.trans.items())
+    text = "\n".join(f"{q} {letter} -> {t}" for q, letter, t in rows)
+    text += f"\nrank {list(dpw.rank)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the transition table and ranks of each golden row's DPW
+GOLDEN_DPW = {
+    ("message", "0"): "7c847e5407b105a803b4dee9b9411a12377f0226082e43ab92c9dc5ba7004670",
+    ("message", "3/16"): "b819c31c55420b5887ce768de30df1597380e4566dfc462c20d956a17253f72e",
+    ("message", "1/4"): "bfeda015d640dd5c4507eb3b9891591781d0e5584015af23ade54f6810289689",
+    ("message", "3/8"): "b551b947727acf4300fdfebee6e65ffc3576435e9bd7fd32ca666aafe7b28df4",
+    ("message", "7/16"): "d833e09c4ab9dfa28f4cdfaa11c58bf0d4c54ab0c777ba16e72d79c785c423f3",
+    ("message", "1/2"): "63daa7db2bceea7555c2f7af576989f1822816bf180be1357b52b99728ebd5c3",
+    ("message", "9/16"): "07e54804e302b5d94ab2c5e774f7e2d77755694983eeacaccf55dfab6321b81b",
+    ("message", "5/8"): "609953bb120feee2c42bb04e2d0a9807b61b03160ece70962465e5a611bd4245",
+    ("message", "11/16"): "ce37c54c0a0b153452ef251c56bcc128b2ab5612fafaeb8282efd62706da1404",
+    ("message", "3/4"): "fa02355aa67e64bd6f73d77900f7cd70886f897a1a2fe835eb7b29d6eb656359",
+    ("message", "13/16"): "33dab9cacd8b47cd039911d07b6e4a69104d78732e25722843e7561e3986c96c",
+    ("message", "7/8"): "f03e8fabab53802b3b69ca38577144a730e97e0d82ae4be0a13302b491c7d5b8",
+    ("message", "15/16"): "1cd3ed92456c5dc5dc20e96a5f9906b4ae9a74e494975ea6e1773ce8a2940fa8",
+    ("message", "1"): "daa59875c417a18c6bd989383fb3965b5b753af1dc451a1ceda04dfdc616ebf4",
+    ("hard_drive", "0"): "beef43e65508bec2d5866197bc90facb8f39b44b19298b32f25b1db5eca7b1b1",
+    ("hard_drive", "1/2"): "dac3415f4b8fb98cf7a84dec51639647c66d4c8f3d1eee20855ee5f5989264b5",
+    ("hard_drive", "1"): "f4a71c3169406fb13b1e0e48ac22ff9c6f99d95ceaf99e2f8ca09e6a96682491",
+    ("gf2", "1"): "f7a3e673a73a3eb5d6138218798969d31adf23971131635f48dc67a4bc6147dd",
+    ("until7", "0"): "9fd11af5ad69a1248569d5abb7c6d49fcedda57b13327db598d6cb5b0ba013a4",
+    ("until7", "1"): "bf4853d67a1cdfd0a672198866d22c2ca1a8239bc9f3ddd0bb2236ac786de84f",
+}
+
+
+@pytest.mark.parametrize("spec,value", sorted(GOLDEN_DPW))
+def test_dpw_golden(spec, value):
+    # Safra's trees and their exploration order fix the DPW's numbering, and
+    # the numbering breaks ties in every later analysis.
+    text, atoms = GOLDEN_FORMULAS[spec]
+    nbw = ltl_to_nbw(booleanize(parse(text), EqualTo(Fraction(value))), frozenset(atoms))
+    assert _dpw_table_sha(determinize(nbw)) == GOLDEN_DPW[(spec, value)]
+
+
+def test_random_automata_digest():
+    # One digest over the NBW and DPW tables of seeded random formulas with
+    # until, recorded before the tableau reused covers and Safra trees became
+    # bitmasks.
+    rng = random.Random(8)
+    predicates = [AtLeast, GreaterThan, EqualTo]
+    thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    ab = frozenset({"a", "b"})
+    digest = hashlib.sha256()
+    for _ in range(300):
+        f = random_formula(rng, ["a", "b"], rng.randint(1, 10))
+        predicate = rng.choice(predicates)(rng.choice(thresholds))
+        nbw = ltl_to_nbw(booleanize(f, predicate), ab)
+        digest.update(_transition_table_sha(nbw).encode())
+        digest.update(_dpw_table_sha(determinize(nbw)).encode())
+    assert digest.hexdigest() == \
+        "34e8785a59f51e2a7f374304bddaa5707b96f9d56551e0443fcae8ea156d5245"
+
+
+def test_deep_formula_tableau():
+    # A 1500-deep alternating chain: the tableau and Safra's construction
+    # must not recurse on the formula's depth.
+    e = BAtom("a")
+    for i in range(1500):
+        e = band(bnext(BAtom("a")), e) if i % 2 == 0 else bor(BAtom("b"), e)
+    nbw = ltl_to_nbw(e)
+    assert len(nbw) == 3
+    assert len(determinize(nbw)) == 5
