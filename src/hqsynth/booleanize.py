@@ -11,9 +11,9 @@ same bounds many times over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .common import Record
 from .formulas import (
     Atom,
     FalseFormula,
@@ -33,34 +33,36 @@ from .formulas import (
 # --- Boolean expression nodes --------------------------------------------
 
 
-class BExpr:
+class BExpr(Record):
+    __slots__ = ()
+
     def children(self) -> tuple["BExpr", ...]:
         return ()
 
 
-@dataclass(frozen=True)
 class BTrue(BExpr):
+    __slots__ = ()
+
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
 class BFalse(BExpr):
+    __slots__ = ()
+
     def __str__(self):
         return "false"
 
 
-@dataclass(frozen=True)
 class BAtom(BExpr):
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class BNot(BExpr):
-    child: BExpr
+    __slots__ = ("child",)
 
     def children(self):
         return (self.child,)
@@ -69,9 +71,8 @@ class BNot(BExpr):
         return f"!({self.child})"
 
 
-@dataclass(frozen=True)
 class BAnd(BExpr):
-    args: tuple
+    __slots__ = ("args",)
 
     def children(self):
         return self.args
@@ -80,9 +81,8 @@ class BAnd(BExpr):
         return "(" + " & ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class BOr(BExpr):
-    args: tuple
+    __slots__ = ("args",)
 
     def children(self):
         return self.args
@@ -91,9 +91,8 @@ class BOr(BExpr):
         return "(" + " | ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class BNext(BExpr):
-    child: BExpr
+    __slots__ = ("child",)
 
     def children(self):
         return (self.child,)
@@ -102,10 +101,8 @@ class BNext(BExpr):
         return f"X ({self.child})"
 
 
-@dataclass(frozen=True)
 class BUntil(BExpr):
-    left: BExpr
-    right: BExpr
+    __slots__ = ("left", "right")
 
     def children(self):
         return (self.left, self.right)
@@ -189,9 +186,8 @@ def buntil(left: BExpr, right: BExpr) -> BExpr:
 # --- value predicates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    bound: Fraction
+class AtLeast(Record):
+    __slots__ = ("bound",)
 
     def holds(self, x: Fraction) -> bool:
         return x >= self.bound
@@ -200,9 +196,8 @@ class AtLeast:
         return f">={self.bound}"
 
 
-@dataclass(frozen=True)
-class GreaterThan:
-    bound: Fraction
+class GreaterThan(Record):
+    __slots__ = ("bound",)
 
     def holds(self, x: Fraction) -> bool:
         return x > self.bound
@@ -211,9 +206,8 @@ class GreaterThan:
         return f">{self.bound}"
 
 
-@dataclass(frozen=True)
-class EqualTo:
-    bound: Fraction
+class EqualTo(Record):
+    __slots__ = ("bound",)
 
     def holds(self, x: Fraction) -> bool:
         return x == self.bound

@@ -13,7 +13,6 @@ lines, which are a convenience and never read back.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -158,9 +157,9 @@ def _load_pair(args):
 def cmd_synth(args) -> int:
     spec = load_spec_file(args.spec)
     if args.threshold is not None:
-        spec = dataclasses.replace(spec, threshold=parse_fraction(args.threshold))
+        spec = spec.replace(threshold=parse_fraction(args.threshold))
     if args.assume_inline is not None:
-        spec = dataclasses.replace(spec, assumption=parse(args.assume_inline))
+        spec = spec.replace(assumption=parse(args.assume_inline))
     res = synthesize(spec)
     if isinstance(res, Unrealizable):
         report = {"result": "UNREALIZABLE", "threshold": res.threshold,

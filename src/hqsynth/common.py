@@ -1,10 +1,13 @@
-"""Shared helpers: exact rationals, alphabet letters, resource guards, and
-the one ceiling-guarded state-space explorer."""
+"""Shared helpers: exact rationals, alphabet letters, resource guards, the
+one ceiling-guarded state-space explorer, and `Record`, the base of the
+immutable value classes (formula, Boolean and predicate nodes, lasso words).
+"""
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import attrgetter
 
 STATE_CEILING_ENV = "HQSYNTH_STATE_CEILING"
 DEFAULT_STATE_CEILING = 10**6
@@ -23,6 +26,68 @@ class StateLimitExceeded(RuntimeError):
 
 class InternalConsistencyError(AssertionError):
     """A structural invariant that should hold by construction was violated."""
+
+
+class Record:
+    """An immutable value whose fields are the `__slots__` of its class.
+
+    It takes its fields positionally or by keyword, and its repr reads
+    `Until(left=Atom(name='a'), right=...)`.  Records are equal when they
+    are of one class with equal fields; against another class `==` returns
+    `NotImplemented`, so `Not(a) != Next(a)`.  Each class compares and
+    hashes through an `attrgetter` (C code, no per-class code generated at
+    import) over a class tag and its fields; the tag keeps a one-field
+    record's hash apart from its field's.
+    """
+
+    __slots__ = ()
+    _classes = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        Record._classes += 1
+        cls._tag = Record._classes
+        cls._key = attrgetter("_tag", *cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """The field values of a call that names some fields by keyword."""
+        names = cls.__slots__
+        rest = names[len(args):]
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {names}, given "
+                            f"{len(args)} positionally and {sorted(kwargs)} by keyword")
+        return args + tuple(kwargs[name] for name in rest)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def state_ceiling(override: int | None = None) -> int:

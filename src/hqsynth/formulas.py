@@ -16,15 +16,16 @@ construction time, so the core AST has exactly ten node kinds.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .common import parse_fraction
+from .common import Record, parse_fraction
 
 
-class Formula:
+class Formula(Record):
     """Base class for all core AST nodes."""
+
+    __slots__ = ()
 
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children())
@@ -43,29 +44,29 @@ class Formula:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
 class TrueFormula(Formula):
+    __slots__ = ()
+
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
 class FalseFormula(Formula):
+    __slots__ = ()
+
     def __str__(self):
         return "false"
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
     def children(self):
         return (self.child,)
@@ -74,9 +75,8 @@ class Not(Formula):
         return f"!{paren(self.child)}"
 
 
-@dataclass(frozen=True)
 class Min(Formula):
-    args: tuple
+    __slots__ = ("args",)
 
     def children(self):
         return self.args
@@ -85,9 +85,8 @@ class Min(Formula):
         return "min(" + ", ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class Max(Formula):
-    args: tuple
+    __slots__ = ("args",)
 
     def children(self):
         return self.args
@@ -96,10 +95,8 @@ class Max(Formula):
         return "max(" + ", ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class Factor(Formula):
-    lam: Fraction
-    child: Formula
+    __slots__ = ("lam", "child")
 
     def children(self):
         return (self.child,)
@@ -108,11 +105,8 @@ class Factor(Formula):
         return f"factor{{{self.lam}}} {paren(self.child)}"
 
 
-@dataclass(frozen=True)
 class WAvg(Formula):
-    lam: Fraction
-    left: Formula
-    right: Formula
+    __slots__ = ("lam", "left", "right")
 
     def children(self):
         return (self.left, self.right)
@@ -121,9 +115,8 @@ class WAvg(Formula):
         return f"wavg{{{self.lam}}}({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
 class Next(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
     def children(self):
         return (self.child,)
@@ -132,10 +125,8 @@ class Next(Formula):
         return f"X {paren(self.child)}"
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
     def children(self):
         return (self.left, self.right)
@@ -378,15 +369,13 @@ def _check_lambda(toks: _Tokens, lam: Fraction):
 # --- lasso words ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class LassoWord(Record):
     """The ultimately periodic word prefix . period^omega."""
 
-    prefix: tuple
-    period: tuple
-    atoms: frozenset
+    __slots__ = ("prefix", "period", "atoms")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.period:
             raise ValueError("lasso period must be nonempty")
         for letter in self.prefix + self.period:

@@ -44,7 +44,6 @@ under output-sensitive input processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automata import ProductPreAutomaton, dpw_for
@@ -75,19 +74,19 @@ from .mdp import (
 from .transducers import Transducer
 
 
-@dataclass
 class SynthesisSpec:
-    inputs: frozenset
-    outputs: frozenset
-    formula: Formula
-    assumption: Formula | None = None
-    threshold: Fraction | None = None
-    hard_constraint: Formula | None = None
-    distribution: DistributionMDP | None = None
-
-    def __post_init__(self):
-        self.inputs = frozenset(self.inputs)
-        self.outputs = frozenset(self.outputs)
+    def __init__(self, inputs, outputs, formula: Formula,
+                 assumption: Formula | None = None,
+                 threshold: Fraction | None = None,
+                 hard_constraint: Formula | None = None,
+                 distribution: DistributionMDP | None = None):
+        self.inputs = frozenset(inputs)
+        self.outputs = frozenset(outputs)
+        self.formula = formula
+        self.assumption = assumption
+        self.threshold = threshold
+        self.hard_constraint = hard_constraint
+        self.distribution = distribution
         if self.inputs & self.outputs:
             raise ValueError("inputs and outputs must be disjoint")
         if not self.formula.atoms() <= self.inputs | self.outputs:
@@ -109,17 +108,23 @@ class SynthesisSpec:
         if process.inputs != self.inputs or process.outputs != self.outputs:
             raise ValueError("input process and spec disagree on alphabets")
 
+    def replace(self, **changes) -> SynthesisSpec:
+        """A copy of the spec with the given fields changed, validated anew."""
+        return SynthesisSpec(**{**vars(self), **changes})
 
-@dataclass
+
 class SynthesisResult:
-    transducer: Transducer
-    expected_value: Fraction
-    almost_sure_floor: Fraction | None = None
-    assumption_probability: Fraction | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, transducer: Transducer, expected_value: Fraction,
+                 almost_sure_floor: Fraction | None = None,
+                 assumption_probability: Fraction | None = None,
+                 stats: dict | None = None):
+        self.transducer = transducer
+        self.expected_value = expected_value
+        self.almost_sure_floor = almost_sure_floor
+        self.assumption_probability = assumption_probability
+        self.stats = {} if stats is None else stats
 
 
-@dataclass
 class Unrealizable:
     """No controller keeps the value above the threshold almost surely.
 
@@ -127,9 +132,11 @@ class Unrealizable:
     threshold automaton's MDP as a diagnostic.
     """
 
-    threshold: Fraction
-    losing_region: tuple
-    stats: dict = field(default_factory=dict)
+    def __init__(self, threshold: Fraction, losing_region: tuple,
+                 stats: dict | None = None):
+        self.threshold = threshold
+        self.losing_region = losing_region
+        self.stats = {} if stats is None else stats
 
 
 # --- shared machinery ----------------------------------------------------

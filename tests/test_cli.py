@@ -2,12 +2,14 @@
 so exit codes and report bytes are checked exactly."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import hqsynth
 from hqsynth.cli import main
 from hqsynth.evaluation import expected_value
 from hqsynth.formulas import MAX_NESTING, parse
@@ -79,6 +81,31 @@ class TestSynthCommand:
         assert code == 0
         assert "assumption_probability = 1/2" in text
         assert "expected = 3/4" in text
+
+    def test_threshold_flag_is_validated(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HD_SPEC)
+        code, text, err = run(capsys, "synth", spec, "--threshold", "3/2")
+        assert (code, text, err) == (1, "", "error: threshold must lie in [0,1]\n")
+
+    def test_assume_inline_with_a_hard_constraint_is_rejected(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, dict(HD_SPEC, threshold="1/2",
+                                         hard_constraint="true"))
+        code, text, err = run(capsys, "synth", spec, "--assume-inline", "true")
+        assert (code, text) == (1, "")
+        assert err == "error: hard constraint and assumption cannot be combined\n"
+
+    def test_assume_inline_over_outputs_is_rejected(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HD_SPEC)
+        code, text, err = run(capsys, "synth", spec, "--assume-inline", "close")
+        assert (code, text, err) == (1, "", "error: assumption must range over inputs only\n")
+
+    def test_threshold_flag_is_applied_before_assume_inline(self, tmp_path, capsys):
+        # the threshold is checked before the inline assumption is parsed,
+        # so a bad threshold is reported even when the assumption is malformed
+        spec = write_spec(tmp_path, SMALL_SPEC)
+        code, text, err = run(capsys, "synth", spec, "--threshold", "3/2",
+                              "--assume-inline", "X")
+        assert (code, text, err) == (1, "", "error: threshold must lie in [0,1]\n")
 
     def test_json_report_parses_with_sorted_keys(self, tmp_path, capsys):
         spec = write_spec(tmp_path, HD_SPEC)
@@ -298,3 +325,15 @@ def test_console_script_entry_point(tmp_path):
                            "--json"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["expected"] == "3/4"
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # start-up cost guard: every command pays for what `hqsynth.cli` imports.
+    # -S keeps site hooks of the environment from importing either module.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hqsynth.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hqsynth.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,0 +1,152 @@
+"""Value semantics of the immutable AST and predicate nodes, and of the
+synthesis spec and result classes: construction, equality, hashing,
+immutability and repr text."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from hqsynth.booleanize import (
+    B_TRUE,
+    AtLeast,
+    BAnd,
+    BAtom,
+    BNot,
+    BUntil,
+    EqualTo,
+    GreaterThan,
+)
+from hqsynth.formulas import (
+    TRUE,
+    Atom,
+    FalseFormula,
+    LassoWord,
+    Min,
+    Next,
+    Not,
+    TrueFormula,
+    Until,
+    WAvg,
+    parse,
+)
+from hqsynth.synthesis import SynthesisResult, SynthesisSpec, Unrealizable
+
+
+def test_equal_structure_is_equal_and_hashes_equal():
+    f = parse("(a U wavg{1/3}(!b, min(true, X a)))")
+    g = parse("(a U wavg{1/3}(!b, min(true, X a)))")
+    assert f is not g
+    assert f == g and not f != g
+    assert hash(f) == hash(g)
+    assert len({f, g, BAtom("a"), BAtom("a")}) == 2
+    assert TrueFormula() == TRUE and hash(TrueFormula()) == hash(TRUE)
+
+
+@pytest.mark.parametrize("x, y", [
+    (Not(Atom("a")), Next(Atom("a"))),
+    (Atom("a"), BAtom("a")),
+    (AtLeast(Fraction(1)), EqualTo(Fraction(1))),
+    (AtLeast(Fraction(1)), GreaterThan(Fraction(1))),
+    (TrueFormula(), FalseFormula()),
+], ids=["not-next", "atom-batom", "atleast-equalto", "atleast-greaterthan",
+        "true-false"])
+def test_different_classes_are_unequal(x, y):
+    assert x != y and y != x
+    assert not x == y
+    assert x.__eq__(y) is NotImplemented
+
+
+def test_nodes_are_immutable():
+    a = Atom("a")
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    with pytest.raises(AttributeError):
+        del a.name
+    with pytest.raises(AttributeError):
+        AtLeast(Fraction(1, 2)).bound = Fraction(1)
+    with pytest.raises(AttributeError):
+        TRUE.extra = 1
+    assert a.name == "a"
+
+
+def test_repr_text():
+    f = Until(Atom("a"), WAvg(Fraction(1, 3), Not(Atom("b")),
+                              Min((TRUE, Next(Atom("a"))))))
+    assert repr(f) == (
+        "Until(left=Atom(name='a'), right=WAvg(lam=Fraction(1, 3), "
+        "left=Not(child=Atom(name='b')), "
+        "right=Min(args=(TrueFormula(), Next(child=Atom(name='a'))))))")
+    e = BAnd((BAtom("a"), BUntil(B_TRUE, BNot(BAtom("b")))))
+    assert repr(e) == ("BAnd(args=(BAtom(name='a'), "
+                       "BUntil(left=BTrue(), right=BNot(child=BAtom(name='b')))))")
+    assert repr(AtLeast(Fraction(1, 2))) == "AtLeast(bound=Fraction(1, 2))"
+
+
+def test_keyword_and_positional_construction():
+    assert Atom(name="a") == Atom("a")
+    half = Fraction(1, 2)
+    w = WAvg(half, Atom("a"), Atom("b"))
+    assert WAvg(lam=half, left=Atom("a"), right=Atom("b")) == w
+    assert WAvg(half, right=Atom("b"), left=Atom("a")) == w
+    assert (w.lam, w.left, w.right) == (half, Atom("a"), Atom("b"))
+    match w:
+        case WAvg(lam, Atom(left), Atom(right)):
+            assert (lam, left, right) == (half, "a", "b")
+        case _:
+            pytest.fail("positional class pattern did not match")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),
+    (("a", "b"), {}),
+    (("a",), {"name": "b"}),
+    ((), {"nom": "a"}),
+], ids=["missing", "too-many", "twice", "unknown"])
+def test_bad_construction_raises_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Atom(*args, **kwargs)
+
+
+def test_copy_and_pickle_round_trip():
+    f = parse("(a U wavg{1/3}(!b, min(true, X a)))")
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and repr(g) == repr(f)
+    assert pickle.loads(pickle.dumps(TRUE)) == TRUE
+
+
+def test_lasso_word_validation():
+    with pytest.raises(ValueError, match="period must be nonempty"):
+        LassoWord.make([{"a"}], [])
+    with pytest.raises(ValueError, match="period must be nonempty"):
+        LassoWord(prefix=(), period=(), atoms=frozenset())
+    with pytest.raises(ValueError, match="outside"):
+        LassoWord((frozenset({"b"}),), (frozenset(),), frozenset({"a"}))
+    w = LassoWord.make([{"a"}], [set()])
+    assert w == LassoWord.make([{"a"}], [set()])
+    assert repr(w) == ("LassoWord(prefix=(frozenset({'a'}),), "
+                       "period=(frozenset(),), atoms=frozenset({'a'}))")
+
+
+def test_spec_keyword_construction_and_validation():
+    phi = parse("(X data) -> !close")
+    spec = SynthesisSpec(inputs={"data"}, outputs=["close"], formula=phi)
+    assert (spec.inputs, spec.outputs, spec.formula) == (
+        frozenset({"data"}), frozenset({"close"}), phi)
+    assert (spec.assumption, spec.threshold, spec.hard_constraint,
+            spec.distribution) == (None, None, None, None)
+    spec = SynthesisSpec(frozenset({"data"}), frozenset({"close"}), phi, threshold="1/2")
+    assert spec.threshold == Fraction(1, 2)
+    spec.threshold = Fraction(1)  # specs stay mutable
+    assert spec.threshold == 1
+    with pytest.raises(ValueError, match="threshold must lie"):
+        SynthesisSpec(inputs={"data"}, outputs={"close"}, formula=phi, threshold=2)
+
+
+def test_result_defaults():
+    r = SynthesisResult(transducer=None, expected_value=Fraction(1))
+    assert (r.almost_sure_floor, r.assumption_probability, r.stats) == (None, None, {})
+    u = Unrealizable(Fraction(1), ())
+    assert u.stats == {}
+    assert u.stats is not Unrealizable(Fraction(1), ()).stats
