@@ -11,13 +11,11 @@ These local conventions keep it fast and the halves compatible:
   is an int bitmask, and literals and letters are bitmasks over the sorted
   atoms.  Tableau states are (obligation bitmask, counter) pairs.
 
-* Ids follow the sort order of each node's text in the form
-  `NAnd(args=(NLit(name='a', negated=False), ...))`, the representation
-  the tableau used to sort obligations by.  The tableau expands
-  obligations in ascending id, and that order fixes the state numbering
-  and edge order of the Buchi automaton, hence the determinized automaton
-  and the tie-breaks of every later analysis; keeping it keeps synthesized
-  controllers the same.  The texts are built bottom-up, without recursion.
+* Ids follow creation order in a post-order walk of the formula, so
+  every node comes after its operands.  The tableau expands obligations
+  in ascending id, and that order fixes the state numbering and edge order
+  of the Buchi automaton, hence the determinized automaton and the
+  tie-breaks of every later analysis.
 
 * Covers are composed, not re-derived.  A state's cover is the list of
   branches a depth-first expansion of its obligations reaches, in
@@ -32,6 +30,17 @@ These local conventions keep it fast and the halves compatible:
   the highest id by that id.  The memos live for one `ltl_to_nbw` call,
   and the expansions run on an explicit stack, since formulas built
   through the library can nest deeper than the recursion limit.
+
+* Unsatisfiable branches are pruned before their targets become states.
+  Call a set of obligations vacuous when its cover is empty, or when every
+  branch's next-step set is vacuous once its untils and releases are
+  dropped (read as true); the empty set never is.  A state skips each
+  branch whose next-step set, without its untils and releases, is
+  vacuous.  Dropping obligations weakens a set, so a vacuous set has no
+  model and a skipped branch starts no infinite run: the language is
+  unchanged.  Without untils and releases every next-step set is
+  shallower than the set it came from, so the check ends.  It is memoized
+  next to the covers and runs on an explicit stack too.
 
 * The intermediate Buchi automaton carries acceptance on transitions, one
   fairness index per until subformula (a transition is fair for an until
@@ -80,12 +89,6 @@ from .formulas import Formula, LassoWord
 
 TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE = range(8)
 
-# The text each node kind contributes to a node's sort key (see `NNF`).
-_KEY_TEXT = {TRUE: "NTrue()", FALSE: "NFalse()", LIT: "NLit(name={}, negated={})",
-             AND: "NAnd(args=({}))", OR: "NOr(args=({}))", NEXT: "NNext(child={})",
-             UNTIL: "NUntil(left={}, right={})", RELEASE: "NRelease(left={}, right={})"}
-
-
 class NNF:
     """The negation normal form of one Boolean formula, as a table of
     interned nodes numbered 0..n-1.
@@ -94,10 +97,10 @@ class NNF:
     `args[i]` holds its operands: (atom name, negated) for a literal, the
     child ids otherwise.  Structurally equal subformulas share one id, so
     equality is id equality and a set of nodes is an int bitmask.  Ids
-    follow the order of a sort-key text built bottom-up for every node
-    (the kind's text in `_KEY_TEXT` with the operands' texts filled in);
-    the tableau expands obligations in ascending id, and that order fixes
-    the numbering and edge order of every tableau automaton.
+    follow creation order in a post-order walk of the formula, so every
+    node comes after its operands; the tableau expands obligations in
+    ascending id, and that order fixes the numbering and edge order of
+    every tableau automaton.
     """
 
     def __init__(self, beta: BExpr):
@@ -163,31 +166,18 @@ class NNF:
             made[(id(e), neg)] = j
         root = made[(id(beta), False)]
 
-        # Keep the nodes reachable from the root, renumbered by sort key.
-        # Operands are made before the nodes that use them, so one pass in
-        # creation order builds every key from finished operand keys.
+        # Keep the nodes reachable from the root, renumbered in creation
+        # order: operands are made before the nodes that use them.
         live = {root}
         for j in range(root, -1, -1):
             if j in live and kind[j] != LIT:
                 live.update(args[j])
-        text: dict = {}
-        for j in sorted(live):
-            k, a = kind[j], args[j]
-            if k == LIT:
-                fill = (repr(a[0]), a[1])
-            elif k in (AND, OR):
-                fill = (", ".join(text[c] for c in a),)
-            else:
-                fill = tuple(text[c] for c in a)
-            text[j] = _KEY_TEXT[k].format(*fill)
-        order = sorted(live, key=text.__getitem__)
+        order = sorted(live)
         new = {old: i for i, old in enumerate(order)}
         self.kind = [kind[j] for j in order]
         self.args = [args[j] if kind[j] == LIT else tuple(new[c] for c in args[j])
                      for j in order]
         self.root = new[root]
-        # every node after its operands
-        self.topo = [new[j] for j in sorted(live)]
 
     def untils(self) -> list:
         """The until nodes in breadth-first order from the root."""
@@ -247,7 +237,7 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
     # closure[j]: j and every node its expansion pops; a next-step
     # operand waits for the next state, so it is not part of it.
     closure = [0] * len(kind)
-    for j in nnf.topo:
+    for j in range(len(kind)):
         closure[j] = 1 << j
         if kind[j] not in (LIT, NEXT):
             for c in args[j]:
@@ -367,12 +357,42 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
             got = covers[obls] = list(dict.fromkeys(b[1:] for b in branches))
         return got
 
+    # Vacuous obligation sets (see the module docstring); `weak` drops the
+    # untils and releases from a set.
+    weak = ~sum(1 << j for j, k in enumerate(kind) if k in (UNTIL, RELEASE))
+    vacuous_sets: dict = {0: False}
+
+    def vacuous(obls: int) -> bool:
+        got = vacuous_sets.get(obls)
+        if got is not None:
+            return got
+        # Next-step sets are shallower, so no set is pushed twice.
+        stack = [obls]
+        while stack:
+            top = stack[-1]
+            for _, _, nxt, _ in cover(top):
+                nxt &= weak
+                got = vacuous_sets.get(nxt)
+                if got is None:
+                    stack.append(nxt)
+                    break
+                if not got:
+                    vacuous_sets[top] = False
+                    stack.pop()
+                    break
+            else:
+                vacuous_sets[top] = True
+                stack.pop()
+        return vacuous_sets[obls]
+
     fits: dict = {}
 
     def expand(state, number):
         obls, k = state
         by_letter = [[] for _ in letters]
         for pos, neg, nxt, post in cover(obls):
+            if vacuous(nxt & weak):
+                continue
             if m == 0:
                 k2, fair = 0, True
             elif not post >> untils[k] & 1:
@@ -620,15 +640,8 @@ class ProductPreAutomaton:
     def step(self, s: tuple, letter: frozenset) -> tuple:
         return self.trans[(s, letter)]
 
-    def proj(self, i: int, s: tuple):
-        return s[i]
-
     def __len__(self):
         return len(self.states)
-
-
-def product(components, ceiling: int | None = None) -> ProductPreAutomaton:
-    return ProductPreAutomaton(components, ceiling)
 
 
 # --- runs and emptiness --------------------------------------------------
@@ -756,53 +769,3 @@ def _unwind(back, node):
         out.append(lab)
         node = prev
     return list(reversed(out))
-
-
-# --- oracles and export --------------------------------------------------
-
-
-def nbw_accepts_lasso(nbw: NBW, word: LassoWord) -> bool:
-    """Membership of an ultimately periodic word, decided on the finite
-    position graph: accept iff some reachable cycle takes a fair edge."""
-    n = word.positions()
-    start = (0, nbw.initial)
-    nodes = set()
-    edges: dict = {}
-    queue = [start]
-    nodes.add(start)
-    while queue:
-        pos, q = queue.pop()
-        letter = frozenset(word.letter(pos) & nbw.atoms)
-        nxt = word.succ(pos)
-        outs = []
-        for tgt, fair in nbw.trans[(q, letter)]:
-            node = (nxt, tgt)
-            outs.append((node, fair))
-            if node not in nodes:
-                nodes.add(node)
-                queue.append(node)
-        edges[(pos, q)] = outs
-    for comp in strongly_connected_components(sorted(nodes), lambda v: [w for w, _ in edges[v]]):
-        compset = set(comp)
-        for v in comp:
-            for w, fair in edges[v]:
-                if fair and w in compset:
-                    return True
-    return False
-
-
-def dpw_to_dot(dpw: DPW, name: str = "dpw") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for q in range(dpw.n_states):
-        shape = "doublecircle" if dpw.rank[q] % 2 == 0 else "circle"
-        lines.append(f'  q{q} [shape={shape} label="q{q}\\nrank {dpw.rank[q]}"];')
-    lines.append(f"  init [shape=point]; init -> q{dpw.initial};")
-    grouped: dict = {}
-    for letter in all_letters(dpw.atoms):
-        for q in range(dpw.n_states):
-            grouped.setdefault((q, dpw.step(q, letter)), []).append(letter)
-    for (q, t), letts in sorted(grouped.items()):
-        label = " | ".join("{" + ",".join(sorted(l)) + "}" for l in letts)
-        lines.append(f'  q{q} -> q{t} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)

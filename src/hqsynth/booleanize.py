@@ -3,10 +3,11 @@
 `booleanize(f, AtLeast(v))` builds a crisp formula that holds on exactly
 the words where f's satisfaction value reaches v.  One recursion serves
 "at least" and the dual "strictly above", because complementation to 1
-swaps the two.  Within one call it is memoized per (subformula, bound,
-strictness), and so are the candidate values of subformulas that weighted
-averages enumerate: nested averages ask for the same subformulas at the
-same bounds many times over.
+swaps the two.  It is memoized per (subformula, bound, strictness), and
+so are the candidate values of subformulas that weighted averages
+enumerate: nested averages ask for the same subformulas at the same bounds
+many times over.  The memo is kept for the most recent formula, so the
+predicates of its candidate values share it.
 """
 
 from __future__ import annotations
@@ -216,8 +217,19 @@ class EqualTo(Record):
         return f"={self.bound}"
 
 
+# The formula last booleanized and its threshold memo.  The value automata
+# of one formula are built one candidate value after another, and their
+# reductions share most (subformula, bound) pairs; holding the formula
+# keeps the identity keys of its memo valid.
+_recent: tuple | None = None
+
+
 def booleanize(f: Formula, predicate) -> BExpr:
-    thresholds = _Thresholds()
+    global _recent
+    recent = _recent
+    if recent is None or recent[0] is not f:
+        recent = _recent = (f, _Thresholds())
+    thresholds = recent[1]
     if isinstance(predicate, AtLeast):
         return thresholds.clears(f, Fraction(predicate.bound), False)
     if isinstance(predicate, GreaterThan):
@@ -229,10 +241,11 @@ def booleanize(f: Formula, predicate) -> BExpr:
 
 
 class _Thresholds:
-    """The threshold recursion of one `booleanize` call, memoized by
+    """The threshold recursion of `booleanize` on one formula, memoized by
     (subformula identity, bound, strictness), with the candidate values of
     subformulas memoized by identity too.  Identity keys are safe because
-    the formula being reduced keeps its subformulas alive for the call."""
+    the formula being reduced, held next to the memo, keeps its subformulas
+    alive."""
 
     def __init__(self):
         self.memo: dict = {}

@@ -5,6 +5,8 @@ window bound, subset enumeration, mutual-reachability component detection,
 dense rational elimination, full strategy enumeration.  None of it shares
 algorithms with the package, so agreement is evidence rather than
 tautology.  Runtime is exponential in places; callers keep instances tiny.
+The helpers only tests use (product projections, DOT export) live here
+too, outside the package.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hqsynth.common import InternalConsistencyError
+from hqsynth.automata import DPW, NBW, ProductPreAutomaton
+from hqsynth.common import InternalConsistencyError, all_letters
 from hqsynth.formulas import (
     Atom,
     FalseFormula,
@@ -140,6 +143,60 @@ def bottom_components(n, succ):
         if reach[s] == set(comp):
             bottoms.add(comp)
     return sorted(bottoms, key=min)
+
+
+# --- automata: lasso membership, products, export -----------------------
+
+
+def nbw_accepts_lasso(nbw: NBW, word: LassoWord) -> bool:
+    """Membership of an ultimately periodic word, decided on the finite
+    position graph: accept iff some reachable fair edge lies on a cycle,
+    that is, its target reaches its source."""
+    start = (0, nbw.initial)
+    edges: dict = {}
+    queue = [start]
+    while queue:
+        node = queue.pop()
+        if node in edges:
+            continue
+        pos, q = node
+        letter = frozenset(word.letter(pos) & nbw.atoms)
+        edges[node] = [((word.succ(pos), tgt), fair)
+                       for tgt, fair in nbw.trans[(q, letter)]]
+        queue.extend(w for w, _ in edges[node])
+    nodes = sorted(edges)
+    index = {v: i for i, v in enumerate(nodes)}
+    reach = reach_sets(len(nodes), lambda i: [index[w] for w, _ in edges[nodes[i]]])
+    return any(fair and index[v] in reach[index[w]]
+               for v in nodes for w, fair in edges[v])
+
+
+class Product(ProductPreAutomaton):
+    """The synchronized product, with its projections spelled out."""
+
+    def proj(self, i: int, s: tuple):
+        return s[i]
+
+
+def product(components, ceiling=None) -> Product:
+    return Product(components, ceiling)
+
+
+def dpw_to_dot(dpw: DPW, name: str = "dpw") -> str:
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    for q in range(dpw.n_states):
+        shape = "doublecircle" if dpw.rank[q] % 2 == 0 else "circle"
+        lines.append(f'  q{q} [shape={shape} label="q{q}\\nrank {dpw.rank[q]}"];')
+    lines.append(f"  init [shape=point]; init -> q{dpw.initial};")
+    grouped: dict = {}
+    for letter in all_letters(dpw.atoms):
+        for q in range(dpw.n_states):
+            grouped.setdefault((q, dpw.step(q, letter)), []).append(letter)
+    for (q, t), letts in sorted(grouped.items()):
+        label = " | ".join("{" + ",".join(sorted(l)) + "}" for l in letts)
+        lines.append(f'  q{q} -> q{t} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # --- Markov chains as dense row dicts ------------------------------------
@@ -299,8 +356,9 @@ _LAMBDAS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
             Fraction(1, 4), Fraction(3, 4)]
 
 
-def random_formula(rng, atoms, size, boolean=False):
-    """A formula of the requested node count (graded operators optional)."""
+def random_formula(rng, atoms, size, boolean=False, until=True):
+    """A formula of the requested node count (graded operators and until
+    optional)."""
     atoms = sorted(atoms)
     if size <= 1:
         roll = rng.random()
@@ -313,20 +371,22 @@ def random_formula(rng, atoms, size, boolean=False):
     if boolean:
         unary = ["not", "next"]
         binary = ["min", "max", "until"]
+    if not until:
+        binary.remove("until")
     if size == 2:
         op = rng.choice(unary)
     else:
         op = rng.choice(unary + binary * 2)
     if op in ("not", "next", "factor"):
-        child = random_formula(rng, atoms, size - 1, boolean)
+        child = random_formula(rng, atoms, size - 1, boolean, until)
         if op == "not":
             return Not(child)
         if op == "next":
             return Next(child)
         return Factor(rng.choice(_LAMBDAS), child)
     left_size = rng.randint(1, size - 2)
-    left = random_formula(rng, atoms, left_size, boolean)
-    right = random_formula(rng, atoms, size - 1 - left_size, boolean)
+    left = random_formula(rng, atoms, left_size, boolean, until)
+    right = random_formula(rng, atoms, size - 1 - left_size, boolean, until)
     if op == "min":
         return Min((left, right))
     if op == "max":
@@ -380,8 +440,6 @@ def random_reward_mdp(rng, n, max_actions=2) -> RewardMDP:
 
 
 def random_transducer(rng, inputs, outputs, n) -> Transducer:
-    from hqsynth.common import all_letters
-
     in_letters = all_letters(inputs)
     out_letters = all_letters(outputs)
     labels = {q: rng.choice(out_letters) for q in range(n)}

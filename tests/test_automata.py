@@ -14,10 +14,7 @@ from hqsynth.automata import (
     determinize,
     dpw_for,
     dpw_nonempty_from,
-    dpw_to_dot,
     ltl_to_nbw,
-    nbw_accepts_lasso,
-    product,
     run_lasso,
 )
 from hqsynth.booleanize import (
@@ -33,11 +30,28 @@ from hqsynth.booleanize import (
 )
 from hqsynth.common import StateLimitExceeded, all_letters
 from hqsynth.evaluation import product_chain
-from hqsynth.formulas import Atom, LassoWord, eval_lasso, parse, values
+from hqsynth.formulas import (
+    Atom,
+    LassoWord,
+    Next,
+    Until,
+    candidate_values,
+    eval_lasso,
+    parse,
+    values,
+)
 from hqsynth.mdp import DistributionMDP, UniformInputs, induced_pre_mdp
 from hqsynth.transducers import Transducer
 
-from oracles import oracle_eval, random_formula, random_lasso
+from oracles import (
+    dpw_to_dot,
+    nbw_accepts_lasso,
+    oracle_eval,
+    product,
+    random_formula,
+    random_lasso,
+)
+from scenarios import battery_formula
 
 
 def lassos_up_to(atoms, max_pre, max_per):
@@ -69,6 +83,57 @@ class TestNBW:
         for _ in range(50):
             w = random_lasso(rng, ["req"])
             assert nbw_accepts_lasso(nbw, w) == (oracle_eval(f, w) == 1)
+
+
+def _has_until(f):
+    return isinstance(f, Until) or any(_has_until(g) for g in f.children())
+
+
+def _next_depth(f):
+    if isinstance(f, Next):
+        return 1 + _next_depth(f.child)
+    return max((_next_depth(g) for g in f.children()), default=0)
+
+
+class TestPruning:
+    def test_until_free_states_all_have_successors(self):
+        # Without until and release, no obligation is dropped before the
+        # vacuity check, so the pruning is exact: every state reached has a
+        # successor, and the initial one has none only when no word attains
+        # the value.  The value of an until-free formula of next-depth d
+        # depends on the first d + 1 letters only, so the attained values
+        # are those of every such prefix.
+        rng = random.Random(306)
+        ab = frozenset({"a", "b"})
+        letters = all_letters(ab)
+        for _ in range(300):
+            f = random_formula(rng, ["a", "b"], rng.randint(1, 10), until=False)
+            d = _next_depth(f)
+            attained = None if d > 3 else {
+                oracle_eval(f, LassoWord.make(word[:-1], word[-1:], ab))
+                for word in itertools.product(letters, repeat=d + 1)}
+            for v in candidate_values(f):
+                nbw = ltl_to_nbw(booleanize(f, EqualTo(v)), ab)
+                live = [any(nbw.trans[(q, a)] for a in letters) for q in range(len(nbw))]
+                if attained is not None:
+                    assert live[0] == (v in attained), (f, v)
+                assert all(live[1:]), (f, v)
+
+    def test_value_automata_with_until_match_oracle(self):
+        rng = random.Random(307)
+        ab = frozenset({"a", "b"})
+        checked = 0
+        while checked < 150:
+            f = random_formula(rng, ["a", "b"], rng.randint(3, 9))
+            if not _has_until(f):
+                continue
+            checked += 1
+            nbws = {v: ltl_to_nbw(booleanize(f, EqualTo(v)), ab) for v in candidate_values(f)}
+            for _ in range(5):
+                w = random_lasso(rng, ["a", "b"])
+                value = oracle_eval(f, w)
+                for v, nbw in nbws.items():
+                    assert nbw_accepts_lasso(nbw, w) == (v == value), (f, w, v)
 
 
 class TestDeterminize:
@@ -276,30 +341,40 @@ GOLDEN_FORMULAS = {
                    " factor{1/2} (X close)))", {"data", "close"}),
     "gf2": ("(G F i0) | (G F i1) & (F i0 | !i0) & (F i1 | !i1)", {"i0", "i1", "o"}),
     "until7": ("a U a U a U a U a U a U b", {"a", "b"}),
+    "battery8": (str(battery_formula(8)), {"station", "replace"}),
 }
 
 # (spec, value, NBW states, DPW states, sha256 of the NBW transition table)
 GOLDEN_TABLEAU = [
     ("message", "0", 5, 6, "f45b708fa55bc34bbb5d7bdc6d4f1f0fca4e109316ab9489c9f17d7d823e6054"),
-    ("message", "3/16", 25, 9, "0fca0d89d86b05afe82844f173f86d7b6d70225240ef82617dcc7856554b0b87"),
-    ("message", "1/4", 42, 12, "577cc57b560535ea0ab2e638240eb178647d7421c54423ec0b98880c95d68cc8"),
-    ("message", "3/8", 83, 13, "706d8e44269511678b544c0dee76f6f0aff60dd0b4652c0bd1552d66fd06ed82"),
-    ("message", "7/16", 334, 16, "e6910a978a61457b517a3bcc4c1e143c9a919a548b58b04e698d7fa88a016814"),
-    ("message", "1/2", 74, 15, "df87b4e737edb446912cec0519b82a03f1ce04a76c1c7ad64de2b293fe1b8ce1"),
-    ("message", "9/16", 109, 13, "e65993e6755f5ddd2d9d4677100312346ae4fcf2e3edd18cfd05cab35ff6f8dc"),
-    ("message", "5/8", 402, 15, "feccf23ea34bb0861b1cc82f39856c943810d3838ff4542c2eb36405ada4c839"),
-    ("message", "11/16", 383, 16, "d756fa7673c7818abc828dbbdb47133bd27b25af9e514de47283b6b79584378d"),
-    ("message", "3/4", 158, 16, "d642a5d5f9ed06d41ed1dd13391efd93d2d24c560514d58c1d418618f8e990e4"),
-    ("message", "13/16", 186, 11, "ea449dca75e2dfd9d5a7bde2e3b6b4a1a055a7b896581072862e336cc3f58be9"),
-    ("message", "7/8", 148, 11, "c3e5df179e3a203c46ebd44956b9a92580d5f583f27cab90436c07cfb3678ac6"),
-    ("message", "15/16", 25, 9, "444b77f342b204d9f3be37be054257de230d0fb9baa25c6809122adef8001540"),
+    ("message", "3/16", 11, 9, "185ba9fb95d1adc74314d7bf7b4601165cdb9456a566fea06ea9fa0e598edd16"),
+    ("message", "1/4", 11, 9, "8dbf11de75b16d0c44f0e85ad56818fe0cfed24e5c77a706cc2cd8c1e72b7539"),
+    ("message", "3/8", 14, 10, "0f4a64b18eb1d991439b9d19dfcf12e8924bdd0fc2e0267d0408e61ef36370eb"),
+    ("message", "7/16", 24, 13, "9fd2dd52728d0aae8b059d9e2465ba9b6ab9057861d3fc3497e96551281ad624"),
+    ("message", "1/2", 14, 10, "ee9ca15e13139bf2b29309628320220e905286db0e70a7fceb1b52a93748ad4c"),
+    ("message", "9/16", 11, 9, "62b62da37244bc9b94eeaa66725778753cf197c74e2fae34ef01dd8aecf5bee0"),
+    ("message", "5/8", 24, 13, "aff2c43ac1c4a49a8831bf0e9d8d83932026f38bc537d7f75959558c64347cb6"),
+    ("message", "11/16", 24, 13, "b37d9fc0bab7dd147018ec8b0473830179913c261b63c1be90e2a8fd2cc5531b"),
+    ("message", "3/4", 14, 12, "886925116c3ee7d025d5b6416bf000f1180f8485a9233920189dd1ace04d986b"),
+    ("message", "13/16", 11, 9, "8b06602c2cbc3a584e5397a00a242e30ae41664f0d0874e16b44a5a644e864cd"),
+    ("message", "7/8", 14, 10, "1d9d9593df1b291dba045e3574c6c18fd4006b97205193f584018c19b4fbb38b"),
+    ("message", "15/16", 11, 9, "d67b968b6cec10acfa28f443ea2a04f1d33c400251e3a57e4fa6842be3a28868"),
     ("message", "1", 5, 6, "3b7cb1d5aaa8fe9489f687b551e3da2b28fc17c01e5bfe3561916c1e4919fda1"),
     ("hard_drive", "0", 4, 5, "3a9babf28ec5036689ed40d04b009c65a0c455494d86fe83d1bcf94e9b01d4a1"),
-    ("hard_drive", "1/2", 5, 5, "3eec6c3fc4b6d8efd7b65239a699697bec89f8d286d6cb86cbaf55062d79cc93"),
-    ("hard_drive", "1", 5, 5, "6964167d2ad20ee12758654d0712dbd785f848bfc699841641e62c05be1fee01"),
-    ("gf2", "1", 9, 192, "884920178e037832620bb274f70b0287e678c18aa3922784d65f23d487c84da4"),
+    ("hard_drive", "1/2", 3, 4, "44971ec30f144f910fb36757c3258a4f330f90a8cbfd533ef60671b2a39f1e45"),
+    ("hard_drive", "1", 4, 5, "e9c6f5bc3d4c9559a3e2b947c20564ebd0add065342917da8bf53eef2d54234d"),
+    ("gf2", "1", 9, 192, "b614fac4fcd1b0bfef50ce3cddbb4d84f2978a7066507948a628f0d81502f7d2"),
     ("until7", "0", 64, 6, "dad6c1bb6e28fb1526aceeebb64922d1887a07df373272bc9643d39b5f2db5ad"),
     ("until7", "1", 22, 390, "103308b864666e766d49a65a341a790436d4a33d862e750ab18f2a2b2175be28"),
+    ("battery8", "0", 46, 36, "67c2b0fdb5cca3ea22e8753c60ef0eea8f14163894fe933a14a03b741e5c31b1"),
+    ("battery8", "1/8", 98, 32, "154c3d671c56daa84880d8c599afe26aab743be66ab354b47e2b9f12802f0414"),
+    ("battery8", "1/4", 95, 30, "1cff6a03861d80c451f68dd29b2b4f526ec8a95d43f6ed6252640f9aabcf2d55"),
+    ("battery8", "3/8", 90, 28, "379fddea9d7ce373a1571a16ea37f97cc35b4d87a3bed6d4d2b2a71f101f03fb"),
+    ("battery8", "1/2", 83, 26, "74d4cd66cb6439b09036db6f559d538f1ee1d9cd0d69d1a21c601dee788d7859"),
+    ("battery8", "5/8", 74, 24, "3c64e519b4eb6bfa71350a622274e8bd538f18cfc6f2ef12c06cc0a67a92c488"),
+    ("battery8", "3/4", 63, 22, "cb64b18000772246bcf85ab3bf20bf9ec189899c74672c0330711c4193324ae2"),
+    ("battery8", "7/8", 50, 20, "8d5fabad88de9322822780ed2ae2fa33b0e82e2ec86935d2b4c27a4221f8cdc4"),
+    ("battery8", "1", 18, 18, "fbed30ee926f6caa9cb25c035a66fe619bb80b181e3ad19a17c414a0131998da"),
 ]
 
 
@@ -311,9 +386,10 @@ def _transition_table_sha(nbw):
 
 @pytest.mark.parametrize("spec,value,nbw_states,dpw_states,sha", GOLDEN_TABLEAU)
 def test_tableau_golden(spec, value, nbw_states, dpw_states, sha):
-    # The value automata of the worked examples, recorded before the tableau
-    # moved to interned node ids: state numbering and edge order must not
-    # change, because determinization and every later tie-break follow them.
+    # The value automata of the worked examples, recorded when the tableau
+    # began to prune vacuous obligation sets and to number nodes in creation
+    # order: state numbering and edge order must not change by accident,
+    # because determinization and every later tie-break follow them.
     text, atoms = GOLDEN_FORMULAS[spec]
     nbw = ltl_to_nbw(booleanize(parse(text), EqualTo(Fraction(value))), frozenset(atoms))
     assert len(nbw) == nbw_states
@@ -332,25 +408,34 @@ def _dpw_table_sha(dpw):
 # sha256 of the transition table and ranks of each golden row's DPW
 GOLDEN_DPW = {
     ("message", "0"): "7c847e5407b105a803b4dee9b9411a12377f0226082e43ab92c9dc5ba7004670",
-    ("message", "3/16"): "b819c31c55420b5887ce768de30df1597380e4566dfc462c20d956a17253f72e",
-    ("message", "1/4"): "bfeda015d640dd5c4507eb3b9891591781d0e5584015af23ade54f6810289689",
-    ("message", "3/8"): "b551b947727acf4300fdfebee6e65ffc3576435e9bd7fd32ca666aafe7b28df4",
-    ("message", "7/16"): "d833e09c4ab9dfa28f4cdfaa11c58bf0d4c54ab0c777ba16e72d79c785c423f3",
-    ("message", "1/2"): "63daa7db2bceea7555c2f7af576989f1822816bf180be1357b52b99728ebd5c3",
-    ("message", "9/16"): "07e54804e302b5d94ab2c5e774f7e2d77755694983eeacaccf55dfab6321b81b",
-    ("message", "5/8"): "609953bb120feee2c42bb04e2d0a9807b61b03160ece70962465e5a611bd4245",
-    ("message", "11/16"): "ce37c54c0a0b153452ef251c56bcc128b2ab5612fafaeb8282efd62706da1404",
-    ("message", "3/4"): "fa02355aa67e64bd6f73d77900f7cd70886f897a1a2fe835eb7b29d6eb656359",
-    ("message", "13/16"): "33dab9cacd8b47cd039911d07b6e4a69104d78732e25722843e7561e3986c96c",
-    ("message", "7/8"): "f03e8fabab53802b3b69ca38577144a730e97e0d82ae4be0a13302b491c7d5b8",
-    ("message", "15/16"): "1cd3ed92456c5dc5dc20e96a5f9906b4ae9a74e494975ea6e1773ce8a2940fa8",
+    ("message", "3/16"): "469dbcdf51d0072617b9e1fe824be89d69da8a1887392d93bf5e78078f56abdb",
+    ("message", "1/4"): "b386e069635f68b9419d6e43a265040008bc7772a316a291f43ac382e679176d",
+    ("message", "3/8"): "75c894b38f794ba31d2867fe464d0ee140e415b9a51a4b4f1eaff70a96a844d6",
+    ("message", "7/16"): "a6d901faa6f359dea81a992f06cb6dae6254a2361eda66183c6a897c8af4ba23",
+    ("message", "1/2"): "a1c100deb1c4f0b1002fb9e8cac2f7d1d274b694a3626e58eee68765630af7c9",
+    ("message", "9/16"): "f2c34cce1847b479e51b7ddc518a1184ac2b2af41e3a274f06b37e02aeaae8b3",
+    ("message", "5/8"): "f1c4fe20121c4de2dad6ba375687a8ef315a52e3f6d00611a620f83ada800a78",
+    ("message", "11/16"): "2a4507021f39d13f3bbe7f7c985dc0e188beb01d37ca34c8c59d020534922105",
+    ("message", "3/4"): "2f725ec2aca325a13376d18cc1dbddb42f5a45377bdab05bfde0d85ad6d648c6",
+    ("message", "13/16"): "0cdd3ff384e1be493af27fb9bb258d5ba6888d4cdddcc07e0b43d365c693af48",
+    ("message", "7/8"): "6877bff4fb1b562c39ee9b37f0f69672a1d339b6c4aee988a6ec709fcd0760b9",
+    ("message", "15/16"): "6727ef5b28a55b658ad28faaca96a6c3069dddf9afcfce7aea3bd5d005f5cddd",
     ("message", "1"): "daa59875c417a18c6bd989383fb3965b5b753af1dc451a1ceda04dfdc616ebf4",
     ("hard_drive", "0"): "beef43e65508bec2d5866197bc90facb8f39b44b19298b32f25b1db5eca7b1b1",
-    ("hard_drive", "1/2"): "dac3415f4b8fb98cf7a84dec51639647c66d4c8f3d1eee20855ee5f5989264b5",
-    ("hard_drive", "1"): "f4a71c3169406fb13b1e0e48ac22ff9c6f99d95ceaf99e2f8ca09e6a96682491",
+    ("hard_drive", "1/2"): "f8c0a61de7b5c20113eaca978064918ac477c3980464c6e9603e307cd1de0e84",
+    ("hard_drive", "1"): "8526f6c8161e7e1d4908f27ef617f1f9476ce400c58ace2274952d0b558657a0",
     ("gf2", "1"): "f7a3e673a73a3eb5d6138218798969d31adf23971131635f48dc67a4bc6147dd",
     ("until7", "0"): "9fd11af5ad69a1248569d5abb7c6d49fcedda57b13327db598d6cb5b0ba013a4",
     ("until7", "1"): "bf4853d67a1cdfd0a672198866d22c2ca1a8239bc9f3ddd0bb2236ac786de84f",
+    ("battery8", "0"): "2fb3267cbd1ef62cde96361ee2fd77177590b2f457b5147aa71d73a8fba9fab9",
+    ("battery8", "1/8"): "66ef9e74f7c12bb5622231e0eaa52eaaa0cd40eece1d4214f881ef342dcb252e",
+    ("battery8", "1/4"): "0dd5ab61f2310835a68f3397bc9d51a0274e79e62168bf26ae6231b03f9fcb0b",
+    ("battery8", "3/8"): "1e01b2be6331477f8ca125e36fcb7014833389b88d2c91ccbb85019c64e9275e",
+    ("battery8", "1/2"): "e5aaa7da315e20495660a9a08ce38b37edb9dfc9809efca3aa089155dee5989a",
+    ("battery8", "5/8"): "16a266527c50d686f2bf3693e11449719d58638c79ed5811950441c9d90571d4",
+    ("battery8", "3/4"): "3b9c78d7314beb3c8c8dc158005600a853610dd4c25f788b847e5e38b343a201",
+    ("battery8", "7/8"): "9563b3fdf201703ed39fece200b8705cc03d08b31a88c82bb393bd360bd47055",
+    ("battery8", "1"): "756ba292987f4514042d33c00ce01b3d6481397f51b3615db03cb149a86e90d1",
 }
 
 
@@ -365,8 +450,8 @@ def test_dpw_golden(spec, value):
 
 def test_random_automata_digest():
     # One digest over the NBW and DPW tables of seeded random formulas with
-    # until, recorded before the tableau reused covers and Safra trees became
-    # bitmasks.
+    # until, recorded when the tableau began to prune vacuous obligation
+    # sets and to number nodes in creation order.
     rng = random.Random(8)
     predicates = [AtLeast, GreaterThan, EqualTo]
     thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
@@ -379,7 +464,7 @@ def test_random_automata_digest():
         digest.update(_transition_table_sha(nbw).encode())
         digest.update(_dpw_table_sha(determinize(nbw)).encode())
     assert digest.hexdigest() == \
-        "34e8785a59f51e2a7f374304bddaa5707b96f9d56551e0443fcae8ea156d5245"
+        "863f3523202c95a3c9b3330d6f2c6d7e1c1d932e57d9766dec2c6af4eae939d8"
 
 
 def test_deep_formula_tableau():

@@ -132,3 +132,18 @@ def test_negation_swaps_to_dual_threshold():
         for _ in range(5):
             w = random_lasso(rng, ["a"])
             assert holds(beta, w) == (1 - oracle_eval(f, w) >= v)
+
+
+def test_shared_memo_gives_the_trees_of_fresh_calls():
+    # Unlike the semantic tests above, this compares syntax trees: reusing
+    # the memo across the predicates of one formula must not change what
+    # is built.  Parsing anew gives a distinct formula object and so a
+    # fresh memo.
+    rng = random.Random(408)
+    preds = [AtLeast, GreaterThan, EqualTo]
+    for _ in range(40):
+        text = str(random_formula(rng, ["a", "b"], rng.randint(2, 9)))
+        shared = parse(text)
+        cases = [pred(v) for v in values(shared, frozenset({"a", "b"})) for pred in preds]
+        trees = [booleanize(shared, p) for p in cases]
+        assert trees == [booleanize(parse(text), p) for p in cases]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hqsynth.automata import dpw_for, product
+from hqsynth.automata import dpw_for
 from hqsynth.booleanize import EqualTo
 from hqsynth.common import InternalConsistencyError, StateLimitExceeded, all_letters
 from hqsynth.formulas import Atom
@@ -28,6 +28,7 @@ from hqsynth.mdp import (
 )
 
 import oracles as O
+from oracles import product
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)

@@ -293,7 +293,7 @@ GOLDEN = [
      "result = OK\n"
      "expected = 3/4\n"
      "decimal = 0.75\n"
-     "automaton_states = 5, 5, 5\n"
+     "automaton_states = 5, 4, 5\n"
      "mdp_states = 6\n"
      "product_states = 6\n"
      "transducer_states = 6\n"
@@ -305,7 +305,7 @@ GOLDEN = [
      "decimal = 0.75\n"
      "threshold = 1/2\n"
      "floor = 1/2\n"
-     "automaton_states = 5, 5\n"
+     "automaton_states = 4, 5\n"
      "mdp_states = 4\n"
      "product_states = 6\n"
      "transducer_states = 6\n"
@@ -324,7 +324,7 @@ GOLDEN = [
      "decimal = 0.75\n"
      "threshold = 1\n"
      "floor = 1\n"
-     "automaton_states = 5, 5, 5\n"
+     "automaton_states = 5, 4, 5\n"
      "mdp_states = 5\n"
      "product_states = 7\n"
      "transducer_states = 6\n"
@@ -385,7 +385,7 @@ GOLDEN = [
      "result = OK\n"
      "expected = 3/4\n"
      "decimal = 0.75\n"
-     "automaton_states = 5, 5, 5\n"
+     "automaton_states = 5, 4, 5\n"
      "mdp_states = 11\n"
      "product_states = 6\n"
      "transducer_states = 9\n"
