@@ -213,6 +213,38 @@ class NBW:
         return len(self.states)
 
 
+def _vacuity(cover, weak):
+    """The memoized test for vacuous obligation sets (see the module
+    docstring) of one tableau, given its `cover` function and the mask
+    `weak` that drops untils and releases."""
+    vacuous_sets: dict = {0: False}
+
+    def vacuous(obls: int) -> bool:
+        got = vacuous_sets.get(obls)
+        if got is not None:
+            return got
+        # Next-step sets are shallower, so no set is pushed twice.
+        stack = [obls]
+        while stack:
+            top = stack[-1]
+            for _, _, nxt, _ in cover(top):
+                nxt &= weak
+                got = vacuous_sets.get(nxt)
+                if got is None:
+                    stack.append(nxt)
+                    break
+                if not got:
+                    vacuous_sets[top] = False
+                    stack.pop()
+                    break
+            else:
+                vacuous_sets[top] = True
+                stack.pop()
+        return vacuous_sets[obls]
+
+    return vacuous
+
+
 def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
     """The tableau automaton of `beta` over `atoms`.
 
@@ -357,34 +389,9 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
             got = covers[obls] = list(dict.fromkeys(b[1:] for b in branches))
         return got
 
-    # Vacuous obligation sets (see the module docstring); `weak` drops the
-    # untils and releases from a set.
+    # `weak` drops the untils and releases from a set.
     weak = ~sum(1 << j for j, k in enumerate(kind) if k in (UNTIL, RELEASE))
-    vacuous_sets: dict = {0: False}
-
-    def vacuous(obls: int) -> bool:
-        got = vacuous_sets.get(obls)
-        if got is not None:
-            return got
-        # Next-step sets are shallower, so no set is pushed twice.
-        stack = [obls]
-        while stack:
-            top = stack[-1]
-            for _, _, nxt, _ in cover(top):
-                nxt &= weak
-                got = vacuous_sets.get(nxt)
-                if got is None:
-                    stack.append(nxt)
-                    break
-                if not got:
-                    vacuous_sets[top] = False
-                    stack.pop()
-                    break
-            else:
-                vacuous_sets[top] = True
-                stack.pop()
-        return vacuous_sets[obls]
-
+    vacuous = _vacuity(cover, weak)
     fits: dict = {}
 
     def expand(state, number):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hqsynth import automata
 from hqsynth.automata import (
     DPW,
     ProductPreAutomaton,
@@ -377,6 +378,26 @@ GOLDEN_TABLEAU = [
     ("battery8", "1", 18, 18, "fbed30ee926f6caa9cb25c035a66fe619bb80b181e3ad19a17c414a0131998da"),
 ]
 
+# The rows above whose automata the pruning changed, as the tableau builds
+# them with the vacuity check switched off: recorded before the pruning and
+# the creation-order ids came in, they show that pruning is the only change.
+GOLDEN_UNPRUNED_TABLEAU = [
+    ("message", "3/16", 25, 9, "0fca0d89d86b05afe82844f173f86d7b6d70225240ef82617dcc7856554b0b87"),
+    ("message", "1/4", 42, 12, "577cc57b560535ea0ab2e638240eb178647d7421c54423ec0b98880c95d68cc8"),
+    ("message", "3/8", 83, 13, "706d8e44269511678b544c0dee76f6f0aff60dd0b4652c0bd1552d66fd06ed82"),
+    ("message", "7/16", 334, 16, "e6910a978a61457b517a3bcc4c1e143c9a919a548b58b04e698d7fa88a016814"),
+    ("message", "1/2", 74, 15, "df87b4e737edb446912cec0519b82a03f1ce04a76c1c7ad64de2b293fe1b8ce1"),
+    ("message", "9/16", 109, 13, "e65993e6755f5ddd2d9d4677100312346ae4fcf2e3edd18cfd05cab35ff6f8dc"),
+    ("message", "5/8", 402, 15, "feccf23ea34bb0861b1cc82f39856c943810d3838ff4542c2eb36405ada4c839"),
+    ("message", "11/16", 383, 16, "d756fa7673c7818abc828dbbdb47133bd27b25af9e514de47283b6b79584378d"),
+    ("message", "3/4", 158, 16, "d642a5d5f9ed06d41ed1dd13391efd93d2d24c560514d58c1d418618f8e990e4"),
+    ("message", "13/16", 186, 11, "ea449dca75e2dfd9d5a7bde2e3b6b4a1a055a7b896581072862e336cc3f58be9"),
+    ("message", "7/8", 148, 11, "c3e5df179e3a203c46ebd44956b9a92580d5f583f27cab90436c07cfb3678ac6"),
+    ("message", "15/16", 25, 9, "444b77f342b204d9f3be37be054257de230d0fb9baa25c6809122adef8001540"),
+    ("hard_drive", "1/2", 5, 5, "3eec6c3fc4b6d8efd7b65239a699697bec89f8d286d6cb86cbaf55062d79cc93"),
+    ("hard_drive", "1", 5, 5, "6964167d2ad20ee12758654d0712dbd785f848bfc699841641e62c05be1fee01"),
+]
+
 
 def _transition_table_sha(nbw):
     rows = sorted((s, sorted(letter), edges) for (s, letter), edges in nbw.trans.items())
@@ -384,12 +405,16 @@ def _transition_table_sha(nbw):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("spec,value,nbw_states,dpw_states,sha", GOLDEN_TABLEAU)
-def test_tableau_golden(spec, value, nbw_states, dpw_states, sha):
+@pytest.mark.parametrize("spec,value,nbw_states,dpw_states,sha,tableau",
+                         [(*row, "pruned") for row in GOLDEN_TABLEAU]
+                         + [(*row, "unpruned") for row in GOLDEN_UNPRUNED_TABLEAU])
+def test_tableau_golden(monkeypatch, spec, value, nbw_states, dpw_states, sha, tableau):
     # The value automata of the worked examples, recorded when the tableau
     # began to prune vacuous obligation sets and to number nodes in creation
     # order: state numbering and edge order must not change by accident,
     # because determinization and every later tie-break follow them.
+    if tableau == "unpruned":
+        monkeypatch.setattr(automata, "_vacuity", lambda cover, weak: lambda obls: False)
     text, atoms = GOLDEN_FORMULAS[spec]
     nbw = ltl_to_nbw(booleanize(parse(text), EqualTo(Fraction(value))), frozenset(atoms))
     assert len(nbw) == nbw_states
