@@ -55,7 +55,14 @@ These local conventions keep it fast and the halves compatible:
   the priority of a step is derived from the smallest name removed and the
   smallest name marked before renaming.  Priorities are turned into ranks
   on the target state, so the result is a state-ranked automaton accepting
-  when the maximal rank seen infinitely often is even.
+  when the maximal rank seen infinitely often is even.  Letters whose Buchi
+  successor rows are equal (they differ only in atoms the formula leaves
+  alone, say) step every tree alike, so a tree is stepped once per class of
+  such letters, and once per tree whatever the priorities of the states
+  holding it; targets are still numbered in letter order.
+
+* `dpw_for` keeps the last DPW_CACHE_SIZE automata it built, dropping the
+  least recently used.
 
 Everything downstream (products, runs, emptiness) works on the ranked
 deterministic form.
@@ -490,7 +497,12 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
                 if is_fair:
                     fair |= 1 << tgt
             row.append((alls, fair))
-        succ.append(row)
+        succ.append(tuple(row))
+    # Letters with one successor row step every tree alike: cls[i] is the
+    # first letter with the row of letter i, and only those are stepped.
+    first: dict = {}
+    cls = [first.setdefault(row, i) for i, row in enumerate(succ)]
+    reps = list(first.values())
     posts: list[dict] = [{} for _ in letters]
 
     def post(label: int, i: int):
@@ -582,8 +594,16 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
             rename[name] = new
         return tuple((rename[parent[name]], label[name]) for name in alive), prio
 
+    # states that differ only in priority share their tree's steps
+    steps: dict = {}
+
     def expand(state, number):
-        return [number(tree_step(state[0], i)) for i in range(len(letters))]
+        tree = state[0]
+        step = steps.get(tree)
+        if step is None:
+            step = steps[tree] = {i: tree_step(tree, i) for i in reps}
+        # targets are numbered in letter order, as if every letter stepped
+        return [number(step[c]) for c in cls]
 
     init_tree = ((0, 1 << nbw.initial),)
     states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
@@ -595,6 +615,9 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
 
 # --- value automata ------------------------------------------------------
 
+# The automata `dpw_for` built last, least recently used first; the oldest
+# is dropped past DPW_CACHE_SIZE entries.
+DPW_CACHE_SIZE = 256
 _dpw_cache: dict = {}
 
 
@@ -605,11 +628,13 @@ def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None)
         atoms = formula.atoms()
     atoms = frozenset(atoms)
     key = (formula, predicate, atoms, state_ceiling(ceiling))
-    got = _dpw_cache.get(key)
+    got = _dpw_cache.pop(key, None)
     if got is None:
         beta = booleanize(formula, predicate)
         got = determinize(ltl_to_nbw(beta, atoms, ceiling), ceiling)
-        _dpw_cache[key] = got
+        if len(_dpw_cache) >= DPW_CACHE_SIZE:
+            del _dpw_cache[next(iter(_dpw_cache))]
+    _dpw_cache[key] = got
     return got
 
 

@@ -131,13 +131,13 @@ def explore(start, expand, what: str, ceiling: int | None = None):
 
 
 def probability_row(branches, number) -> tuple:
-    """The ((index, probability), ...) row of (successor, probability)
-    branches: successors numbered in branch order, repeats added up, and
-    the row sorted by index."""
+    """The ((index, weight), ...) row of (successor, int weight) branches:
+    successors numbered in branch order, repeats added up, and the row
+    sorted by index."""
     acc: dict = {}
-    for succ, p in branches:
+    for succ, w in branches:
         j = number(succ)
-        acc[j] = acc.get(j, Fraction(0)) + p
+        acc[j] = acc.get(j, 0) + w
     return tuple(sorted(acc.items()))
 
 

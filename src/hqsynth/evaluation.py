@@ -66,16 +66,16 @@ def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovCha
                     "a label")
             (committed,) = labels
         branches = []
-        for i, sd2, p in process.branches(sd, committed):
+        for i, sd2, w in process.branches(sd, committed):
             t2 = T.delta[(t, i)]
             letter = i | T.labels[t2]
             branches.append(
-                ((t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2), p))
+                ((t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2), w))
         return probability_row(branches, number)
 
     init = (T.initial, tuple(a.initial for a in automata), process.initial)
     states, rows = explore(init, expand, "evaluation product", ceiling)
-    return MarkovChain(states, 0, rows)
+    return MarkovChain(states, 0, rows, den=process.den)
 
 
 def _component_accepts(chain: MarkovChain, comp, pos: int, dpw) -> bool:
@@ -217,7 +217,9 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
 
     Walks the same product chain with a seeded generator until absorption;
     the sample's value is the value of the component entered.  Bit-for-bit
-    reproducible for a fixed seed.
+    reproducible for a fixed seed: each step draws u = r / 2^53 and takes
+    the first successor whose cumulative probability exceeds u, compared
+    in ints as r * den < (cumulative weight) * 2^53.
     """
     import random
 
@@ -227,21 +229,21 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
         for s in comp:
             value_at[s] = v
     rng = random.Random(seed)
-    scale = 1 << 53
+    rows, den = chain.weights, chain.den
     out = []
     for _ in range(samples):
         s = chain.initial
         steps = 0
         while s not in value_at:
-            u = Fraction(rng.getrandbits(53), scale)
-            acc = Fraction(0)
+            r = rng.getrandbits(53) * den
+            acc = 0
             nxt = None
-            for t, p in chain.rows[s]:
-                acc += p
-                if u < acc:
+            for t, w in rows[s]:
+                acc += w
+                if r < acc << 53:
                     nxt = t
                     break
-            s = nxt if nxt is not None else chain.rows[s][-1][0]
+            s = nxt if nxt is not None else rows[s][-1][0]
             steps += 1
             if steps > 1_000_000:
                 raise InternalConsistencyError("simulation failed to absorb")

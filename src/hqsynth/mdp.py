@@ -2,18 +2,31 @@
 
 A pre-MDP here always arises from a deterministic automaton whose letters
 split into inputs and outputs: the controller picks the output letter, the
-environment draws the input letter, and the automaton state advances.  All
-probabilities and rewards are `Fraction`s; every solver below is exact.
+environment draws the input letter, and the automaton state advances.  Every
+solver below is exact.
+
+Probabilities are carried as positive int weights over one denominator
+`den` shared by every row of an input process, and of every MDP and chain
+built from it: a row is ((successor, weight), ...), its weights summing to
+`den`, so building, merging and checking rows is int arithmetic.  They turn
+into `Fraction`s only at the linear solver: its system for x = P x + b is
+built with each row scaled by `den`, eliminated fraction-free, and solved
+into `Fraction`s.  Values and rewards are `Fraction`s.  Constructors also
+take rows of `Fraction` (or int) probabilities, turned into weights over
+the lcm of their denominators, and `PreMDP.trans` and `MarkovChain.rows`
+read the rows back as `Fraction` probabilities.  Any other probability, a
+float or a bool, is rejected with a `ValueError`.
 
 The environment is an input process with one interface: `UniformInputs`
 draws every input letter with the same probability, `DistributionMDP` is a
 finite-state process whose rows may depend on the output letter.  Each has
-an `initial` state, `branches(s, o)` listing (input letter, next state,
-p > 0) under output letter o, `insensitive_at(s)` and `output_insensitive()`
-telling whether rows ignore the output, and `next_state(s, o, i)` tracking
-the process from an observed input.  `input_process` turns the `dist=None`
-of public entry points into `UniformInputs`, so an induced MDP always
-labels its states (automaton state, process state).
+an `initial` state, a denominator `den`, `branches(s, o)` listing (input
+letter, next state, weight > 0) under output letter o,
+`insensitive_at(s)` and `output_insensitive()` telling whether rows ignore
+the output, and `next_state(s, o, i)` tracking the process from an
+observed input.  `input_process` turns the `dist=None` of public entry
+points into `UniformInputs`, so an induced MDP always labels its states
+(automaton state, process state).
 
 The analyses are the standard toolbox: maximal end components, the
 even-rank-stratified controllably-win-recurrent states, almost-sure parity
@@ -36,6 +49,8 @@ rows; the nonzeros stored at once count against the state ceiling.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .common import (
     InternalConsistencyError,
@@ -49,24 +64,56 @@ from .common import (
 )
 
 
+def _check_probability(p, where: str):
+    """Reject a probability that is not an int or a `Fraction`: a float (or
+    a bool) would put inexact arithmetic on the value path."""
+    if type(p) is not int and type(p) is not Fraction:
+        raise ValueError(f"probability {p!r} at {where} is not an int or a Fraction")
+
+
+def _to_weights(rows: dict):
+    """({key: ((successor, weight), ...)}, den) for a map of rows of
+    (successor, probability) pairs: int weights over the lcm `den` of every
+    probability's denominator, zero entries dropped."""
+    den = 1
+    for key, row in rows.items():
+        for _, p in row:
+            _check_probability(p, f"row {key}")
+            den = lcm(den, p.denominator)
+    return {key: tuple((t, p.numerator * (den // p.denominator)) for t, p in row if p)
+            for key, row in rows.items()}, den
+
+
 class PreMDP:
     """States are indices; `labels[s]` keeps the underlying object.
 
-    `actions[s]` lists the available action labels; transitions are keyed
-    by (state, action index) and map to ((successor, probability), ...).
+    `actions[s]` lists the available action labels.  `weights[(s, a)]` is
+    the row of (state, action index): ((successor, weight), ...) over the
+    denominator `den`.  Without `den`, `trans` holds the rows as
+    (successor, probability) pairs instead, turned into weights.
     """
 
-    def __init__(self, labels, initial, actions, trans, validate=True):
+    def __init__(self, labels, initial, actions, trans, validate=True, den=None):
         self.labels = list(labels)
         self.initial = initial
         self.actions = [tuple(a) for a in actions]
-        self.trans = trans
+        if den is None:
+            trans, den = _to_weights(trans)
+        self.weights = trans
+        self.den = den
         if validate:
             self._validate()
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def trans(self) -> dict:
+        """The rows as (successor, `Fraction` probability) pairs."""
+        den = self.den
+        return {key: tuple((t, Fraction(w, den)) for t, w in row)
+                for key, row in self.weights.items()}
 
     def _validate(self):
         if not 0 <= self.initial < self.n:
@@ -75,20 +122,21 @@ class PreMDP:
             if not self.actions[s]:
                 raise ValueError(f"state {s} has no actions")
             for a in range(len(self.actions[s])):
-                rows = self.trans[(s, a)]
-                total = sum(p for _, p in rows)
-                if total != 1:
-                    raise ValueError(f"transition ({s},{a}) sums to {total}")
-                if any(p < 0 for _, p in rows):
+                row = self.weights[(s, a)]
+                total = sum(w for _, w in row)
+                if total != self.den:
+                    raise ValueError(f"transition ({s},{a}) sums to "
+                                     f"{format_fraction(Fraction(total, self.den))}")
+                if any(w < 0 for _, w in row):
                     raise ValueError(f"negative probability at ({s},{a})")
 
     def successors(self, s: int, a: int):
-        return [t for t, p in self.trans[(s, a)] if p > 0]
+        return [t for t, _ in self.weights[(s, a)]]
 
 
 class RewardMDP(PreMDP):
-    def __init__(self, labels, initial, actions, trans, reward, validate=True):
-        super().__init__(labels, initial, actions, trans, validate)
+    def __init__(self, labels, initial, actions, trans, reward, validate=True, den=None):
+        super().__init__(labels, initial, actions, trans, validate, den)
         self.reward = list(reward)
         if validate:
             for s, r in enumerate(self.reward):
@@ -97,8 +145,8 @@ class RewardMDP(PreMDP):
 
 
 class ParityMDP(PreMDP):
-    def __init__(self, labels, initial, actions, trans, rank, validate=True):
-        super().__init__(labels, initial, actions, trans, validate)
+    def __init__(self, labels, initial, actions, trans, rank, validate=True, den=None):
+        super().__init__(labels, initial, actions, trans, validate, den)
         self.rank = list(rank)
         if validate:
             for s, d in enumerate(self.rank):
@@ -107,27 +155,42 @@ class ParityMDP(PreMDP):
 
 
 class MarkovChain:
-    def __init__(self, labels, initial, rows, validate=True):
+    """`weights[s]` is the row of state s, ((successor, weight), ...) over
+    the denominator `den`.  Without `den`, `rows` holds (successor,
+    probability) pairs instead, turned into weights."""
+
+    def __init__(self, labels, initial, rows, validate=True, den=None):
         self.labels = list(labels)
         self.initial = initial
-        self.rows = [tuple(r) for r in rows]
+        if den is None:
+            weights, den = _to_weights(dict(enumerate(rows)))
+            rows = weights.values()
+        self.weights = [tuple(r) for r in rows]
+        self.den = den
         if validate:
-            for s, row in enumerate(self.rows):
-                if sum(p for _, p in row) != 1:
+            for s, row in enumerate(self.weights):
+                if sum(w for _, w in row) != den:
                     raise ValueError(f"row {s} does not sum to 1")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def rows(self) -> list:
+        """The rows as (successor, `Fraction` probability) pairs."""
+        den = self.den
+        return [tuple((t, Fraction(w, den)) for t, w in row) for row in self.weights]
+
     def successors(self, s: int):
-        return [t for t, p in self.rows[s] if p > 0]
+        return [t for t, _ in self.weights[s]]
 
 
 class UniformInputs:
     """Input process drawing every input letter with the same probability,
-    whatever the output; it has the single state 0, and `branches` follows
-    the order of `all_letters`.  What `dist=None` stands for."""
+    whatever the output: weight 1 over the denominator 2^|inputs|.  It has
+    the single state 0, and `branches` follows the order of `all_letters`.
+    What `dist=None` stands for."""
 
     initial = 0
 
@@ -135,8 +198,8 @@ class UniformInputs:
         self.inputs = frozenset(inputs)
         self.outputs = frozenset(outputs)
         letters = all_letters(self.inputs)
-        weight = Fraction(1, len(letters))
-        self._branches = tuple((i, 0, weight) for i in letters)
+        self.den = len(letters)
+        self._branches = tuple((i, 0, 1) for i in letters)
 
     def branches(self, s: int, output: frozenset):
         return self._branches
@@ -158,7 +221,11 @@ class DistributionMDP:
     """Input process: an MDP over output actions whose states carry input
     letters.  The input consumed at a step is the label of the state the
     process moves into, so the initial state's label is never read.
-    `branches` follows the order of the rows.
+
+    `trans[(s, o)]` lists (next state, probability) pairs, ints or
+    `Fraction`s.  They are turned into weights once, over the lcm `den` of
+    their denominators; `branches` returns the positive ones, in the order
+    of the rows.
     """
 
     def __init__(self, inputs, outputs, iota, initial, trans):
@@ -175,26 +242,34 @@ class DistributionMDP:
 
         if not known(initial):
             raise ValueError(f"initial state {initial!r} is not one of the {n} states")
+        rows = {}
         for s, lab in enumerate(self.iota):
             if not lab <= self.inputs:
                 raise ValueError(f"state {s} labeled outside the inputs")
             for o in out_letters:
-                rows = self.trans.get((s, o))
-                if rows is None:
-                    raise ValueError(f"no distribution row at ({s},{set(o)})")
-                if not all(known(t) for t, _ in rows):
-                    raise ValueError(f"distribution row at ({s},{set(o)}) "
+                row = self.trans.get((s, o))
+                where = f"({s},{set(o)})"
+                if row is None:
+                    raise ValueError(f"no distribution row at {where}")
+                if not all(known(t) for t, _ in row):
+                    raise ValueError(f"distribution row at {where} "
                                      f"leads outside the {n} states")
-                if sum(p for _, p in rows) != 1:
-                    raise ValueError(f"distribution rows at ({s},{set(o)}) do not sum to 1")
-                if any(p < 0 for _, p in rows):
-                    raise ValueError(f"negative probability at ({s},{set(o)})")
+                for _, p in row:
+                    _check_probability(p, where)
+                if sum(p for _, p in row) != 1:
+                    raise ValueError(f"distribution rows at {where} do not sum to 1")
+                if any(p < 0 for _, p in row):
+                    raise ValueError(f"negative probability at {where}")
+                rows[(s, o)] = row
+        weights, self.den = _to_weights(rows)
+        self._branches = {key: tuple((self.iota[t], t, w) for t, w in row)
+                          for key, row in weights.items()}
         self._insensitive = [
             all(self.trans[(s, o)] == self.trans[(s, frozenset())] for o in out_letters)
             for s in range(len(self.iota))]
 
     def branches(self, s: int, output: frozenset):
-        return [(self.iota[t], t, p) for t, p in self.trans[(s, output)] if p > 0]
+        return self._branches[(s, output)]
 
     def insensitive_at(self, s: int) -> bool:
         return self._insensitive[s]
@@ -206,8 +281,7 @@ class DistributionMDP:
         """At most one positive successor per (state, output, input letter);
         needed when a controller must track this process from the inputs
         it observes."""
-        return all(len({i for i, _, _ in b}) == len(b)
-                   for b in (self.branches(s, o) for s, o in self.trans))
+        return all(len({i for i, _, _ in b}) == len(b) for b in self._branches.values())
 
     def next_state(self, s: int, output: frozenset, letter: frozenset):
         """The state entered when the process emits `letter` under `output`,
@@ -240,7 +314,7 @@ def induced_pre_mdp(automaton, process, ceiling: int | None = None) -> PreMDP:
     labels, rows = explore((automaton.initial, process.initial), expand,
                            "induced MDP", ceiling)
     trans = {(s, a): row for s, acts in enumerate(rows) for a, row in enumerate(acts)}
-    return PreMDP(labels, 0, [out_letters] * len(labels), trans)
+    return PreMDP(labels, 0, [out_letters] * len(labels), trans, den=process.den)
 
 
 # Kept under its old name too, for callers that look builders up by name.
@@ -249,8 +323,8 @@ induced_pre_mdp_dist = induced_pre_mdp
 
 def induced_chain(M: PreMDP, choice: dict) -> MarkovChain:
     """The Markov chain of a memoryless action choice (state -> action index)."""
-    rows = [M.trans[(s, choice[s])] for s in range(M.n)]
-    return MarkovChain(M.labels, M.initial, rows, validate=False)
+    rows = [M.weights[(s, choice[s])] for s in range(M.n)]
+    return MarkovChain(M.labels, M.initial, rows, validate=False, den=M.den)
 
 
 # --- end components ------------------------------------------------------
@@ -460,15 +534,18 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
             _add_node_action(M, node_of, node_actions, node_rows, i, s, a)
 
     terminal = [M.reward[min(states)] for states, _ in mecs]
+    den = M.den
     policy = [0] * n_nodes
     values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                              ceiling)
+                              den, ceiling)
+    # action values are compared times `den`, so no division is needed
     while True:
         improved = False
         for i in range(n_nodes):
-            best_a, best_v = policy[i], values[i]
+            best_a, best_v = policy[i], values[i] * den
             for a in range(len(node_actions[i])):
-                v = _policy_action_value(i, a, node_actions, node_rows, terminal, values)
+                v = _policy_action_value(i, a, node_actions, node_rows, terminal, values,
+                                         den)
                 if v > best_v:
                     best_a, best_v = a, v
                     improved = True
@@ -476,14 +553,16 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
         if not improved:
             break
         values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                                  ceiling)
+                                  den, ceiling)
     for i in range(n_nodes):
+        here = values[i] * den
         for a in range(len(node_actions[i])):
-            if _policy_action_value(i, a, node_actions, node_rows, terminal, values) == values[i]:
+            if _policy_action_value(i, a, node_actions, node_rows, terminal, values,
+                                    den) == here:
                 policy[i] = a
                 break
     normalized = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                                  ceiling)
+                                  den, ceiling)
     if normalized != values:
         raise InternalConsistencyError("argmax normalization changed the value")
     values = normalized
@@ -507,24 +586,23 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
 
 
 def _add_node_action(M, node_of, node_actions, node_rows, i, s, a):
-    dist: dict[int, Fraction] = {}
-    for t, p in M.trans[(s, a)]:
-        if p == 0:
-            continue
+    dist: dict[int, int] = {}
+    for t, w in M.weights[(s, a)]:
         j = node_of[t]
-        dist[j] = dist.get(j, Fraction(0)) + p
+        dist[j] = dist.get(j, 0) + w
     node_rows[(i, len(node_actions[i]))] = tuple(sorted(dist.items()))
     node_actions[i].append(("via", s, a))
 
 
-def _policy_action_value(i, a, node_actions, node_rows, terminal, values):
+def _policy_action_value(i, a, node_actions, node_rows, terminal, values, den):
+    """The value of node i's action a, times `den`."""
     act = node_actions[i][a]
     if act == ("stay",):
-        return terminal[i]
-    return sum(p * values[j] for j, p in node_rows[(i, a)])
+        return terminal[i] * den
+    return sum(w * values[j] for j, w in node_rows[(i, a)])
 
 
-def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, ceiling):
+def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den, ceiling):
     # Unknowns for nodes not absorbing; stay-nodes pin their terminal value.
     # Ordered sinks first, as in mc_ergodic_analysis.
     comps = strongly_connected_components(
@@ -532,27 +610,28 @@ def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, ceiling
     unknown = [i for comp in comps for i in comp
                if node_actions[i][policy[i]] != ("stay",)]
     rows = {i: node_rows[(i, policy[i])] for i in unknown}
-    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1, ceiling)
+    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1, den, ceiling)
     return [sol[i][0] if i in sol else terminal[i] for i in range(n_nodes)]
 
 
-def _solve_absorption(unknowns, rows, known, width, ceiling):
+def _solve_absorption(unknowns, rows, known, width, den, ceiling):
     """Solve x = P x + b exactly, the unknowns in the order given: `rows[s]`
-    lists the (successor, probability) pairs of unknown s, and a successor t
-    that is not an unknown adds p * w to right-hand side c, where
-    (c, w) = known(t).  Returns unknown -> solution row, one entry per
-    right-hand side."""
+    lists the (successor, weight) pairs of unknown s over `den`, and a
+    successor t that is not an unknown adds weight * x to right-hand side
+    c, where (c, x) = known(t).  Each equation is built times `den`, so
+    the system is int wherever the known values are.  Returns unknown ->
+    solution row, one entry per right-hand side."""
     pos = {s: r for r, s in enumerate(unknowns)}
     k = len(unknowns)
     system = []
     for s in unknowns:
-        row = {pos[s]: Fraction(1)}
-        for t, p in rows[s]:
+        row = {pos[s]: den}
+        for t, w in rows[s]:
             if t in pos:
-                col, v = pos[t], -p
+                col, v = pos[t], -w
             else:
-                c, w = known(t)
-                col, v = k + c, p * w
+                c, x = known(t)
+                col, v = k + c, w * x
             row[col] = row.get(col, 0) + v
         system.append({col: v for col, v in row.items() if v})
     sol = solve_linear_system(system, width, ceiling)
@@ -560,14 +639,21 @@ def _solve_absorption(unknowns, rows, known, width, ceiling):
 
 
 def solve_linear_system(rows, width, ceiling=None):
-    """Gauss-Jordan elimination on k sparse augmented rows of Fractions:
-    `rows[r]` maps a column to its nonzero entry, columns 0..k-1 being the
-    unknowns and k + c right-hand side c < `width`.  Returns the k solution
-    rows, one entry per right-hand side.  Storing more nonzeros at once than
-    the state ceiling raises `StateLimitExceeded`."""
+    """Gauss-Jordan elimination on k sparse augmented rows of ints or
+    Fractions: `rows[r]` maps a column to its nonzero entry, columns 0..k-1
+    being the unknowns and k + c right-hand side c < `width`.  Returns the k
+    solution rows of Fractions, one entry per right-hand side.  Storing more
+    nonzeros at once than the state ceiling raises `StateLimitExceeded`.
+
+    The elimination is fraction-free: each row is scaled to ints, a row r
+    is eliminated by a pivot row as (pivot) * r - r[col] * (pivot row), and
+    then divided by the gcd of its entries.  That is the Fraction
+    elimination up to a nonzero factor per row, so pivots and stored
+    nonzeros are the same; each solution entry is one Fraction at the end.
+    """
     limit = state_ceiling(ceiling)
     k = len(rows)
-    m = [dict(row) for row in rows]
+    m = [_int_row(row) for row in rows]
     stored = sum(map(len, m))
     if stored > limit:
         raise StateLimitExceeded("linear system", limit)
@@ -589,10 +675,7 @@ def solve_linear_system(rows, width, ceiling=None):
                         holding[c].add(other)
             m[col], m[pivot] = m[pivot], m[col]
         prow = m[col]
-        inv = prow[col]
-        if inv != 1:
-            for c in prow:
-                prow[c] /= inv
+        lead = prow[col]
         items = list(prow.items())
         # ascending positions, as the running count of stored nonzeros is
         # checked after each row
@@ -602,6 +685,9 @@ def solve_linear_system(rows, width, ceiling=None):
             row = m[r]
             factor = row[col]
             before = len(row)
+            if lead != 1:
+                for c in row:
+                    row[c] *= lead
             for c, v in items:
                 x = row.get(c, 0) - factor * v
                 if x:
@@ -612,11 +698,24 @@ def solve_linear_system(rows, width, ceiling=None):
                     del row[c]
                     if c < k:
                         holding[c].discard(r)
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
             stored += len(row) - before
             if stored > limit:
                 raise StateLimitExceeded("linear system", limit)
-    zero = Fraction(0)
-    return [[row.get(k + c, zero) for c in range(width)] for row in m]
+    return [[Fraction(row.get(k + c, 0), row[r]) for c in range(width)]
+            for r, row in enumerate(m)]
+
+
+def _int_row(row: dict) -> dict:
+    """A copy of a row of ints or Fractions, times the lcm of their
+    denominators: a row of ints."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    if scale == 1:
+        return {c: v.numerator for c, v in row.items()}
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
 
 
 # --- Markov chain analysis ----------------------------------------------
@@ -643,8 +742,8 @@ def mc_ergodic_analysis(C: MarkovChain, ceiling: int | None = None):
             comp_of[s] = i
     # unknowns sinks first: elimination then fills in only within components
     transient = [s for comp in comps for s in comp if s not in comp_of]
-    sol = _solve_absorption(transient, C.rows, lambda t: (comp_of[t], 1), len(bottoms),
-                            ceiling)
+    sol = _solve_absorption(transient, C.weights, lambda t: (comp_of[t], 1), len(bottoms),
+                            C.den, ceiling)
     if C.initial in sol:
         rho = list(sol[C.initial])
     else:

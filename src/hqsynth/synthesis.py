@@ -150,7 +150,8 @@ def _component_win(dpw, M):
     """Almost-sure parity winning region of one automaton's induced MDP M,
     as (winning keys, key -> winning output letter)."""
     ranks = [dpw.rank[q] for q, _ in M.labels]
-    PM = ParityMDP(M.labels, M.initial, M.actions, M.trans, ranks, validate=False)
+    PM = ParityMDP(M.labels, M.initial, M.actions, M.weights, ranks, validate=False,
+                   den=M.den)
     win, strat = almost_sure_parity(PM)
     keys = frozenset(M.labels[s] for s in win)
     letters = {M.labels[s]: M.actions[s][a] for s, a in strat.items()}
@@ -180,8 +181,8 @@ def _induced_restricted(prod, att_pos, att_win, process, ceiling):
         qs, sd = lab
         allowed, kept = [], []
         for o in out_letters:
-            branches = [((prod.step(qs, i | o), sd2), p)
-                        for i, sd2, p in process.branches(sd, o)]
+            branches = [((prod.step(qs, i | o), sd2), w)
+                        for i, sd2, w in process.branches(sd, o)]
             if all((qs2[att_pos], sd2) in att_win for (qs2, sd2), _ in branches):
                 allowed.append(o)
                 kept.append(branches)
@@ -193,7 +194,8 @@ def _induced_restricted(prod, att_pos, att_win, process, ceiling):
                            "restricted product MDP", ceiling)
     trans = {(s, a): row for s, (_, acts) in enumerate(rows)
              for a, row in enumerate(acts)}
-    return PreMDP(labels, 0, [allowed for allowed, _ in rows], trans, validate=False)
+    return PreMDP(labels, 0, [allowed for allowed, _ in rows], trans, validate=False,
+                  den=process.den)
 
 
 def _install_triggers(M, primary, vals, att, t, ceiling):
@@ -301,14 +303,14 @@ def _assumption_chain(psi_dpw, process, ceiling):
 
     def expand(lab, number):
         q, sd = lab
-        return probability_row([((psi_dpw.step(q, i), sd2), p)
-                                for i, sd2, p in process.branches(sd, frozenset())],
+        return probability_row([((psi_dpw.step(q, i), sd2), w)
+                                for i, sd2, w in process.branches(sd, frozenset())],
                                number)
 
     labels, rows = explore((psi_dpw.initial, process.initial), expand,
                            "assumption chain", ceiling)
-    bottoms, rho = mc_ergodic_analysis(MarkovChain(labels, 0, rows, validate=False),
-                                       ceiling)
+    chain = MarkovChain(labels, 0, rows, validate=False, den=process.den)
+    bottoms, rho = mc_ergodic_analysis(chain, ceiling)
     prob = Fraction(0)
     rejecting = set()
     for comp, p in zip(bottoms, rho):
@@ -372,11 +374,11 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
     played, reset = M, []
     if assumption is not None:
         reset = [s for s, (qs, sd) in enumerate(M.labels) if (qs[-1], sd) in rejecting]
-        trans = dict(M.trans)
+        trans = dict(M.weights)
         for s in reset:
             for a in range(len(M.actions[s])):
-                trans[(s, a)] = ((M.initial, Fraction(1)),)
-        played = PreMDP(M.labels, M.initial, M.actions, trans, validate=False)
+                trans[(s, a)] = ((M.initial, M.den),)
+        played = PreMDP(M.labels, M.initial, M.actions, trans, validate=False, den=M.den)
     wins = []
     sigma = []
     for dpw in dpws:
@@ -384,8 +386,8 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
         wins.append(w)
         sigma.append(s)
     gamma = _gamma_rewards(played, vals, wins)
-    RM = RewardMDP(played.labels, played.initial, played.actions, played.trans,
-                   gamma, validate=False)
+    RM = RewardMDP(played.labels, played.initial, played.actions, played.weights,
+                   gamma, validate=False, den=played.den)
     meta = {
         "values": vals,
         "dpws": dpws,

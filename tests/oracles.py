@@ -29,7 +29,7 @@ from hqsynth.formulas import (
     Until,
     WAvg,
 )
-from hqsynth.mdp import ParityMDP, PreMDP, RewardMDP
+from hqsynth.mdp import ParityMDP, PreMDP, RewardMDP, UniformInputs
 from hqsynth.transducers import Transducer
 
 ZERO = Fraction(0)
@@ -277,6 +277,83 @@ def chain_value(rows, start, reward) -> Fraction:
             assert len(vals) == 1, f"bottom {sorted(comp)} mixes rewards {vals}"
             total += rho * vals.pop()
     return total
+
+
+# --- rows as Fraction probabilities -------------------------------------
+#
+# The induced MDP and the evaluation product as they were built while rows
+# held `Fraction` probabilities: every branch probability read from the
+# process's definition, added up per successor label.  Rows are keyed by
+# state label, so no state numbering is shared with the package.
+
+
+def process_branches(process, s, output):
+    """(input letter, next state, probability) triples of an input process
+    from its definition: 1/2^|inputs| per letter when uniform, else its rows
+    as given, zero entries left out."""
+    if isinstance(process, UniformInputs):
+        letters = all_letters(process.inputs)
+        return [(i, 0, Fraction(1, len(letters))) for i in letters]
+    return [(process.iota[t], t, p) for t, p in process.trans[(s, output)] if p > 0]
+
+
+def _label_rows(start, expand) -> dict:
+    """{label: rows} over the labels reachable from `start`; `expand(label)`
+    lists the label's rows, each a {successor label: probability} dict."""
+    rows: dict = {}
+    queue = [start]
+    while queue:
+        lab = queue.pop()
+        if lab not in rows:
+            rows[lab] = expand(lab)
+            for row in rows[lab]:
+                queue.extend(row)
+    return rows
+
+
+def _fraction_row(branches) -> dict:
+    row: dict = {}
+    for succ, p in branches:
+        row[succ] = row.get(succ, ZERO) + p
+    return row
+
+
+def induced_fraction_rows(automaton, process) -> dict:
+    """{(automaton state, process state): one row per output letter} of the
+    MDP a deterministic automaton induces under an input process."""
+    out_letters = all_letters(process.outputs)
+
+    def expand(lab):
+        q, sd = lab
+        return [_fraction_row(((automaton.step(q, i | o), sd2), p)
+                              for i, sd2, p in process_branches(process, sd, o))
+                for o in out_letters]
+
+    return _label_rows((automaton.initial, process.initial), expand)
+
+
+def product_chain_fraction_rows(T: Transducer, automata, process) -> dict:
+    """{(transducer state, automaton states, process state): [row]} of the
+    chain of a transducer driven by an input process, tracked by automata;
+    where the process reads the output, the transducer's successors share
+    the committed one."""
+    in_letters = all_letters(T.inputs)
+
+    def expand(lab):
+        t, qs, sd = lab
+        committed = frozenset()
+        if not process.insensitive_at(sd):
+            (committed,) = {T.labels[T.delta[(t, i)]] for i in in_letters}
+        branches = []
+        for i, sd2, p in process_branches(process, sd, committed):
+            t2 = T.delta[(t, i)]
+            letter = i | T.labels[t2]
+            branches.append(
+                ((t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2), p))
+        return [_fraction_row(branches)]
+
+    init = (T.initial, tuple(a.initial for a in automata), process.initial)
+    return _label_rows(init, expand)
 
 
 # --- end components by subset enumeration --------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -473,23 +474,83 @@ def test_dpw_golden(spec, value):
     assert _dpw_table_sha(determinize(nbw)) == GOLDEN_DPW[(spec, value)]
 
 
+def _random_automata_draws():
+    """300 seeded random formulas with until over {a, b}, each with a
+    predicate."""
+    rng = random.Random(8)
+    predicates = [AtLeast, GreaterThan, EqualTo]
+    thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for _ in range(300):
+        f = random_formula(rng, ["a", "b"], rng.randint(1, 10))
+        yield f, rng.choice(predicates)(rng.choice(thresholds))
+
+
 def test_random_automata_digest():
     # One digest over the NBW and DPW tables of seeded random formulas with
     # until, recorded when the tableau began to prune vacuous obligation
     # sets and to number nodes in creation order.
-    rng = random.Random(8)
-    predicates = [AtLeast, GreaterThan, EqualTo]
-    thresholds = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     ab = frozenset({"a", "b"})
     digest = hashlib.sha256()
-    for _ in range(300):
-        f = random_formula(rng, ["a", "b"], rng.randint(1, 10))
-        predicate = rng.choice(predicates)(rng.choice(thresholds))
+    for f, predicate in _random_automata_draws():
         nbw = ltl_to_nbw(booleanize(f, predicate), ab)
         digest.update(_transition_table_sha(nbw).encode())
         digest.update(_dpw_table_sha(determinize(nbw)).encode())
     assert digest.hexdigest() == \
         "863f3523202c95a3c9b3330d6f2c6d7e1c1d932e57d9766dec2c6af4eae939d8"
+
+
+@pytest.mark.parametrize("extra", ["aa", "c"], ids=["between", "last"])
+def test_unmentioned_atom_keeps_the_dpw(extra):
+    # An atom the formula does not mention doubles the alphabet; letters
+    # differing in it have one successor row, so determinization steps them
+    # as one class.  The DPW keeps its states and ranks, and each letter
+    # goes where the letter without the atom goes.  The atom "aa" sorts
+    # between a and b, so the two alphabets also order their letters apart.
+    ab = frozenset({"a", "b"})
+    for f, predicate in _random_automata_draws():
+        beta = booleanize(f, predicate)
+        dpw = determinize(ltl_to_nbw(beta, ab))
+        wide = determinize(ltl_to_nbw(beta, ab | {extra}))
+        assert wide.n_states == dpw.n_states
+        assert wide.rank == dpw.rank
+        for (q, letter), t in wide.trans.items():
+            assert t == dpw.trans[(q, letter - {extra})]
+
+
+def test_dpw_cache_is_bounded_and_least_recently_used(monkeypatch):
+    monkeypatch.setattr(automata, "_dpw_cache", {})
+    ab = frozenset({"a", "b"})
+    first = dpw_for(Atom("a"), EqualTo(Fraction(0)), ab)
+    for k in range(1, automata.DPW_CACHE_SIZE + 50):
+        if k % 100 == 0:
+            # a hit makes the first automaton the most recently used
+            assert dpw_for(Atom("a"), EqualTo(Fraction(0)), ab) is first
+        dpw_for(Atom("a"), EqualTo(Fraction(k, 1000)), ab)
+        assert len(automata._dpw_cache) <= automata.DPW_CACHE_SIZE
+    assert len(automata._dpw_cache) == automata.DPW_CACHE_SIZE
+    assert dpw_for(Atom("a"), EqualTo(Fraction(0)), ab) is first
+    built = []
+    monkeypatch.setattr(automata, "determinize",
+                        lambda *args: built.append(args) or determinize(*args))
+    dpw_for(Atom("a"), EqualTo(Fraction(1, 1000)), ab)  # evicted long ago
+    assert len(built) == 1
+
+
+def test_synth_then_eval_hits_the_dpw_cache(monkeypatch, tmp_path, capsys):
+    from hqsynth.cli import main
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"inputs": ["i"], "outputs": ["o"],
+                                "formula": "wavg{1/2}(G F max(i, o), X (o U i))"}))
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", str(spec), "--out", str(ctrl)]) == 0
+    built = []
+    monkeypatch.setattr(automata, "determinize",
+                        lambda *args: built.append(args) or determinize(*args))
+    for mode in ("expected", "almost-sure", "worst-case"):
+        assert main(["eval", str(spec), str(ctrl), "--mode", mode]) == 0
+    assert built == []
+    capsys.readouterr()
 
 
 def test_deep_formula_tableau():

@@ -54,6 +54,46 @@ class TestValidation:
             ParityMDP([0], 0, [("go",)], {(0, 0): ((0, ONE),)}, [0])
 
 
+class TestProbabilityTypes:
+    """Floats (and bools) never enter the value path: a probability must be
+    an int or a Fraction."""
+
+    @pytest.mark.parametrize("p", [0.5, True], ids=["float", "bool"])
+    def test_pre_mdp_rejects(self, p):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            single_action([[(0, p), (0, HALF)]])
+
+    @pytest.mark.parametrize("p", [0.5, True], ids=["float", "bool"])
+    def test_markov_chain_rejects(self, p):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            MarkovChain([0, 1], 0, [((0, p), (1, HALF)), ((1, ONE),)])
+
+    def test_markov_chain_of_floats_rejected(self):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            MarkovChain([0, 1], 0, [((0, 0.5), (1, 0.5)), ((1, 1),)])
+
+    @pytest.mark.parametrize("p", [0.5, True], ids=["float", "bool"])
+    def test_distribution_rejects(self, p):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            coin_distribution(p)
+
+    def test_int_and_fraction_rows_read_back_as_fractions(self):
+        M = single_action([[(1, HALF), (0, HALF)], [(1, 1)]])
+        assert M.den == 2 and M.weights[(0, 0)] == ((1, 1), (0, 1))
+        assert M.trans[(1, 0)] == ((1, ONE),)
+        assert all(type(p) is Fraction for row in M.trans.values() for _, p in row)
+        C = MarkovChain([0, 1], 0, [((0, Fraction(1, 3)), (1, Fraction(2, 3))), ((1, 1),)])
+        assert C.den == 3 and C.rows == [((0, Fraction(1, 3)), (1, Fraction(2, 3))),
+                                         ((1, ONE),)]
+
+    def test_zero_entries_are_dropped(self):
+        M = single_action([[(1, ONE), (0, Fraction(0))], [(1, ONE)]])
+        assert M.successors(0, 0) == [1]
+        process = coin_distribution(ONE)
+        assert process.den == 1
+        assert process.branches(0, frozenset()) == ((frozenset({"i"}), 1, 1),)
+
+
 class TestInducedUniform:
     def test_input_split_gives_half_half(self):
         io = frozenset({"i", "o"})
