@@ -4,18 +4,21 @@ The pipeline is classic: negation normal form, a tableau-built Buchi
 automaton, then a Safra-style determinization into a parity automaton.
 These local conventions keep it fast and the halves compatible:
 
-* The tableau works on small ints.  `NNF` interns the negation normal form
-  of a Boolean formula once per automaton: every structurally distinct
-  subformula gets a dense id, so node equality is int equality, a set of
-  obligations (and the `done`, next-step and postponed sets of a branch)
-  is an int bitmask, and literals and letters are bitmasks over the sorted
-  atoms.  Tableau states are (obligation bitmask, counter) pairs.
+* The tableau works on small ints.  A `Tableau` interns the negation
+  normal forms of the Boolean formulas it is given in one node table:
+  every structurally distinct subformula gets an id, so node equality is
+  int equality, a set of obligations (and the `done`, next-step and
+  postponed sets of a branch) is an int bitmask, and literals and letters
+  are bitmasks over the sorted atoms.  Tableau states are (obligation
+  bitmask, counter) pairs.
 
-* Ids follow creation order in a post-order walk of the formula, so
+* Ids follow creation order in post-order walks of the formulas, so
   every node comes after its operands.  The tableau expands obligations
   in ascending id, and that order fixes the state numbering and edge order
   of the Buchi automaton, hence the determinized automaton and the
-  tie-breaks of every later analysis.
+  tie-breaks of every later analysis.  Nodes are never renumbered: a node
+  no formula reaches leaves a gap in the ids, which keeps the relative
+  order of the others.
 
 * Covers are composed, not re-derived.  A state's cover is the list of
   branches a depth-first expansion of its obligations reaches, in
@@ -27,9 +30,30 @@ These local conventions keep it fast and the halves compatible:
   its postponing left one, a release's both-operands branch before its
   postponing right one), filtering literal clashes when branches combine.
   A state's cover extends the memoized cover of its obligations without
-  the highest id by that id.  The memos live for one `ltl_to_nbw` call,
-  and the expansions run on an explicit stack, since formulas built
-  through the library can nest deeper than the recursion limit.
+  the highest id by that id.  The expansions run on an explicit stack,
+  since formulas built through the library can nest deeper than the
+  recursion limit.
+
+* One tableau serves every automaton of a formula.  The Boolean formulas
+  of a formula's candidate values and thresholds share most of their
+  subformulas, so `dpw_for` builds them all on the tableau of the formula
+  and alphabet it served last (the scope of `booleanize`'s memo): they
+  share the node table, the walk memo from Boolean subformulas to nodes,
+  the closures, the `weak` mask and atom bits, the branch expansions, the
+  covers, the vacuity memo and the letters each literal set fits.  Each
+  automaton keeps its own root, its order of untils, its degeneralization
+  counter and the prefixes of its covers, which are dropped after it.  The
+  ids, and so the Buchi automaton's numbering, then depend on the formulas
+  built before, but its deterministic automaton does not: a cover's set
+  of (pos, neg, nxt, post) branches does not depend on the order of the
+  ids, vacuity is semantic, and Safra's steps on sets of Buchi states do
+  not change when those states are renamed, so the transitions and ranks
+  come out equal.  `ltl_to_nbw` called without a tableau builds on a
+  fresh one, so its Buchi automaton is the same bit for bit however often
+  it is called.  A shared tableau's memo entries count against the state
+  ceiling of the automaton being built; when the entries of the automata
+  before fill it, `dpw_for` builds on a fresh tableau instead, so a build
+  fails only where it would fail alone.
 
 * Unsatisfiable branches are pruned before their targets become states.
   Call a set of obligations vacuous when its cover is empty, or when every
@@ -84,6 +108,7 @@ from .booleanize import (
 )
 from .common import (
     InternalConsistencyError,
+    StateLimitExceeded,
     all_letters,
     explore,
     state_ceiling,
@@ -92,58 +117,109 @@ from .common import (
 from .formulas import Formula, LassoWord
 
 
-# --- negation normal form, interned -------------------------------------
+# --- the tableau -------------------------------------------------------
 
 TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE = range(8)
 
-class NNF:
-    """The negation normal form of one Boolean formula, as a table of
-    interned nodes numbered 0..n-1.
+# what a `StateLimitExceeded` from the memos of a shared tableau names
+TABLEAU_MEMOS = "tableau memos"
+
+
+class Tableau:
+    """The tableau of Boolean formulas over one alphabet: one interned node
+    table of their negation normal forms and the memos of the construction,
+    shared by every automaton built on it.
 
     `kind[i]` is one of TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE and
     `args[i]` holds its operands: (atom name, negated) for a literal, the
     child ids otherwise.  Structurally equal subformulas share one id, so
     equality is id equality and a set of nodes is an int bitmask.  Ids
-    follow creation order in a post-order walk of the formula, so every
-    node comes after its operands; the tableau expands obligations in
+    follow creation order in post-order walks of the formulas added, so
+    every node comes after its operands; a node no formula reaches any more
+    only leaves a gap in the ids.  The tableau expands obligations in
     ascending id, and that order fixes the numbering and edge order of
     every tableau automaton.
     """
 
-    def __init__(self, beta: BExpr):
-        kind, args, index = [], [], {}
+    def __init__(self, atoms):
+        self.atoms = frozenset(atoms)
+        self.letters = all_letters(self.atoms)
+        self.kind: list = []
+        self.args: list = []
+        self.index: dict = {}
+        # closure[j]: j and every node its expansion pops; a next-step
+        # operand waits for the next state, so it is not part of it.
+        self.closure: list = []
+        # `weak` drops the untils and releases from a set.
+        self.weak = -1
+        # Atoms outside the alphabet get bits above every letter, so a
+        # literal asserting one matches no letter.
+        self.atom_bit = {name: 1 << i for i, name in enumerate(sorted(self.atoms))}
+        # The walk memo, keyed by (id of a Boolean subformula, negated); the
+        # formulas walked are held, so those ids stay valid.
+        self.made: dict = {}
+        self.held: list = []
+        self.true = self._make(TRUE, ())
+        self.false = self._make(FALSE, ())
+        self.expansions: dict = {}
+        self.covers: dict = {}
+        self.vacuous_sets: dict = {0: False}
+        self.fits: dict = {}
+        # The branches of obligation sets on the way to a cover; they belong
+        # to one automaton and are dropped after it.
+        self.prefixes: dict = {0: ((0, 0, 0, 0, 0),)}
+        # No closure here holds the tableau, so a dropped tableau is freed
+        # at once, not by the cycle collector.
+        self.cover = self._covers()
 
-        def make(k, a):
-            key = (k, a)
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(kind)
-                kind.append(k)
-                args.append(a)
-            return j
+    # --- the node table
 
-        true, false = make(TRUE, ()), make(FALSE, ())
+    def _make(self, k, a) -> int:
+        key = (k, a)
+        j = self.index.get(key)
+        if j is None:
+            j = len(self.kind)
+            closure = 1 << j
+            if k == LIT:
+                self.atom_bit.setdefault(a[0], 1 << len(self.atom_bit))
+            elif k != NEXT:
+                for c in a:
+                    closure |= self.closure[c]
+            if k in (UNTIL, RELEASE):
+                self.weak &= ~(1 << j)
+            self.kind.append(k)
+            self.args.append(a)
+            self.closure.append(closure)
+            self.index[key] = j
+        return j
 
-        def junction(k, parts):
-            # Flatten nested junctions of the same kind, drop units, absorb
-            # on zeros and drop repeats of the parts given directly.
-            unit, zero = (true, false) if k == AND else (false, true)
-            flat = []
-            for a in parts:
-                if a == zero:
-                    return zero
-                if a == unit:
-                    continue
-                if kind[a] == k:
-                    flat.extend(args[a])
-                elif a not in flat:
-                    flat.append(a)
-            if not flat:
-                return unit
-            return flat[0] if len(flat) == 1 else make(k, tuple(flat))
+    def _junction(self, k, parts) -> int:
+        # Flatten nested junctions of the same kind, drop units, absorb on
+        # zeros and drop repeats of the parts given directly.
+        unit, zero = (self.true, self.false) if k == AND else (self.false, self.true)
+        kind, args = self.kind, self.args
+        flat = []
+        for a in parts:
+            if a == zero:
+                return zero
+            if a == unit:
+                continue
+            if kind[a] == k:
+                flat.extend(args[a])
+            elif a not in flat:
+                flat.append(a)
+        if not flat:
+            return unit
+        return flat[0] if len(flat) == 1 else self._make(k, tuple(flat))
 
+    def add(self, beta: BExpr) -> int:
+        """The id of the negation normal form of `beta`, interning the nodes
+        it needs."""
+        made = self.made
+        if (id(beta), False) not in made:
+            self.held.append(beta)
+        make = self._make
         # Post-order over (subexpression, negated) pairs, without recursion.
-        made: dict = {}
         stack = [(beta, False, None)]
         while stack:
             e, neg, kids = stack.pop()
@@ -157,13 +233,13 @@ class NNF:
                 continue
             got = [made[(id(c), n)] for c, n in kids]
             if isinstance(e, (BTrue, BFalse)):
-                j = true if isinstance(e, BTrue) != neg else false
+                j = self.true if isinstance(e, BTrue) != neg else self.false
             elif isinstance(e, BAtom):
                 j = make(LIT, (e.name, neg))
             elif isinstance(e, BNot):
                 j = got[0]
             elif isinstance(e, (BAnd, BOr)):
-                j = junction(OR if isinstance(e, BAnd) == neg else AND, got)
+                j = self._junction(OR if isinstance(e, BAnd) == neg else AND, got)
             elif isinstance(e, BNext):
                 j = make(NEXT, tuple(got))
             elif isinstance(e, BUntil):
@@ -171,35 +247,146 @@ class NNF:
             else:
                 raise TypeError(f"unknown node {type(e).__name__}")
             made[(id(e), neg)] = j
-        root = made[(id(beta), False)]
+        return made[(id(beta), False)]
 
-        # Keep the nodes reachable from the root, renumbered in creation
-        # order: operands are made before the nodes that use them.
-        live = {root}
-        for j in range(root, -1, -1):
-            if j in live and kind[j] != LIT:
-                live.update(args[j])
-        order = sorted(live)
-        new = {old: i for i, old in enumerate(order)}
-        self.kind = [kind[j] for j in order]
-        self.args = [args[j] if kind[j] == LIT else tuple(new[c] for c in args[j])
-                     for j in order]
-        self.root = new[root]
-
-    def untils(self) -> list:
-        """The until nodes in breadth-first order from the root."""
-        seen = {self.root}
-        queue = [self.root]
+    def untils(self, root: int) -> list:
+        """The until nodes below `root`, in breadth-first order from it."""
+        kind, args = self.kind, self.args
+        seen = {root}
+        queue = [root]
         for j in queue:
-            if self.kind[j] != LIT:
-                for c in self.args[j]:
+            if kind[j] != LIT:
+                for c in args[j]:
                     if c not in seen:
                         seen.add(c)
                         queue.append(c)
-        return [j for j in queue if self.kind[j] == UNTIL]
+        return [j for j in queue if kind[j] == UNTIL]
 
+    # --- the memos
 
-# --- tableau construction ------------------------------------------------
+    def memo_entries(self) -> int:
+        return len(self.expansions) + len(self.covers) + len(self.vacuous_sets)
+
+    def _covers(self):
+        """The memoized `cover` function of this tableau."""
+        kind, args, closure, atom_bit = self.kind, self.args, self.closure, self.atom_bit
+        expansions, covers, prefixes = self.expansions, self.covers, self.prefixes
+
+        # Branches are (done, pos, neg, nxt, post): `done` the obligations
+        # discharged so far, pos/neg atom bitmasks, nxt the obligations for
+        # the next step and post the untils postponed across it.  Branch
+        # lists are tuples: the memos outlive each automaton, and the
+        # garbage collector stops scanning a tuple of ints once it has seen
+        # it, where it would scan a list at every full collection.
+
+        def extend(branches, f):
+            """`branches`, each followed by the expansion of obligation `f`,
+            in depth-first order without repeats.  Yields the (node, done)
+            keys whose expansions are not known yet and receives them."""
+            out: dict = {}
+            for branch in branches:
+                done, pos, neg, nxt, post = branch
+                if done >> f & 1:
+                    out[branch] = None
+                    continue
+                key = (f, done & closure[f])
+                sub = expansions.get(key)
+                if sub is None:
+                    sub = yield key
+                for done2, pos2, neg2, nxt2, post2 in sub:
+                    if pos2 & neg or neg2 & pos:
+                        continue
+                    out[(done | done2, pos | pos2, neg | neg2, nxt | nxt2, post | post2)] = None
+            return tuple(out)
+
+        def expansion(f, done):
+            """The branches that discharge node `f` alone, starting from
+            `done` (the discharged obligations inside `f`'s closure, `f` not
+            among them)."""
+            done |= 1 << f
+            k = kind[f]
+            base = ((done, 0, 0, 0, 0),)
+            if k == TRUE:
+                return base
+            if k == FALSE:
+                return ()
+            if k == LIT:
+                name, negated = args[f]
+                bit = atom_bit[name]
+                return ((done, 0, bit, 0, 0) if negated else (done, bit, 0, 0, 0),)
+            if k == NEXT:
+                return ((done, 0, 0, 1 << args[f][0], 0),)
+            if k == AND:
+                for c in args[f]:
+                    base = yield from extend(base, c)
+                return base
+            if k == OR:
+                alternatives = []
+                for a in args[f]:
+                    alternatives += yield from extend(base, a)
+            else:
+                # UNTIL: the right operand now, or the left one and the until
+                # again next step; RELEASE: both operands now, or the right
+                # one and the release again next step.
+                left, right = args[f]
+                if k == UNTIL:
+                    now = yield from extend(base, right)
+                    later = yield from extend(base, left)
+                    marks = (1 << f, 1 << f)
+                else:
+                    now = yield from extend((yield from extend(base, left)), right)
+                    later = yield from extend(base, right)
+                    marks = (1 << f, 0)
+                alternatives = [*now, *((d, p, n, x | marks[0], s | marks[1])
+                                         for d, p, n, x, s in later)]
+            return tuple(dict.fromkeys(alternatives))
+
+        def run(gen):
+            """The value of the generator `gen`, computing the expansions it
+            asks for on an explicit stack: formulas can nest deeper than the
+            interpreter's recursion limit."""
+            stack = [(None, gen)]
+            value = None
+            while True:
+                key, it = stack[-1]
+                try:
+                    want = it.send(value)
+                except StopIteration as stop:
+                    value = stop.value
+                    stack.pop()
+                    if key is None:
+                        return value
+                    expansions[key] = value
+                    continue
+                stack.append((want, expansion(*want)))
+                value = None
+
+        def grow(rest, tops):
+            """The branches of `rest | tops`: the known branches of `rest`
+            extended by the obligations `tops`, highest first, each above
+            `rest`."""
+            branches = prefixes[rest]
+            for top in reversed(tops):
+                rest |= 1 << top
+                branches = prefixes[rest] = yield from extend(branches, top)
+            return branches
+
+        def cover(obls: int) -> tuple:
+            """The (pos, neg, nxt, post) branches that discharge `obls`, in
+            the order of a depth-first expansion of the obligations in
+            ascending id: the cover of `obls` without its highest id,
+            extended by it."""
+            got = covers.get(obls)
+            if got is None:
+                rest, tops = obls, []
+                while rest not in prefixes:
+                    tops.append(rest.bit_length() - 1)
+                    rest &= ~(1 << tops[-1])
+                branches = run(grow(rest, tops))
+                got = covers[obls] = tuple(dict.fromkeys(b[1:] for b in branches))
+            return got
+
+        return cover
 
 
 class NBW:
@@ -220,11 +407,12 @@ class NBW:
         return len(self.states)
 
 
-def _vacuity(cover, weak):
+def _vacuity(cover, tableau):
     """The memoized test for vacuous obligation sets (see the module
-    docstring) of one tableau, given its `cover` function and the mask
-    `weak` that drops untils and releases."""
-    vacuous_sets: dict = {0: False}
+    docstring) of `tableau`, given its `cover` function.  The answers are
+    kept in the tableau's `vacuous_sets`, and the sets met on the way are
+    weakened by its `weak` mask, which drops untils and releases."""
+    vacuous_sets, weak = tableau.vacuous_sets, tableau.weak
 
     def vacuous(obls: int) -> bool:
         got = vacuous_sets.get(obls)
@@ -252,154 +440,29 @@ def _vacuity(cover, weak):
     return vacuous
 
 
-def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
-    """The tableau automaton of `beta` over `atoms`.
+def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
+               tableau: Tableau | None = None) -> NBW:
+    """The tableau automaton of `beta` over `atoms`, built on `tableau`.
 
-    Its states are (obligation bitmask over `NNF` ids, degeneralization
+    Its states are (obligation bitmask over node ids, degeneralization
     counter) pairs; letters are bitmasks too, letter j of `all_letters`
-    being the bitmask j over the sorted atoms.
+    being the bitmask j over the sorted atoms.  Without a `tableau`, a fresh
+    one serves this call alone.  A tableau passed in serves its own atoms as
+    the alphabet and outlives the call, so its memo entries count against the
+    state ceiling too, checked after each state: more of them raise
+    `StateLimitExceeded` naming TABLEAU_MEMOS.
     """
-    if atoms is None:
-        atoms = _bexpr_atoms(beta)
-    atoms = frozenset(atoms)
-    nnf = NNF(beta)
-    kind, args = nnf.kind, nnf.args
-    untils = nnf.untils()
+    limit = None
+    if tableau is None:
+        tableau = Tableau(_bexpr_atoms(beta) if atoms is None else atoms)
+    else:
+        limit = state_ceiling(ceiling)
+    root = tableau.add(beta)
+    untils = tableau.untils(root)
     m = len(untils)
-    letters = all_letters(atoms)
-    # Atoms outside the alphabet get bits above every letter, so a literal
-    # asserting one matches no letter.
-    names = sorted(atoms)
-    names += sorted({a[0] for k, a in zip(kind, args) if k == LIT} - atoms)
-    atom_bit = {name: 1 << i for i, name in enumerate(names)}
-
-    # closure[j]: j and every node its expansion pops; a next-step
-    # operand waits for the next state, so it is not part of it.
-    closure = [0] * len(kind)
-    for j in range(len(kind)):
-        closure[j] = 1 << j
-        if kind[j] not in (LIT, NEXT):
-            for c in args[j]:
-                closure[j] |= closure[c]
-
-    # Branches are (done, pos, neg, nxt, post): `done` the obligations
-    # discharged so far, pos/neg atom bitmasks, nxt the obligations for the
-    # next step and post the untils postponed across it.
-    expansions: dict = {}
-
-    def extend(branches, f):
-        """`branches`, each followed by the expansion of obligation `f`, in
-        depth-first order without repeats.  Yields the (node, done) keys
-        whose expansions are not known yet and receives them."""
-        out: dict = {}
-        for branch in branches:
-            done, pos, neg, nxt, post = branch
-            if done >> f & 1:
-                out[branch] = None
-                continue
-            key = (f, done & closure[f])
-            sub = expansions.get(key)
-            if sub is None:
-                sub = yield key
-            for done2, pos2, neg2, nxt2, post2 in sub:
-                if pos2 & neg or neg2 & pos:
-                    continue
-                out[(done | done2, pos | pos2, neg | neg2, nxt | nxt2, post | post2)] = None
-        return list(out)
-
-    def expansion(f, done):
-        """The branches that discharge node `f` alone, starting from `done`
-        (the discharged obligations inside `f`'s closure, `f` not among
-        them)."""
-        done |= 1 << f
-        k = kind[f]
-        base = [(done, 0, 0, 0, 0)]
-        if k == TRUE:
-            return base
-        if k == FALSE:
-            return []
-        if k == LIT:
-            name, negated = args[f]
-            bit = atom_bit[name]
-            return [(done, 0, bit, 0, 0) if negated else (done, bit, 0, 0, 0)]
-        if k == NEXT:
-            return [(done, 0, 0, 1 << args[f][0], 0)]
-        if k == AND:
-            for c in args[f]:
-                base = yield from extend(base, c)
-            return base
-        if k == OR:
-            alternatives = []
-            for a in args[f]:
-                alternatives += yield from extend(base, a)
-        else:
-            # UNTIL: the right operand now, or the left one and the until
-            # again next step; RELEASE: both operands now, or the right one
-            # and the release again next step.
-            left, right = args[f]
-            if k == UNTIL:
-                now = yield from extend(base, right)
-                later = yield from extend(base, left)
-                marks = (1 << f, 1 << f)
-            else:
-                now = yield from extend((yield from extend(base, left)), right)
-                later = yield from extend(base, right)
-                marks = (1 << f, 0)
-            alternatives = now + [(d, p, n, x | marks[0], s | marks[1])
-                                  for d, p, n, x, s in later]
-        return list(dict.fromkeys(alternatives))
-
-    def run(gen):
-        """The value of the generator `gen`, computing the expansions it
-        asks for on an explicit stack: formulas can nest deeper than the
-        interpreter's recursion limit."""
-        stack = [(None, gen)]
-        value = None
-        while True:
-            key, it = stack[-1]
-            try:
-                want = it.send(value)
-            except StopIteration as stop:
-                value = stop.value
-                stack.pop()
-                if key is None:
-                    return value
-                expansions[key] = value
-                continue
-            stack.append((want, expansion(*want)))
-            value = None
-
-    prefixes: dict = {0: [(0, 0, 0, 0, 0)]}
-    covers: dict = {}
-
-    def grow(rest, tops):
-        """The branches of `rest | tops`: the known branches of `rest`
-        extended by the obligations `tops`, highest first, each above
-        `rest`."""
-        branches = prefixes[rest]
-        for top in reversed(tops):
-            rest |= 1 << top
-            branches = prefixes[rest] = yield from extend(branches, top)
-        return branches
-
-    def cover(obls: int) -> list:
-        """The (pos, neg, nxt, post) branches that discharge `obls`, in the
-        order of a depth-first expansion of the obligations in ascending
-        id: the cover of `obls` without its highest id, extended by it."""
-        got = covers.get(obls)
-        if got is None:
-            rest, tops = obls, []
-            while rest not in prefixes:
-                tops.append(rest.bit_length() - 1)
-                rest &= ~(1 << tops[-1])
-            branches = run(grow(rest, tops))
-            got = covers[obls] = list(dict.fromkeys(b[1:] for b in branches))
-        return got
-
-    # `weak` drops the untils and releases from a set.
-    weak = ~sum(1 << j for j, k in enumerate(kind) if k in (UNTIL, RELEASE))
-    vacuous = _vacuity(cover, weak)
-    fits: dict = {}
+    letters = tableau.letters
+    cover, fits, weak = tableau.cover, tableau.fits, tableau.weak
+    vacuous = _vacuity(cover, tableau)
 
     def expand(state, number):
         obls, k = state
@@ -416,8 +479,8 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
                 k2, fair = k, False
             fit = fits.get((pos, neg))
             if fit is None:
-                fit = fits[(pos, neg)] = [letter for letter in range(len(letters))
-                                          if not (pos & ~letter or neg & letter)]
+                fit = fits[(pos, neg)] = tuple(letter for letter in range(len(letters))
+                                               if not (pos & ~letter or neg & letter))
             edge = ((nxt, k2), fair)
             for letter in fit:
                 by_letter[letter].append(edge)
@@ -432,12 +495,20 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None) -> NBW:
                     j = ids[tgt] = number(tgt)
                 out.append((j, fair))
             row.append(tuple(out))
+        # Memo entries are complete when counted, so an interrupted build
+        # leaves only entries a later build can use.
+        if limit is not None and tableau.memo_entries() > limit:
+            raise StateLimitExceeded(TABLEAU_MEMOS, limit)
         return row
 
-    states, rows = explore((1 << nnf.root, 0), expand, "tableau automaton", ceiling)
+    try:
+        states, rows = explore((1 << root, 0), expand, "tableau automaton", ceiling)
+    finally:
+        tableau.prefixes.clear()
+        tableau.prefixes[0] = ((0, 0, 0, 0, 0),)
     trans = {(src, letter): edges for src, row in enumerate(rows)
              for letter, edges in zip(letters, row)}
-    return NBW(atoms, states, 0, trans)
+    return NBW(tableau.atoms, states, 0, trans)
 
 
 def _bexpr_atoms(e: BExpr) -> frozenset:
@@ -620,6 +691,11 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
 DPW_CACHE_SIZE = 256
 _dpw_cache: dict = {}
 
+# (formula, atoms, tableau) of the formula `dpw_for` built automata for
+# last: its value automata share the tableau, as its reductions share the
+# memo of `booleanize`.
+_recent: tuple | None = None
+
 
 def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None) -> DPW:
     """The deterministic parity automaton of {words : predicate holds of the
@@ -631,11 +707,30 @@ def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None)
     got = _dpw_cache.pop(key, None)
     if got is None:
         beta = booleanize(formula, predicate)
-        got = determinize(ltl_to_nbw(beta, atoms, ceiling), ceiling)
+        got = determinize(_shared_nbw(formula, beta, atoms, ceiling), ceiling)
         if len(_dpw_cache) >= DPW_CACHE_SIZE:
             del _dpw_cache[next(iter(_dpw_cache))]
     _dpw_cache[key] = got
     return got
+
+
+def _shared_nbw(formula: Formula, beta: BExpr, atoms: frozenset, ceiling) -> NBW:
+    """The tableau automaton of `beta`, a reduction of `formula`, built on
+    the tableau `formula` shares over `atoms`."""
+    global _recent
+    if _recent is None or _recent[0] is not formula or _recent[1] != atoms:
+        _recent = (formula, atoms, Tableau(atoms))
+    tableau = _recent[2]
+    fresh = not tableau.covers
+    try:
+        return ltl_to_nbw(beta, atoms, ceiling, tableau)
+    except StateLimitExceeded as exc:
+        if fresh or exc.what != TABLEAU_MEMOS:
+            raise
+    # The memos of the automata built before filled the tableau: this one
+    # starts a fresh tableau, so it fails only where it fails alone.
+    _recent = (formula, atoms, Tableau(atoms))
+    return ltl_to_nbw(beta, atoms, ceiling, _recent[2])
 
 
 # --- products ------------------------------------------------------------

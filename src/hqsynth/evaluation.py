@@ -29,7 +29,7 @@ from fractions import Fraction
 from .booleanize import AtLeast, EqualTo
 from .common import InternalConsistencyError, all_letters, explore, probability_row
 from .automata import dpw_for, parity_lasso
-from .formulas import Formula, LassoWord, eval_lasso, is_boolean, values
+from .formulas import Formula, LassoWord, check_nesting, eval_lasso, is_boolean, values
 from .mdp import MarkovChain, input_process, mc_ergodic_analysis
 from .transducers import Transducer, computation_lasso
 
@@ -39,6 +39,7 @@ class AssumptionHasZeroProbability(ValueError):
 
 
 def _check_formula(T: Transducer, formula: Formula):
+    check_nesting(formula)
     if not formula.atoms() <= T.inputs | T.outputs:
         raise ValueError("formula uses atoms the transducer does not carry")
 
@@ -112,6 +113,7 @@ def _setup(T: Transducer, formula: Formula, extras=(), dist=None, ceiling=None):
 
 def check_assumption(assumption: Formula, inputs):
     """Reject an assumption that is not a classical formula over the inputs."""
+    check_nesting(assumption, "assumption")
     if not is_boolean(assumption):
         raise ValueError("assumption must be a classical formula")
     if not assumption.atoms() <= inputs:

@@ -193,6 +193,37 @@ class ParseError(ValueError):
     pass
 
 
+def check_nesting(f: Formula, what: str = "formula"):
+    """Reject `f` with a `ValueError` when it nests deeper than MAX_NESTING
+    levels: formulas built through the constructors skip `parse`, and the
+    quality-level recursions would overflow on them.
+
+    Levels are counted much as `parse` counts them: every operator on a path
+    from the root is one, but a negation only when the two nodes below it
+    are negations too, so `G φ`, which is `!(true U !φ)`, and `φ -> ψ`,
+    which is `max(!φ, ψ)`, take one level each.  The walk is iterative; a
+    subformula shared by several paths is walked again only when reached
+    at a deeper level, so at most MAX_NESTING + 1 times.
+    """
+    deepest: dict = {}
+    stack = [(f, 0)]
+    while stack:
+        node, level = stack.pop()
+        kids = node.children()
+        if not kids:
+            continue
+        if not isinstance(node, Not):
+            level += 1
+        elif isinstance(kids[0], Not) and isinstance(kids[0].child, Not):
+            level += 1
+        if level > MAX_NESTING:
+            raise ValueError(f"{what} nests deeper than {MAX_NESTING} levels")
+        if deepest.get(id(node), -1) < level:
+            deepest[id(node)] = level
+            for c in kids:
+                stack.append((c, level))
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text

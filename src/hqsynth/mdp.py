@@ -23,7 +23,8 @@ finite-state process whose rows may depend on the output letter.  Each has
 an `initial` state, a denominator `den`, `branches(s, o)` listing (input
 letter, next state, weight > 0) under output letter o,
 `insensitive_at(s)` and `output_insensitive()` telling whether rows ignore
-the output, and `next_state(s, o, i)` tracking the process from an
+the output (as distributions: the order a row lists them in, repeated
+successors and zero entries do not count), and `next_state(s, o, i)` tracking the process from an
 observed input.  `input_process` turns the `dist=None` of public entry
 points into `UniformInputs`, so an induced MDP always labels its states
 (automaton state, process state).
@@ -264,9 +265,18 @@ class DistributionMDP:
         weights, self.den = _to_weights(rows)
         self._branches = {key: tuple((self.iota[t], t, w) for t, w in row)
                           for key, row in weights.items()}
+        # A row's law: weights merged per successor and sorted, so rows
+        # listing one distribution in another order, with repeats or with
+        # zero entries, compare equal.
+        laws = {}
+        for key, row in weights.items():
+            law: dict = {}
+            for t, w in row:
+                law[t] = law.get(t, 0) + w
+            laws[key] = sorted(law.items())
         self._insensitive = [
-            all(self.trans[(s, o)] == self.trans[(s, frozenset())] for o in out_letters)
-            for s in range(len(self.iota))]
+            all(laws[(s, o)] == laws[(s, frozenset())] for o in out_letters)
+            for s in range(n)]
 
     def branches(self, s: int, output: frozenset):
         return self._branches[(s, output)]

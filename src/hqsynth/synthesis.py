@@ -57,7 +57,7 @@ from .evaluation import (
     conditional_expected_value,
     expected_value,
 )
-from .formulas import Formula, implies, values
+from .formulas import Formula, check_nesting, implies, values
 from .mdp import (
     DistributionMDP,
     MarkovChain,
@@ -89,6 +89,7 @@ class SynthesisSpec:
         self.distribution = distribution
         if self.inputs & self.outputs:
             raise ValueError("inputs and outputs must be disjoint")
+        check_nesting(self.formula)
         if not self.formula.atoms() <= self.inputs | self.outputs:
             raise ValueError("formula uses atoms outside the declared alphabet")
         if self.assumption is not None:
@@ -102,6 +103,7 @@ class SynthesisSpec:
                 raise ValueError("a hard constraint needs a threshold")
             if self.assumption is not None:
                 raise ValueError("hard constraint and assumption cannot be combined")
+            check_nesting(self.hard_constraint, "hard constraint")
             if not self.hard_constraint.atoms() <= self.inputs | self.outputs:
                 raise ValueError("hard constraint uses atoms outside the alphabet")
         process = input_process(self.distribution, self.inputs, self.outputs)

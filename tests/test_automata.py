@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -515,6 +516,127 @@ def test_unmentioned_atom_keeps_the_dpw(extra):
         assert wide.rank == dpw.rank
         for (q, letter), t in wide.trans.items():
             assert t == dpw.trans[(q, letter - {extra})]
+
+
+# --- one tableau per formula ---------------------------------------------
+
+INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "bench", "inputs")
+
+
+def _bench_formulas():
+    """(formula, alphabet) of every spec under bench/inputs."""
+    out = []
+    for name in sorted(os.listdir(INPUTS)):
+        with open(os.path.join(INPUTS, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "formula" in doc:  # not a controller
+            out.append((parse(doc["formula"]), frozenset(doc["inputs"] + doc["outputs"])))
+    return out
+
+
+def _predicates(f):
+    """The value predicates of f's candidate values, and two thresholds."""
+    return [EqualTo(v) for v in candidate_values(f)] + \
+        [AtLeast(Fraction(1, 2)), AtLeast(Fraction(1))]
+
+
+def _fresh_dpw(f, predicate, atoms):
+    return determinize(ltl_to_nbw(booleanize(f, predicate), atoms))
+
+
+def _same_dpw(got, want):
+    return (got.n_states, got.trans, got.rank) == (want.n_states, want.trans, want.rank)
+
+
+@pytest.fixture
+def fresh_dpw_for(monkeypatch):
+    """`dpw_for` with an empty cache and no shared tableau."""
+    monkeypatch.setattr(automata, "_dpw_cache", {})
+    monkeypatch.setattr(automata, "_recent", None)
+    return dpw_for
+
+
+def test_dpw_for_does_not_depend_on_history(fresh_dpw_for):
+    # The automata of one formula share a tableau whose node ids follow the
+    # order they were built in.  Their DPWs must not: build every formula's
+    # automata in a shuffled order, interleaved with another formula's, with
+    # the cache cleared now and then, and compare with builds of their own.
+    ab = frozenset({"a", "b"})
+    groups = [(f, ab) for f, _ in _random_automata_draws()] + _bench_formulas()
+    rng = random.Random(13)
+    want: dict = {}
+    for f, atoms in groups:
+        g, g_atoms = rng.choice(groups)
+        jobs = [(f, atoms, p) for p in _predicates(f)] + \
+            [(g, g_atoms, p) for p in _predicates(g)]
+        rng.shuffle(jobs)
+        for h, h_atoms, predicate in jobs:
+            if rng.random() < 0.3:
+                automata._dpw_cache.clear()
+            key = (id(h), predicate)
+            if key not in want:
+                want[key] = _fresh_dpw(h, predicate, h_atoms)
+            assert _same_dpw(fresh_dpw_for(h, predicate, h_atoms), want[key]), (str(h), predicate)
+
+
+def _alone(f, predicate, atoms):
+    """(NBW states, DPW states, memo entries) of an automaton built on a
+    tableau of its own."""
+    tableau = automata.Tableau(atoms)
+    nbw = ltl_to_nbw(booleanize(f, predicate), atoms, tableau=tableau)
+    return len(nbw), len(determinize(nbw)), tableau.memo_entries()
+
+
+def test_tableau_memos_count_against_the_ceiling(fresh_dpw_for):
+    f, predicate = parse("G F i & (i U o)"), AtLeast(Fraction(1))
+    nbw_states, dpw_states, memos = _alone(f, predicate, CEILING_IO)
+    ceiling = max(nbw_states, dpw_states)
+    assert memos > ceiling
+    beta = booleanize(f, predicate)
+    # the memos of a call's own tableau die with it
+    assert len(ltl_to_nbw(beta, CEILING_IO, ceiling)) == nbw_states
+    with pytest.raises(StateLimitExceeded) as info:
+        ltl_to_nbw(beta, CEILING_IO, ceiling, automata.Tableau(CEILING_IO))
+    assert info.value.what == automata.TABLEAU_MEMOS
+    with pytest.raises(StateLimitExceeded) as info:
+        fresh_dpw_for(f, predicate, CEILING_IO, ceiling=ceiling)
+    assert info.value.what == automata.TABLEAU_MEMOS
+    assert _same_dpw(fresh_dpw_for(f, predicate, CEILING_IO, ceiling=memos),
+                     _fresh_dpw(f, predicate, CEILING_IO))
+
+
+def test_interrupted_builds_leave_no_partial_memo(fresh_dpw_for):
+    # Builds cut short at many points, by the memos or by the states, leave
+    # the shared tableau fit for the next build with a higher ceiling.
+    text, atoms = GOLDEN_FORMULAS["message"]
+    f, atoms = parse(text), frozenset(atoms)
+    failed = set()
+    for v in candidate_values(f):
+        for ceiling in range(2, 80, 7):
+            automata._dpw_cache.clear()
+            try:
+                fresh_dpw_for(f, EqualTo(v), atoms, ceiling=ceiling)
+            except StateLimitExceeded as exc:
+                failed.add(exc.what)
+            assert _same_dpw(fresh_dpw_for(f, EqualTo(v), atoms),
+                             _fresh_dpw(f, EqualTo(v), atoms))
+    assert failed == {automata.TABLEAU_MEMOS, "tableau automaton"}
+
+
+def test_earlier_automata_do_not_fail_a_build(fresh_dpw_for):
+    # Under a ceiling every value automaton fits alone, the memos of the
+    # automata before it fill the shared tableau; it then starts a new one.
+    text, atoms = GOLDEN_FORMULAS["battery8"]
+    f, atoms = parse(text), frozenset(atoms)
+    ceiling = max(max(_alone(f, EqualTo(v), atoms)) for v in candidate_values(f))
+    tableaux = []
+    for v in candidate_values(f):
+        dpw = fresh_dpw_for(f, EqualTo(v), atoms, ceiling=ceiling)
+        assert _same_dpw(dpw, _fresh_dpw(f, EqualTo(v), atoms))
+        if automata._recent[2] not in tableaux:
+            tableaux.append(automata._recent[2])
+    assert len(tableaux) > 1
 
 
 def test_dpw_cache_is_bounded_and_least_recently_used(monkeypatch):

@@ -152,6 +152,41 @@ class TestDistributionValidation:
             data_distribution(initial, close_row)
 
 
+class TestOutputInsensitivity:
+    """A process ignores the output where its rows are one distribution,
+    however each row lists it."""
+
+    @pytest.mark.parametrize("close_row", [
+        [(1, HALF), (0, HALF)],
+        [(0, HALF), (1, HALF), (1, Fraction(0))],
+        [(0, Fraction(1, 4)), (1, HALF), (0, Fraction(1, 4))],
+    ], ids=["reordered", "zero-entry", "repeated"])
+    def test_one_distribution_listed_apart_is_insensitive(self, close_row):
+        process = data_distribution(close_row=close_row)
+        assert [process.insensitive_at(s) for s in (0, 1)] == [True, True]
+        assert process.output_insensitive()
+
+    def test_another_distribution_is_sensitive(self):
+        process = data_distribution(close_row=[(0, Fraction(1, 4)), (1, Fraction(3, 4))])
+        assert [process.insensitive_at(s) for s in (0, 1)] == [False, True]
+        assert not process.output_insensitive()
+
+    def test_reordered_rows_evaluate_like_the_plain_process(self):
+        # The controller echoes the input, so its successors carry different
+        # labels: only an output-insensitive process can evaluate it.
+        from hqsynth.evaluation import expected_value
+        from hqsynth.formulas import parse
+        from hqsynth.transducers import Transducer
+
+        none, data = frozenset(), frozenset({"data"})
+        delta = {(q, letter): int(letter == data) for q in (0, 1) for letter in (none, data)}
+        T = Transducer({"data"}, {"close"}, [0, 1], 0, delta,
+                       {0: none, 1: frozenset({"close"})})
+        f = parse("G F (close & X data)")
+        reordered = data_distribution(close_row=[(1, HALF), (0, HALF)])
+        assert expected_value(T, f, reordered) == expected_value(T, f, data_distribution())
+
+
 class TestInducedDistribution:
     def test_fair_coin_matches_uniform(self):
         io = frozenset({"i", "o"})

@@ -15,8 +15,19 @@ from hqsynth.evaluation import (
     conditional_almost_sure_floor,
     conditional_expected_value,
     expected_value,
+    worst_case_value,
 )
-from hqsynth.formulas import parse
+from hqsynth.formulas import (
+    FALSE,
+    MAX_NESTING,
+    Atom,
+    Min,
+    Next,
+    Not,
+    Until,
+    check_nesting,
+    parse,
+)
 from hqsynth.mdp import DistributionMDP
 from hqsynth.synthesis import (
     SynthesisResult,
@@ -244,6 +255,73 @@ def test_nested_chain_certifies(formula, value):
     res = synthesize(SynthesisSpec(frozenset({"a"}), frozenset({"b"}), parse(formula)))
     assert isinstance(res, SynthesisResult)
     assert res.expected_value == value
+
+
+# Formulas built through the constructors skip `parse` and its nesting
+# limit; the spec and the evaluators apply it themselves, without recursing.
+def x_chain(levels):
+    f = Atom("a")
+    for _ in range(levels):
+        f = Next(f)
+    return f
+
+
+def until_chain(levels):
+    # right-nested; false U φ has the value of φ, so the automata stay small
+    f = Atom("a")
+    for _ in range(levels):
+        f = Until(FALSE, f)
+    return f
+
+
+CHAINS = {"next": x_chain, "until": until_chain}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_deep_chain_is_rejected_before_it_recurses(chain):
+    deep = CHAINS[chain](1500)
+    ab = (frozenset({"a"}), frozenset({"b"}))
+    with pytest.raises(ValueError, match=f"formula nests deeper than {MAX_NESTING}"):
+        synthesize(SynthesisSpec(*ab, deep))
+    with pytest.raises(ValueError, match="assumption nests deeper"):
+        SynthesisSpec(*ab, Atom("b"), assumption=deep)
+    with pytest.raises(ValueError, match="hard constraint nests deeper"):
+        SynthesisSpec(*ab, Atom("b"), threshold=HALF, hard_constraint=deep)
+    T = synthesize(SynthesisSpec(*ab, Atom("b"))).transducer
+    for evaluate in (expected_value, almost_sure_value, worst_case_value):
+        with pytest.raises(ValueError, match="formula nests deeper"):
+            evaluate(T, deep)
+    with pytest.raises(ValueError, match="assumption nests deeper"):
+        conditional_expected_value(T, Atom("b"), deep)
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_at_the_nesting_limit_certifies(chain):
+    f = CHAINS[chain](MAX_NESTING)
+    res = synthesize(SynthesisSpec(frozenset({"a"}), frozenset({"b"}), f,
+                                   assumption=f, threshold=HALF))
+    assert isinstance(res, SynthesisResult)
+    assert res.expected_value == 1
+    assert expected_value(res.transducer, f) == HALF
+
+
+def test_nesting_counts_g_and_implies_as_one_level():
+    # `parse` takes G and -> at one level each, though they desugar to
+    # negations around an until or a max; a run of negations does count.
+    assert check_nesting(parse("G " * MAX_NESTING + "a")) is None
+    assert check_nesting(parse("a -> " * MAX_NESTING + "b")) is None
+    negations = Atom("a")
+    for _ in range(MAX_NESTING + 3):
+        negations = Not(negations)
+    with pytest.raises(ValueError, match="nests deeper"):
+        check_nesting(negations)
+    # 2^100 paths, but a subformula shared by many paths is walked once
+    shared = Atom("a")
+    for _ in range(MAX_NESTING):
+        shared = Min((shared, shared))
+    assert check_nesting(shared) is None
+    with pytest.raises(ValueError, match="nests deeper"):
+        check_nesting(Next(shared))
 
 
 # --- golden reports ------------------------------------------------------

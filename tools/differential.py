@@ -1,6 +1,6 @@
 """Differential run of two hqsynth source trees on the same command lines.
 
-    python3 tools/differential.py OLD_SRC NEW_SRC [--ignore KEY ...]
+    python3 tools/differential.py OLD_SRC NEW_SRC [--ignore KEY ...] [--shuffle SEED]
 
 OLD_SRC and NEW_SRC are `src` directories (each holding `hqsynth/`).  Each
 tree runs every command line in-process through `hqsynth.cli.main` in one
@@ -16,7 +16,11 @@ worker process of its own.  The command lines are:
 
 Exit codes, standard output, standard error and the sha256 of every written
 controller are compared.  Report lines `key = value` whose key is named by
-`--ignore` are left out of the comparison.  Every difference is printed;
+`--ignore` are left out of the comparison.  With `--shuffle SEED`, the new
+tree runs the command lines of each phase (synth, then the follow-ups) in
+a permutation drawn from SEED, and its results are put back in order before
+the comparison: output that depends on what ran before in the same process
+(a cache, a memo) shows up as a difference.  Every difference is printed;
 the exit code is 1 if there is any, else 0.  Standard library only.
 """
 
@@ -29,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -78,11 +83,22 @@ def run_tree(src: str, argvs: list) -> list:
     return json.loads(proc.stdout)
 
 
-def run_both(srcs: dict, argvs: dict) -> dict:
-    """{tree: results of running argvs[tree] in tree}, the trees in parallel."""
+def run_both(srcs: dict, argvs: dict, rng=None) -> dict:
+    """{tree: results of running argvs[tree] in tree}, the trees in parallel.
+    Given `rng`, the new tree runs its command lines in an order drawn from
+    it; the results come back in the order of `argvs`."""
+    order = {t: list(range(len(argvs[t]))) for t in srcs}
+    if rng is not None:
+        rng.shuffle(order["new"])
     with concurrent.futures.ThreadPoolExecutor(len(srcs)) as pool:
-        futures = {t: pool.submit(run_tree, srcs[t], argvs[t]) for t in srcs}
-        return {t: f.result() for t, f in futures.items()}
+        futures = {t: pool.submit(run_tree, srcs[t], [argvs[t][k] for k in order[t]])
+                   for t in srcs}
+        results = {}
+        for t, f in futures.items():
+            results[t] = [None] * len(order[t])
+            for k, result in zip(order[t], f.result()):
+                results[t][k] = result
+        return results
 
 
 # --- the cases ----------------------------------------------------------------
@@ -164,7 +180,7 @@ def sha256(path: str) -> str | None:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def differential(srcs: dict, workdir: str, ignore) -> tuple[int, list]:
+def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]:
     specdir = os.path.join(workdir, "specs")
     os.makedirs(specdir)
     cases = input_cases() + small_spec_cases(specdir)
@@ -176,7 +192,7 @@ def differential(srcs: dict, workdir: str, ignore) -> tuple[int, list]:
         return os.path.join(ctrl[tree], case_id.replace("/", "_") + ".ctrl.json")
 
     synth = run_both(srcs, {t: [argv + ["--out", ctrl_path(t, cid)]
-                                for cid, argv, _ in cases] for t in TREES})
+                                for cid, argv, _ in cases] for t in TREES}, rng)
     diffs, compared = [], 0
     follow_up, labels = [], []
     for k, (cid, _, follow) in enumerate(cases):
@@ -191,7 +207,7 @@ def differential(srcs: dict, workdir: str, ignore) -> tuple[int, list]:
                 for argv in follow:
                     follow_up.append([ctrl_path(t, cid) if a == CTRL else a for a in argv])
                     labels.append(f"{cid} {argv[0]} {' '.join(argv[3:])} on the {t} controller")
-    evals = run_both(srcs, {t: follow_up for t in TREES})
+    evals = run_both(srcs, {t: follow_up for t in TREES}, rng)
     for label, a, b in zip(labels, evals["old"], evals["new"]):
         compared += 1
         diffs += compare(label, a, b, ignore)
@@ -204,6 +220,9 @@ def main(argv=None) -> int:
     ap.add_argument("new_src", help="src directory of the new tree")
     ap.add_argument("--ignore", nargs="+", default=[], metavar="KEY",
                     help="report keys left out of the comparison")
+    ap.add_argument("--shuffle", type=int, metavar="SEED",
+                    help="run the new tree's command lines of each phase in an "
+                         "order drawn from SEED")
     args = ap.parse_args(argv)
     srcs = {"old": args.old_src, "new": args.new_src}
     for src in srcs.values():
@@ -212,13 +231,16 @@ def main(argv=None) -> int:
             return 2
     workdir = tempfile.mkdtemp(prefix="hqsynth-differential-")
     try:
-        compared, diffs = differential(srcs, workdir, set(args.ignore))
+        rng = None if args.shuffle is None else random.Random(args.shuffle)
+        compared, diffs = differential(srcs, workdir, set(args.ignore), rng)
     finally:
         shutil.rmtree(workdir)
     for d in diffs:
         print(d)
     print(f"{compared} command lines compared, {len(diffs)} differences"
-          + (f" (ignoring {', '.join(sorted(args.ignore))})" if args.ignore else ""))
+          + (f" (ignoring {', '.join(sorted(args.ignore))})" if args.ignore else "")
+          + (f" (new tree shuffled with seed {args.shuffle})"
+             if args.shuffle is not None else ""))
     return 1 if diffs else 0
 
 
