@@ -50,10 +50,11 @@ These local conventions keep it fast and the halves compatible:
   not change when those states are renamed, so the transitions and ranks
   come out equal.  `ltl_to_nbw` called without a tableau builds on a
   fresh one, so its Buchi automaton is the same bit for bit however often
-  it is called.  A shared tableau's memo entries count against the state
-  ceiling of the automaton being built; when the entries of the automata
-  before fill it, `dpw_for` builds on a fresh tableau instead, so a build
-  fails only where it would fail alone.
+  it is called.  A shared tableau's memo entries, and the branches its
+  expansions and covers hold, count against the state ceiling of the
+  automaton being built; when those of the automata before fill it,
+  `dpw_for` builds on a fresh tableau instead, so a build fails only where
+  it would fail alone.
 
 * Unsatisfiable branches are pruned before their targets become states.
   Call a set of obligations vacuous when its cover is empty, or when every
@@ -65,6 +66,16 @@ These local conventions keep it fast and the halves compatible:
   unchanged.  Without untils and releases every next-step set is
   shallower than the set it came from, so the check ends.  It is memoized
   next to the covers and runs on an explicit stack too.
+
+* Vacuity is decided from small cores first.  The check reads each
+  obligation on its own, the untils and releases it drops read as true,
+  and finds a set vacuous exactly when those readings have no common
+  model; so adding obligations keeps a vacuous set vacuous.  Before it computes the cover of a set of
+  several obligations, the test asks whether a singleton or a pair inside
+  it is vacuous, and answers yes on the first that is.  Most vacuous
+  next-step sets are decided so; the covers of those large sets, never
+  needed by a state, are not computed.  A core is smaller than its set and
+  a next-step set shallower, so no set waits on itself.
 
 * The intermediate Buchi automaton carries acceptance on transitions, one
   fairness index per until subformula (a transition is fair for an until
@@ -86,7 +97,12 @@ These local conventions keep it fast and the halves compatible:
   holding it; targets are still numbered in letter order.
 
 * `dpw_for` keeps the last DPW_CACHE_SIZE automata it built, dropping the
-  least recently used.
+  least recently used.  `formulas.values` asks it for the value automaton
+  of each candidate value only if some word has that value: the Buchi
+  automaton decides that with one pass over its strongly connected
+  components (a fair transition inside one), and only the nonempty ones
+  are determinized.  The cache keeps the verdict with each automaton, and
+  an empty verdict in its place, so a candidate is decided once.
 
 Everything downstream (products, runs, emptiness) works on the ranked
 deterministic form.
@@ -168,6 +184,9 @@ class Tableau:
         # The branches of obligation sets on the way to a cover; they belong
         # to one automaton and are dropped after it.
         self.prefixes: dict = {0: ((0, 0, 0, 0, 0),)}
+        # The branches the expansions and covers hold, in a list the closures
+        # can add to.
+        self.branches = [0]
         # No closure here holds the tableau, so a dropped tableau is freed
         # at once, not by the cycle collector.
         self.cover = self._covers()
@@ -264,13 +283,16 @@ class Tableau:
 
     # --- the memos
 
-    def memo_entries(self) -> int:
-        return len(self.expansions) + len(self.covers) + len(self.vacuous_sets)
+    def memo_size(self) -> int:
+        """The entries of the memos and the branches they hold."""
+        return len(self.expansions) + len(self.covers) + len(self.vacuous_sets) + \
+            self.branches[0]
 
     def _covers(self):
         """The memoized `cover` function of this tableau."""
         kind, args, closure, atom_bit = self.kind, self.args, self.closure, self.atom_bit
         expansions, covers, prefixes = self.expansions, self.covers, self.prefixes
+        count = self.branches
 
         # Branches are (done, pos, neg, nxt, post): `done` the obligations
         # discharged so far, pos/neg atom bitmasks, nxt the obligations for
@@ -357,6 +379,7 @@ class Tableau:
                     if key is None:
                         return value
                     expansions[key] = value
+                    count[0] += len(value)
                     continue
                 stack.append((want, expansion(*want)))
                 value = None
@@ -384,6 +407,7 @@ class Tableau:
                     rest &= ~(1 << tops[-1])
                 branches = run(grow(rest, tops))
                 got = covers[obls] = tuple(dict.fromkeys(b[1:] for b in branches))
+                count[0] += len(got)
             return got
 
         return cover
@@ -414,28 +438,72 @@ def _vacuity(cover, tableau):
     weakened by its `weak` mask, which drops untils and releases."""
     vacuous_sets, weak = tableau.vacuous_sets, tableau.weak
 
+    # partners[b]: the nodes c above node b (as bits) whose pair {b, c} this
+    # test has decided, and those of them whose pair is vacuous
+    partners: dict = {}
+
+    def decide(obls):
+        """Whether `obls` is vacuous; yields the sets whose answers it needs
+        and receives them."""
+        if obls & (obls - 1):
+            # A vacuous singleton or pair inside decides it without a cover.
+            rest = obls
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                got = vacuous_sets.get(low)
+                if got is None:
+                    got = yield low
+                if got:
+                    return True
+            if obls.bit_count() > 2:
+                rest = obls
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    seen, bad = partners.get(low, (0, 0))
+                    if bad & rest:
+                        return True
+                    todo = rest & ~seen
+                    while todo:
+                        other = todo & -todo
+                        todo ^= other
+                        got = vacuous_sets.get(low | other)
+                        if got is None:
+                            got = yield low | other
+                        seen, bad = partners.get(low, (0, 0))
+                        partners[low] = (seen | other, bad | other if got else bad)
+                        if got:
+                            return True
+        for _, _, nxt, _ in cover(obls):
+            nxt &= weak
+            got = vacuous_sets.get(nxt)
+            if got is None:
+                got = yield nxt
+            if not got:
+                return False
+        return True
+
     def vacuous(obls: int) -> bool:
         got = vacuous_sets.get(obls)
         if got is not None:
             return got
-        # Next-step sets are shallower, so no set is pushed twice.
-        stack = [obls]
-        while stack:
-            top = stack[-1]
-            for _, _, nxt, _ in cover(top):
-                nxt &= weak
-                got = vacuous_sets.get(nxt)
-                if got is None:
-                    stack.append(nxt)
-                    break
-                if not got:
-                    vacuous_sets[top] = False
-                    stack.pop()
-                    break
-            else:
-                vacuous_sets[top] = True
+        # A set waits on smaller sets inside it or on shallower next-step
+        # sets, so no set is pushed twice.
+        stack = [(obls, decide(obls))]
+        got = None
+        while True:
+            top, it = stack[-1]
+            try:
+                want = it.send(got)
+            except StopIteration as stop:
+                got = vacuous_sets[top] = stop.value
                 stack.pop()
-        return vacuous_sets[obls]
+                if not stack:
+                    return got
+                continue
+            stack.append((want, decide(want)))
+            got = None
 
     return vacuous
 
@@ -497,7 +565,7 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
             row.append(tuple(out))
         # Memo entries are complete when counted, so an interrupted build
         # leaves only entries a later build can use.
-        if limit is not None and tableau.memo_entries() > limit:
+        if limit is not None and tableau.memo_size() > limit:
             raise StateLimitExceeded(TABLEAU_MEMOS, limit)
         return row
 
@@ -697,21 +765,26 @@ _dpw_cache: dict = {}
 _recent: tuple | None = None
 
 
-def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None) -> DPW:
+def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None,
+            nonempty: bool = False) -> DPW | None:
     """The deterministic parity automaton of {words : predicate holds of the
-    word's satisfaction value}."""
+    word's satisfaction value}.  With `nonempty`, None when no word is in
+    that set, decided on the Buchi automaton before it is determinized."""
     if atoms is None:
         atoms = formula.atoms()
     atoms = frozenset(atoms)
     key = (formula, predicate, atoms, state_ceiling(ceiling))
-    got = _dpw_cache.pop(key, None)
-    if got is None:
-        beta = booleanize(formula, predicate)
-        got = determinize(_shared_nbw(formula, beta, atoms, ceiling), ceiling)
+    # an entry is (the automaton, or None while only its emptiness was
+    # asked for, and whether no word is in the set)
+    dpw, empty = _dpw_cache.pop(key, (None, None))
+    if empty is None or (dpw is None and not nonempty):
+        nbw = _shared_nbw(formula, booleanize(formula, predicate), atoms, ceiling)
+        empty = not nbw_nonempty(nbw)
+        dpw = None if nonempty and empty else determinize(nbw, ceiling)
         if len(_dpw_cache) >= DPW_CACHE_SIZE:
             del _dpw_cache[next(iter(_dpw_cache))]
-    _dpw_cache[key] = got
-    return got
+    _dpw_cache[key] = (dpw, empty)
+    return None if nonempty and empty else dpw
 
 
 def _shared_nbw(formula: Formula, beta: BExpr, atoms: frozenset, ceiling) -> NBW:
@@ -799,6 +872,23 @@ def run_lasso(dpw: DPW, word: LassoWord) -> bool:
 
 def dpw_nonempty_from(dpw: DPW, q: int) -> bool:
     return accepting_lasso_from(dpw, q) is not None
+
+
+def nbw_nonempty(nbw: NBW) -> bool:
+    """Whether `nbw` accepts some word: whether a fair transition lies inside
+    a strongly connected component reachable from the initial state."""
+    succ: list = [set() for _ in nbw.states]
+    fair_edges = []
+    for (q, _), edges in nbw.trans.items():
+        for t, fair in edges:
+            succ[q].add(t)
+            if fair:
+                fair_edges.append((q, t))
+    component = {}
+    for i, comp in enumerate(strongly_connected_components([nbw.initial], succ.__getitem__)):
+        for q in comp:
+            component[q] = i
+    return any(q in component and component[q] == component[t] for q, t in fair_edges)
 
 
 def accepting_lasso_from(dpw: DPW, q: int):

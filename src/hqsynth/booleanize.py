@@ -8,11 +8,20 @@ so are the candidate values of subformulas that weighted averages
 enumerate: nested averages ask for the same subformulas at the same bounds
 many times over.  The memo is kept for the most recent formula, so the
 predicates of its candidate values share it.
+
+The recursion runs on integers.  A bound is carried as its numerator and
+denominator in lowest terms, so memo keys are tuples of ints (hashing a
+`Fraction` costs a Python-level call), and each node kind has its step in
+a table keyed by type.  Candidate values come as numerators over one
+denominator per subformula, so the pairs a weighted average tries are
+compared by cross-multiplying integers.  The trees are the ones the same
+recursion builds on `Fraction` bounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .common import Record
 from .formulas import (
@@ -230,90 +239,119 @@ def booleanize(f: Formula, predicate) -> BExpr:
     if recent is None or recent[0] is not f:
         recent = _recent = (f, _Thresholds())
     thresholds = recent[1]
+    n, d = Fraction(predicate.bound).as_integer_ratio()
     if isinstance(predicate, AtLeast):
-        return thresholds.clears(f, Fraction(predicate.bound), False)
+        return thresholds.clears(f, n, d, False)
     if isinstance(predicate, GreaterThan):
-        return thresholds.clears(f, Fraction(predicate.bound), True)
+        return thresholds.clears(f, n, d, True)
     if isinstance(predicate, EqualTo):
-        v = Fraction(predicate.bound)
-        return band(thresholds.clears(f, v, False), bnot(thresholds.clears(f, v, True)))
+        return band(thresholds.clears(f, n, d, False), bnot(thresholds.clears(f, n, d, True)))
     raise TypeError(f"unknown predicate {predicate!r}")
 
 
 class _Thresholds:
-    """The threshold recursion of `booleanize` on one formula, memoized by
-    (subformula identity, bound, strictness), with the candidate values of
-    subformulas memoized by identity too.  Identity keys are safe because
-    the formula being reduced, held next to the memo, keeps its subformulas
-    alive."""
+    """The threshold recursion of `booleanize` on one formula.  A bound n/d
+    is carried as its numerator and denominator in lowest terms, so the memo
+    keys (subformula identity, n, d, strictness) hash as ints, and the
+    candidate values of subformulas that weighted averages enumerate come as
+    integer numerators over one denominator, memoized by identity too.
+    Identity keys are safe because the formula being reduced, held next to
+    the memo, keeps its subformulas alive."""
 
     def __init__(self):
         self.memo: dict = {}
         self.values = candidate_value_sets()
 
-    def clears(self, f: Formula, v: Fraction, strict: bool) -> BExpr:
-        """The Boolean formula of "f's value is at least v" (strict:
-        "above v")."""
-        key = (id(f), v, strict)
+    def clears(self, f: Formula, n: int, d: int, strict: bool) -> BExpr:
+        """The Boolean formula of "f's value is at least n/d" (strict:
+        "above n/d")."""
+        key = (id(f), n, d, strict)
         got = self.memo.get(key)
         if got is None:
-            got = self.memo[key] = self._clears(f, v, strict)
+            if n < 0 or (n == 0 and not strict):
+                got = B_TRUE
+            elif n > d or (n == d and strict):
+                got = B_FALSE
+            else:
+                # The bound lies strictly inside the value range [0, 1].
+                step = _STEPS.get(type(f))
+                if step is None:
+                    raise TypeError(f"unknown node {type(f).__name__}")
+                got = step(self, f, n, d, strict)
+            self.memo[key] = got
         return got
 
-    def _clears(self, f: Formula, v: Fraction, strict: bool) -> BExpr:
-        if v < 0 or (v == 0 and not strict):
-            return B_TRUE
-        if v > 1 or (v == 1 and strict):
-            return B_FALSE
-        # The bound lies strictly inside the value range [0, 1] from here on.
-        if isinstance(f, TrueFormula):
-            return B_TRUE
-        if isinstance(f, FalseFormula):
-            return B_FALSE
-        if isinstance(f, Atom):
-            return BAtom(f.name)
-        if isinstance(f, Not):
-            # Complementation to 1 swaps "at least" with "strictly above".
-            return bnot(self.clears(f.child, 1 - v, not strict))
-        if isinstance(f, Min):
-            return band(*[self.clears(a, v, strict) for a in f.args])
-        if isinstance(f, Max):
-            return bor(*[self.clears(a, v, strict) for a in f.args])
-        if isinstance(f, Factor):
-            if f.lam == 0:
-                return B_FALSE
-            return self.clears(f.child, v / f.lam, strict)
-        if isinstance(f, WAvg):
-            return self._avg(f, v, strict)
-        if isinstance(f, Next):
-            return bnext(self.clears(f.child, v, strict))
-        if isinstance(f, Until):
-            return buntil(self.clears(f.left, v, strict), self.clears(f.right, v, strict))
-        raise TypeError(f"unknown node {type(f).__name__}")
+    def _atom(self, f: Atom, n, d, strict) -> BExpr:
+        return BAtom(f.name)
 
-    def _avg(self, f: WAvg, v: Fraction, strict: bool) -> BExpr:
+    def _not(self, f: Not, n, d, strict) -> BExpr:
+        # Complementation to 1 swaps "at least" with "strictly above".
+        return bnot(self.clears(f.child, d - n, d, not strict))
+
+    def _min(self, f: Min, n, d, strict) -> BExpr:
+        return band(*[self.clears(a, n, d, strict) for a in f.args])
+
+    def _max(self, f: Max, n, d, strict) -> BExpr:
+        return bor(*[self.clears(a, n, d, strict) for a in f.args])
+
+    def _factor(self, f: Factor, n, d, strict) -> BExpr:
+        p, q = f.lam.as_integer_ratio()
+        if p == 0:
+            return B_FALSE
+        n, d = n * q, d * p
+        g = gcd(n, d)
+        return self.clears(f.child, n // g, d // g, strict)
+
+    def _next(self, f: Next, n, d, strict) -> BExpr:
+        return bnext(self.clears(f.child, n, d, strict))
+
+    def _until(self, f: Until, n, d, strict) -> BExpr:
+        return buntil(self.clears(f.left, n, d, strict), self.clears(f.right, n, d, strict))
+
+    def _avg(self, f: WAvg, n, d, strict) -> BExpr:
         # The average clears the bound iff some pair of attainable child
         # values does, and both children reach their half of that pair.
         # Enumerating a superset of the attainable values is still sound:
         # extra pairs only add disjuncts that imply one already present.
-        if f.lam == 1:
-            return self.clears(f.left, v, strict)
-        if f.lam == 0:
-            return self.clears(f.right, v, strict)
+        p, q = f.lam.as_integer_ratio()
+        if p == q:
+            return self.clears(f.left, n, d, strict)
+        if p == 0:
+            return self.clears(f.right, n, d, strict)
         # Only the pairs minimal in both coordinates give disjuncts.  The
         # average grows with each child value, so for a left value x the one
         # candidate is the least right value y that clears the bound, and
-        # (x, y) is minimal iff y is below the y of every smaller x.
-        ys = sorted(self.values(f.right))
+        # (x, y) is minimal iff y is below the y of every smaller x.  With
+        # x = i/dl and y = j/dr, the average times q dl dr d is
+        # p dr d i + (q - p) dl d j, against the bound's n q dl dr.
+        dl, xs = self.values(f.left)
+        dr, ys = self.values(f.right)
+        a, b, bound = p * dr * d, (q - p) * dl * d, n * q * dl * dr
         disjuncts, least = [], None
-        for x in sorted(self.values(f.left)):
-            for y in ys:
-                if least is not None and y >= least:
+        for i in xs:
+            for j in ys:
+                if least is not None and j >= least:
                     break
-                mixed = f.lam * x + (1 - f.lam) * y
-                if mixed > v or (not strict and mixed == v):
-                    disjuncts.append(band(self.clears(f.left, x, False),
-                                          self.clears(f.right, y, False)))
-                    least = y
+                mixed = a * i + b * j
+                if mixed > bound or (not strict and mixed == bound):
+                    gi, gj = gcd(i, dl), gcd(j, dr)
+                    disjuncts.append(band(self.clears(f.left, i // gi, dl // gi, False),
+                                          self.clears(f.right, j // gj, dr // gj, False)))
+                    least = j
                     break
         return bor(*disjuncts)
+
+
+# The step of the threshold recursion for each kind of node.
+_STEPS = {
+    TrueFormula: lambda self, f, n, d, strict: B_TRUE,
+    FalseFormula: lambda self, f, n, d, strict: B_FALSE,
+    Atom: _Thresholds._atom,
+    Not: _Thresholds._not,
+    Min: _Thresholds._min,
+    Max: _Thresholds._max,
+    Factor: _Thresholds._factor,
+    WAvg: _Thresholds._avg,
+    Next: _Thresholds._next,
+    Until: _Thresholds._until,
+}

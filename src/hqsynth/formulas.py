@@ -18,6 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 from .common import Record, parse_fraction
 
@@ -180,12 +181,15 @@ def is_boolean(f: Formula) -> bool:
 
 _UNARY_WORDS = {"X", "F", "G"}
 
-# Deepest nesting `parse` accepts.  A level is a parenthesized group, the
-# operand of a prefix operator, the right side of `U` or `->`, or the
-# argument list of wavg/min/max.  The parser and the quality-level
-# recursions (booleanization, candidate values, lasso evaluation) take
-# stack frames per level; this keeps them well inside Python's default
-# recursion limit, so a deeper formula is a parse error, not a crash.
+# Deepest nesting `parse` accepts.  While it parses, a level is a
+# parenthesized group, the operand of a prefix operator, the right side of
+# `U` or `->`, or the argument list of wavg/min/max; the formula it returns
+# must then pass `check_nesting`, the measure specs and evaluators apply,
+# so a formula `parse` accepts is accepted everywhere.  The parser and the
+# quality-level recursions (booleanization, candidate values, lasso
+# evaluation) take stack frames per level; this keeps them well inside
+# Python's default recursion limit, so a deeper formula is a parse error,
+# not a crash.
 MAX_NESTING = 100
 
 
@@ -195,13 +199,14 @@ class ParseError(ValueError):
 
 def check_nesting(f: Formula, what: str = "formula"):
     """Reject `f` with a `ValueError` when it nests deeper than MAX_NESTING
-    levels: formulas built through the constructors skip `parse`, and the
-    quality-level recursions would overflow on them.
+    levels: the quality-level recursions would overflow on it.  `parse`
+    applies it to every formula it returns, and specs and evaluators to the
+    formulas built through the constructors too.
 
-    Levels are counted much as `parse` counts them: every operator on a path
-    from the root is one, but a negation only when the two nodes below it
-    are negations too, so `G φ`, which is `!(true U !φ)`, and `φ -> ψ`,
-    which is `max(!φ, ψ)`, take one level each.  The walk is iterative; a
+    Every operator on a path from the root is one level, but a negation only
+    when the two nodes below it are negations too, so `G φ`, which is
+    `!(true U !φ)`, and `φ -> ψ`, which is `max(!φ, ψ)`, take one level
+    each, as the parser counts them.  The walk is iterative; a
     subformula shared by several paths is walked again only when reached
     at a deeper level, so at most MAX_NESTING + 1 times.
     """
@@ -294,6 +299,13 @@ def parse(text: str) -> Formula:
     toks.skip_ws()
     if toks.pos != len(toks.text):
         toks.error("trailing input")
+    # The parse levels above guard the parser's own recursion; the formula
+    # must also pass the measure every spec and evaluator applies, where
+    # `&` and `|` and the left sides of `U` and `->` take levels too.
+    try:
+        check_nesting(f)
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {text!r}") from None
     return f
 
 
@@ -502,48 +514,59 @@ def candidate_values(formula: Formula) -> list[Fraction]:
     Computed structurally: scalar images for pointwise operators, unions for
     the temporal ones (min/max over a set of scalars stays inside the set).
     """
-    return sorted(candidate_value_sets()(formula))
+    den, nums = candidate_value_sets()(formula)
+    return [Fraction(n, den) for n in nums]
 
 
 def candidate_value_sets():
-    """The map from a formula to the frozenset `candidate_values` sorts,
-    memoized by node identity across calls; the caller keeps the formulas
-    it passes alive while it uses the map."""
-    memo: dict[int, frozenset] = {}
+    """The map from a formula to its candidate values as (common denominator,
+    ascending numerators), in lowest terms over the set: integer arithmetic
+    throughout, memoized by node identity across calls; the caller keeps the
+    formulas it passes alive while it uses the map."""
+    memo: dict = {}
 
-    def go(f: Formula) -> frozenset:
+    def scaled(parts):
+        """(lcm of the denominators, each part's numerators over it)."""
+        den = lcm(*(d for d, _ in parts))
+        return den, [[n * (den // d) for n in ns] for d, ns in parts]
+
+    def go(f: Formula) -> tuple:
         got = memo.get(id(f))
         if got is not None:
             return got
         if isinstance(f, TrueFormula):
-            s = frozenset({Fraction(1)})
+            den, s = 1, {1}
         elif isinstance(f, FalseFormula):
-            s = frozenset({Fraction(0)})
+            den, s = 1, {0}
         elif isinstance(f, Atom):
-            s = frozenset({Fraction(0), Fraction(1)})
+            den, s = 1, {0, 1}
         elif isinstance(f, Not):
-            s = frozenset(1 - v for v in go(f.child))
-        elif isinstance(f, Min):
-            s = frozenset({Fraction(1)})
-            for a in f.args:
-                s = frozenset(min(x, y) for x in s for y in go(a))
-        elif isinstance(f, Max):
-            s = frozenset({Fraction(0)})
-            for a in f.args:
-                s = frozenset(max(x, y) for x in s for y in go(a))
+            den, ns = go(f.child)
+            s = {den - n for n in ns}
+        elif isinstance(f, (Min, Max)):
+            den, cols = scaled([go(a) for a in f.args])
+            pick, s = (min, {den}) if isinstance(f, Min) else (max, {0})
+            for ns in cols:
+                s = {pick(x, y) for x in s for y in ns}
         elif isinstance(f, Factor):
-            s = frozenset(f.lam * v for v in go(f.child))
+            den, ns = go(f.child)
+            p, q = f.lam.as_integer_ratio()
+            den, s = den * q, {p * n for n in ns}
         elif isinstance(f, WAvg):
-            s = frozenset(f.lam * x + (1 - f.lam) * y
-                          for x in go(f.left) for y in go(f.right))
+            den, (ls, rs) = scaled([go(f.left), go(f.right)])
+            p, q = f.lam.as_integer_ratio()
+            den, s = den * q, {p * x + (q - p) * y for x in ls for y in rs}
         elif isinstance(f, Next):
-            s = go(f.child)
+            den, ns = go(f.child)
+            s = set(ns)
         elif isinstance(f, Until):
-            s = go(f.left) | go(f.right)
+            den, (ls, rs) = scaled([go(f.left), go(f.right)])
+            s = {*ls, *rs}
         else:
             raise TypeError(f"unknown node {type(f).__name__}")
-        memo[id(f)] = s
-        return s
+        g = gcd(den, *s)
+        got = memo[id(f)] = (den // g, tuple(sorted(n // g for n in s)))
+        return got
 
     return go
 
@@ -551,17 +574,15 @@ def candidate_value_sets():
 def values(formula: Formula, atoms=None, ceiling: int | None = None) -> list[Fraction]:
     """The attainable satisfaction values, sorted ascending.
 
-    Candidates that no word can realize are pruned with an emptiness check
-    on the value automaton for each candidate.
+    Candidates that no word can realize are pruned: `dpw_for` decides each
+    one on its Buchi automaton, and determinizes only those some word
+    realizes.
     """
     from . import automata
     from .booleanize import EqualTo
 
     if atoms is None:
         atoms = formula.atoms()
-    out = []
-    for v in candidate_values(formula):
-        dpw = automata.dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling)
-        if automata.dpw_nonempty_from(dpw, dpw.initial):
-            out.append(v)
-    return out
+    return [v for v in candidate_values(formula)
+            if automata.dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling,
+                                nonempty=True) is not None]

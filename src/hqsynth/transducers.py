@@ -30,13 +30,14 @@ class Transducer:
             raise ValueError("duplicate state ids")
         if self.initial not in ids:
             raise ValueError("initial state missing")
+        letters = all_letters(self.inputs)
         for q in self.states:
             lab = self.labels.get(q)
             if lab is None:
                 raise ValueError(f"state {q!r} has no output label")
             if not lab <= self.outputs:
                 raise ValueError(f"state {q!r} labeled outside the outputs")
-            for i in all_letters(self.inputs):
+            for i in letters:
                 tgt = self.delta.get((q, i))
                 if tgt is None:
                     raise ValueError(f"missing transition from {q!r} on {set(i)}")

@@ -114,6 +114,150 @@ def bexpr_to_formula(e):
     raise TypeError(f"unknown Boolean node {e!r}")
 
 
+# --- value automata the plain way ----------------------------------------
+#
+# The three shortcuts that build the value automata with less work, undone:
+# vacuity decided through covers alone, candidate values kept when the parity
+# search finds a lasso on their determinized automaton, and thresholds
+# carried as `Fraction`s.
+
+
+def plain_vacuity(cover, weak):
+    """The vacuity test of a tableau (its `cover` function and `weak` mask)
+    without the shortcut through singletons and pairs: a set is vacuous when
+    every branch of its cover has a vacuous next-step set once `weak` drops
+    its untils and releases.  It keeps a memo of its own."""
+    memo = {0: False}
+
+    def vacuous(obls):
+        stack = [obls]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            for _, _, nxt, _ in cover(top):
+                nxt &= weak
+                if nxt not in memo:
+                    stack.append(nxt)
+                    break
+                if not memo[nxt]:
+                    memo[top] = False
+                    break
+            else:
+                memo[top] = True
+        return memo[obls]
+
+    return vacuous
+
+
+def fraction_candidates(formula) -> frozenset:
+    """The candidate values of `formula` as a set of `Fraction`s."""
+    kids = [fraction_candidates(c) for c in formula.children()]
+    if isinstance(formula, TrueFormula):
+        return frozenset({ONE})
+    if isinstance(formula, FalseFormula):
+        return frozenset({ZERO})
+    if isinstance(formula, Atom):
+        return frozenset({ZERO, ONE})
+    if isinstance(formula, Not):
+        return frozenset(1 - v for v in kids[0])
+    if isinstance(formula, (Min, Max)):
+        pick = min if isinstance(formula, Min) else max
+        out = frozenset({ONE if pick is min else ZERO})
+        for vs in kids:
+            out = frozenset(pick(x, y) for x in out for y in vs)
+        return out
+    if isinstance(formula, Factor):
+        return frozenset(formula.lam * v for v in kids[0])
+    if isinstance(formula, WAvg):
+        return frozenset(formula.lam * x + (1 - formula.lam) * y
+                         for x in kids[0] for y in kids[1])
+    if isinstance(formula, Next):
+        return kids[0]
+    if isinstance(formula, Until):
+        return kids[0] | kids[1]
+    raise TypeError(f"unknown node {formula!r}")
+
+
+def fraction_booleanize(formula, predicate):
+    """The Boolean formula `booleanize` builds, from a threshold recursion
+    on `Fraction` bounds keyed by (subformula, bound, strictness)."""
+    from hqsynth.booleanize import (B_FALSE, B_TRUE, AtLeast, BAtom, EqualTo,
+                                    GreaterThan, band, bnext, bnot, bor, buntil)
+
+    memo: dict = {}
+
+    def clears(f, v, strict):
+        key = (f, v, strict)
+        if key not in memo:
+            memo[key] = step(f, v, strict)
+        return memo[key]
+
+    def step(f, v, strict):
+        if v < 0 or (v == 0 and not strict):
+            return B_TRUE
+        if v > 1 or (v == 1 and strict):
+            return B_FALSE
+        if isinstance(f, TrueFormula):
+            return B_TRUE
+        if isinstance(f, FalseFormula):
+            return B_FALSE
+        if isinstance(f, Atom):
+            return BAtom(f.name)
+        if isinstance(f, Not):
+            return bnot(clears(f.child, 1 - v, not strict))
+        if isinstance(f, Min):
+            return band(*[clears(a, v, strict) for a in f.args])
+        if isinstance(f, Max):
+            return bor(*[clears(a, v, strict) for a in f.args])
+        if isinstance(f, Factor):
+            return B_FALSE if f.lam == 0 else clears(f.child, v / f.lam, strict)
+        if isinstance(f, Next):
+            return bnext(clears(f.child, v, strict))
+        if isinstance(f, Until):
+            return buntil(clears(f.left, v, strict), clears(f.right, v, strict))
+        if f.lam == 1:
+            return clears(f.left, v, strict)
+        if f.lam == 0:
+            return clears(f.right, v, strict)
+        # the disjuncts of the pairs (x, y) minimal in both coordinates
+        ys = sorted(fraction_candidates(f.right))
+        disjuncts, least = [], None
+        for x in sorted(fraction_candidates(f.left)):
+            for y in ys:
+                if least is not None and y >= least:
+                    break
+                mixed = f.lam * x + (1 - f.lam) * y
+                if mixed > v or (not strict and mixed == v):
+                    disjuncts.append(band(clears(f.left, x, False), clears(f.right, y, False)))
+                    least = y
+                    break
+        return bor(*disjuncts)
+
+    v = Fraction(predicate.bound)
+    if isinstance(predicate, AtLeast):
+        return clears(formula, v, False)
+    if isinstance(predicate, GreaterThan):
+        return clears(formula, v, True)
+    assert isinstance(predicate, EqualTo)
+    return band(clears(formula, v, False), bnot(clears(formula, v, True)))
+
+
+def dpw_decided_values(formula, atoms) -> list:
+    """The candidate values some word attains, each decided by the parity
+    search on its determinized value automaton."""
+    from hqsynth.automata import determinize, dpw_nonempty_from, ltl_to_nbw
+    from hqsynth.booleanize import EqualTo
+
+    out = []
+    for v in sorted(fraction_candidates(formula)):
+        dpw = determinize(ltl_to_nbw(fraction_booleanize(formula, EqualTo(v)), atoms))
+        if dpw_nonempty_from(dpw, dpw.initial):
+            out.append(v)
+    return out
+
+
 # --- graph primitives (mutual reachability, no SCC algorithm) ------------
 
 

@@ -47,9 +47,11 @@ from hqsynth.mdp import DistributionMDP, UniformInputs, induced_pre_mdp
 from hqsynth.transducers import Transducer
 
 from oracles import (
+    dpw_decided_values,
     dpw_to_dot,
     nbw_accepts_lasso,
     oracle_eval,
+    plain_vacuity,
     product,
     random_formula,
     random_lasso,
@@ -585,7 +587,7 @@ def _alone(f, predicate, atoms):
     tableau of its own."""
     tableau = automata.Tableau(atoms)
     nbw = ltl_to_nbw(booleanize(f, predicate), atoms, tableau=tableau)
-    return len(nbw), len(determinize(nbw)), tableau.memo_entries()
+    return len(nbw), len(determinize(nbw)), tableau.memo_size()
 
 
 def test_tableau_memos_count_against_the_ceiling(fresh_dpw_for):
@@ -684,3 +686,90 @@ def test_deep_formula_tableau():
     nbw = ltl_to_nbw(e)
     assert len(nbw) == 3
     assert len(determinize(nbw)) == 5
+
+
+# --- the value automata with less work, against the plain way ------------
+
+
+def _pruning_until_formulas():
+    """The formulas with until that `TestPruning` draws, over {a, b}."""
+    rng = random.Random(307)
+    out = []
+    while len(out) < 150:
+        f = random_formula(rng, ["a", "b"], rng.randint(3, 9))
+        if _has_until(f):
+            out.append(f)
+            for _ in range(5):
+                random_lasso(rng, ["a", "b"])
+    return out
+
+
+VACUITY_GROUPS = {
+    "random": lambda: [(f, frozenset({"a", "b"})) for f, _ in _random_automata_draws()],
+    "until": lambda: [(f, frozenset({"a", "b"})) for f in _pruning_until_formulas()],
+    "bench": _bench_formulas,
+}
+
+
+@pytest.mark.parametrize("group", sorted(VACUITY_GROUPS))
+def test_vacuity_cores_match_the_plain_recursion(group):
+    # Every set the vacuity test decides while the automata of every
+    # candidate value are built on one tableau, some of them through a
+    # vacuous singleton or pair inside, gets the answer of the recursion
+    # through covers alone.
+    decided = 0
+    for f, atoms in VACUITY_GROUPS[group]():
+        tableau = automata.Tableau(atoms)
+        for v in candidate_values(f):
+            ltl_to_nbw(booleanize(f, EqualTo(v)), atoms, tableau=tableau)
+        plain = plain_vacuity(tableau.cover, tableau.weak)
+        for obls, got in tableau.vacuous_sets.items():
+            assert plain(obls) == got, (str(f), bin(obls))
+        decided += len(tableau.vacuous_sets)
+    assert decided > 200
+
+
+def test_values_decided_on_the_buchi_automaton(fresh_dpw_for):
+    # `values` keeps the candidates whose Buchi automaton has a fair cycle;
+    # the parity search on the determinized automaton keeps the same ones.
+    ab = frozenset({"a", "b"})
+    dropped = 0
+    for f, _ in _random_automata_draws():
+        got = values(f, ab)
+        assert got == dpw_decided_values(f, ab), str(f)
+        dropped += len(candidate_values(f)) - len(got)
+    assert dropped > 0
+
+
+def test_dpw_for_remembers_an_empty_verdict(monkeypatch, fresh_dpw_for):
+    f, ab = parse("a & X !a & X a"), frozenset({"a"})
+    assert candidate_values(f) == [0, 1]
+    calls = {"ltl_to_nbw": 0, "determinize": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(automata, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(automata, name, counted)
+    assert values(f, ab) == [0]
+    assert calls == {"ltl_to_nbw": 2, "determinize": 1}
+    assert values(f, ab) == [0]
+    assert calls == {"ltl_to_nbw": 2, "determinize": 1}
+    # asked for the automaton itself, the cache builds it next to the verdict
+    dpw = fresh_dpw_for(f, EqualTo(Fraction(1)), ab)
+    assert not dpw_nonempty_from(dpw, dpw.initial)
+    assert _same_dpw(dpw, _fresh_dpw(f, EqualTo(Fraction(1)), ab))
+    assert fresh_dpw_for(f, EqualTo(Fraction(1)), ab, nonempty=True) is None
+    assert fresh_dpw_for(f, EqualTo(Fraction(1)), ab) is dpw
+    assert calls == {"ltl_to_nbw": 3, "determinize": 2}
+
+
+def test_tableau_memo_bound_counts_branches(monkeypatch, fresh_dpw_for):
+    # The value-0 automaton of the 10-level chain has 1024 states, but the
+    # branches its memos hold run to about 7 * 10^5.
+    monkeypatch.setenv("HQSYNTH_STATE_CEILING", "20000")
+    f, ab = parse("b U (" * 10 + "a" + ")" * 10), frozenset({"a", "b"})
+    with pytest.raises(StateLimitExceeded) as info:
+        fresh_dpw_for(f, EqualTo(Fraction(0)), ab)
+    assert info.value.what == automata.TABLEAU_MEMOS
+    # a call on a tableau of its own counts states only
+    assert len(ltl_to_nbw(booleanize(f, EqualTo(Fraction(0))), ab)) == 1024

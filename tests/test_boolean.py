@@ -12,6 +12,7 @@ from hqsynth.booleanize import AtLeast, EqualTo, GreaterThan, booleanize
 from hqsynth.formulas import (
     Atom,
     LassoWord,
+    candidate_values,
     Not,
     conj,
     eval_lasso,
@@ -20,7 +21,15 @@ from hqsynth.formulas import (
     values,
 )
 
-from oracles import bexpr_to_formula, oracle_eval, random_formula, random_lasso
+from oracles import (
+    bexpr_to_formula,
+    fraction_booleanize,
+    fraction_candidates,
+    oracle_eval,
+    random_formula,
+    random_lasso,
+)
+from scenarios import battery_formula, hard_drive_formula, message_formula
 
 
 def holds(beta, word):
@@ -147,3 +156,21 @@ def test_shared_memo_gives_the_trees_of_fresh_calls():
         cases = [pred(v) for v in values(shared, frozenset({"a", "b"})) for pred in preds]
         trees = [booleanize(shared, p) for p in cases]
         assert trees == [booleanize(parse(text), p) for p in cases]
+
+
+def test_integer_bounds_give_the_trees_of_fraction_bounds():
+    # Bounds travel as integer numerator and denominator and candidate
+    # values as numerators over one denominator; the recursion on `Fraction`
+    # bounds builds the same trees, over the candidate values of the
+    # automaton draws and the worked examples and a few more thresholds.
+    rng = random.Random(8)
+    preds = [AtLeast, GreaterThan, EqualTo]
+    extra = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(-1, 2),
+             Fraction(3, 2)]
+    formulas = [random_formula(rng, ["a", "b"], rng.randint(1, 10)) for _ in range(300)]
+    formulas += [hard_drive_formula(), message_formula(), battery_formula(8)]
+    for f in formulas:
+        assert candidate_values(f) == sorted(fraction_candidates(f)), str(f)
+        for v in candidate_values(f) + extra:
+            for pred in preds:
+                assert booleanize(f, pred(v)) == fraction_booleanize(f, pred(v)), (str(f), pred(v))

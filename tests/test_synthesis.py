@@ -24,6 +24,7 @@ from hqsynth.formulas import (
     Min,
     Next,
     Not,
+    ParseError,
     Until,
     check_nesting,
     parse,
@@ -322,6 +323,50 @@ def test_nesting_counts_g_and_implies_as_one_level():
     assert check_nesting(shared) is None
     with pytest.raises(ValueError, match="nests deeper"):
         check_nesting(Next(shared))
+
+
+# `&` and `|` take no parse level, nor do the left sides of `U` and `->`,
+# but each is an operator on the path to the deepest X.
+ONE_LEVEL_OVER = {
+    "and": "a & " + "X " * MAX_NESTING + "b",
+    "implies": "X " * MAX_NESTING + "a -> b",
+    "until": "X " * MAX_NESTING + "a U b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LEVEL_OVER))
+def test_parse_rejects_what_a_spec_would(name):
+    text = ONE_LEVEL_OVER[name]
+    with pytest.raises(ParseError, match=f"formula nests deeper than {MAX_NESTING} levels"):
+        parse(text)
+    f = parse(text.replace("X ", "", 1))
+    io = (frozenset({"a", "b"}), frozenset({"o"}))
+    SynthesisSpec(*io, f)
+    SynthesisSpec(*io, Atom("o"), assumption=f)
+    SynthesisSpec(*io, Atom("o"), threshold=HALF, hard_constraint=f)
+
+
+def test_every_formula_parse_accepts_passes_the_spec_check():
+    # Texts wrapped in random operators, around the limit either way.
+    wrappers = ["X {}", "!{}", "G {}", "F {}", "factor{{1/2}} {}", "({})", "a & {}",
+                "{} & a", "a | {}", "{} U b", "b U {}", "{} -> b", "b -> {}",
+                "min(a, {})", "wavg{{1/2}}({}, a)"]
+    rng = random.Random(15)
+    accepted = rejected = 0
+    ab = (frozenset({"a"}), frozenset({"b"}))
+    for _ in range(200):
+        text = "a"
+        for _ in range(rng.randint(100, 300)):
+            text = rng.choice(wrappers).format(text)
+        try:
+            f = parse(text)
+        except ParseError:
+            rejected += 1
+            continue
+        accepted += 1
+        check_nesting(f)
+        SynthesisSpec(*ab, f)
+    assert accepted > 20 and rejected > 20
 
 
 # --- golden reports ------------------------------------------------------

@@ -49,6 +49,17 @@ class TestValidation:
             Transducer(frozenset(), frozenset(), [0], 7, {(0, E): 0}, {0: E})
 
 
+    def test_input_letters_are_built_once(self, monkeypatch):
+        import hqsynth.transducers as transducers
+
+        calls = []
+        monkeypatch.setattr(transducers, "all_letters",
+                            lambda atoms: calls.append(atoms) or all_letters(atoms))
+        T = random_transducer(random.Random(5), {"i0", "i1"}, {"o"}, 40)
+        assert len(T) == 40
+        assert calls == [frozenset({"i0", "i1"})]
+
+
 class TestExecution:
     def test_outputs_come_from_the_entered_state(self):
         T = close_second_cycle()
