@@ -38,8 +38,10 @@ These local conventions keep it fast and the halves compatible:
   of a formula's candidate values and thresholds share most of their
   subformulas, so `dpw_for` builds them all on the tableau of the formula
   and alphabet it served last (the scope of `booleanize`'s memo): they
-  share the node table, the walk memo from Boolean subformulas to nodes,
-  the closures, the `weak` mask and atom bits, the branch expansions, the
+  share the node table, the walk memo from Boolean subformulas to nodes
+  (keyed by identity: `booleanize` hash-conses its formulas, so a
+  subformula common to several of them is one object, walked once), the
+  closures, the `weak` mask and atom bits, the branch expansions, the
   covers, the vacuity memo and the letters each literal set fits.  Each
   automaton keeps its own root, its order of untils, its degeneralization
   counter and the prefixes of its covers, which are dropped after it.  The
@@ -172,7 +174,8 @@ class Tableau:
         # literal asserting one matches no letter.
         self.atom_bit = {name: 1 << i for i, name in enumerate(sorted(self.atoms))}
         # The walk memo, keyed by (id of a Boolean subformula, negated); the
-        # formulas walked are held, so those ids stay valid.
+        # formulas walked are held, so those ids stay valid.  Hash-consed
+        # formulas share subformulas as objects, so those are walked once.
         self.made: dict = {}
         self.held: list = []
         self.true = self._make(TRUE, ())
@@ -233,22 +236,25 @@ class Tableau:
 
     def add(self, beta: BExpr) -> int:
         """The id of the negation normal form of `beta`, interning the nodes
-        it needs."""
+        it needs.  The walk stops at every (subexpression, negated) pair the
+        memo holds, from this formula or one added before."""
         made = self.made
-        if (id(beta), False) not in made:
-            self.held.append(beta)
+        j = made.get((id(beta), False))
+        if j is not None:
+            return j
+        self.held.append(beta)
         make = self._make
         # Post-order over (subexpression, negated) pairs, without recursion.
         stack = [(beta, False, None)]
         while stack:
             e, neg, kids = stack.pop()
-            if (id(e), neg) in made:
-                continue
             if kids is None:
+                if (id(e), neg) in made:  # reached twice in this walk
+                    continue
                 kids = ((e.child, not neg),) if isinstance(e, BNot) else \
                     tuple((c, neg) for c in e.children())
                 stack.append((e, neg, kids))
-                stack.extend((c, n, None) for c, n in reversed(kids))
+                stack.extend((c, n, None) for c, n in reversed(kids) if (id(c), n) not in made)
                 continue
             got = [made[(id(c), n)] for c, n in kids]
             if isinstance(e, (BTrue, BFalse)):

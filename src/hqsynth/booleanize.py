@@ -9,6 +9,18 @@ enumerate: nested averages ask for the same subformulas at the same bounds
 many times over.  The memo is kept for the most recent formula, so the
 predicates of its candidate values share it.
 
+The Boolean formulas are hash-consed: the constructors `batom`, `bnot`,
+`band`, `bor`, `bnext` and `buntil` return one object per structurally
+distinct node, looked up in an intern table by the atom's name or by the
+node's class and the identities of its children.  So `band` and `bor` drop
+repeated parts by identity, without comparing trees, and the formulas of one
+formula's predicates share their common subformulas as objects, which the
+tableau's walk memo in `automata` then meets once.  The table has the scope
+of the memo: `booleanize` starts a new one with each new formula and drops
+the old one with the memo, so it holds the nodes of one formula (and of any
+calls to the constructors since).  Nodes made by calling a class directly
+are never merged, which leaves the trees right but may keep repeats.
+
 The recursion runs on integers.  A bound is carried as its numerator and
 denominator in lowest terms, so memo keys are tuples of ints (hashing a
 `Fraction` costs a Python-level call), and each node kind has its step in
@@ -23,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .common import Record
+from .common import Record, interleave, text
 from .formulas import (
     Atom,
     FalseFormula,
@@ -49,26 +61,33 @@ class BExpr(Record):
     def children(self) -> tuple["BExpr", ...]:
         return ()
 
+    def __str__(self):
+        return text(self)
+
+    def _pieces(self) -> list:
+        """The pieces of the node's text: strings and child nodes."""
+        raise NotImplementedError
+
 
 class BTrue(BExpr):
     __slots__ = ()
 
-    def __str__(self):
-        return "true"
+    def _pieces(self):
+        return ["true"]
 
 
 class BFalse(BExpr):
     __slots__ = ()
 
-    def __str__(self):
-        return "false"
+    def _pieces(self):
+        return ["false"]
 
 
 class BAtom(BExpr):
     __slots__ = ("name",)
 
-    def __str__(self):
-        return self.name
+    def _pieces(self):
+        return [self.name]
 
 
 class BNot(BExpr):
@@ -77,8 +96,8 @@ class BNot(BExpr):
     def children(self):
         return (self.child,)
 
-    def __str__(self):
-        return f"!({self.child})"
+    def _pieces(self):
+        return ["!(", self.child, ")"]
 
 
 class BAnd(BExpr):
@@ -87,8 +106,8 @@ class BAnd(BExpr):
     def children(self):
         return self.args
 
-    def __str__(self):
-        return "(" + " & ".join(str(a) for a in self.args) + ")"
+    def _pieces(self):
+        return ["(", *interleave(self.args, " & "), ")"]
 
 
 class BOr(BExpr):
@@ -97,8 +116,8 @@ class BOr(BExpr):
     def children(self):
         return self.args
 
-    def __str__(self):
-        return "(" + " | ".join(str(a) for a in self.args) + ")"
+    def _pieces(self):
+        return ["(", *interleave(self.args, " | "), ")"]
 
 
 class BNext(BExpr):
@@ -107,8 +126,8 @@ class BNext(BExpr):
     def children(self):
         return (self.child,)
 
-    def __str__(self):
-        return f"X ({self.child})"
+    def _pieces(self):
+        return ["X (", self.child, ")"]
 
 
 class BUntil(BExpr):
@@ -117,12 +136,28 @@ class BUntil(BExpr):
     def children(self):
         return (self.left, self.right)
 
-    def __str__(self):
-        return f"({self.left} U {self.right})"
+    def _pieces(self):
+        return ["(", self.left, " U ", self.right, ")"]
 
 
 B_TRUE = BTrue()
 B_FALSE = BFalse()
+
+# The intern table of the constructors below, keyed by an atom's name or by
+# (class, ids of the children); a node in the table holds its children, so
+# those ids stay valid while it is there.
+_nodes: dict = {}
+
+
+def _interned(key, cls, *fields) -> BExpr:
+    node = _nodes.get(key)
+    if node is None:
+        node = _nodes[key] = cls(*fields)
+    return node
+
+
+def batom(name: str) -> BExpr:
+    return _interned(name, BAtom, name)
 
 
 def bnot(e: BExpr) -> BExpr:
@@ -132,57 +167,41 @@ def bnot(e: BExpr) -> BExpr:
         return B_TRUE
     if isinstance(e, BNot):
         return e.child
-    return BNot(e)
+    return _interned((BNot, id(e)), BNot, e)
+
+
+def _junction(cls, unit, zero, parts) -> BExpr:
+    """The `cls` junction of `parts`: nested ones of its class flattened,
+    units dropped, a zero absorbing the rest, and repeats dropped.
+    Interned nodes are equal exactly when they are one object, so repeats
+    go by identity."""
+    flat: dict = {}
+    for p in parts:
+        if isinstance(p, zero.__class__):
+            return zero
+        if isinstance(p, unit.__class__):
+            continue
+        for q in p.args if isinstance(p, cls) else (p,):
+            flat.setdefault(id(q), q)
+    if not flat:
+        return unit
+    if len(flat) == 1:
+        return next(iter(flat.values()))
+    return _interned((cls, *flat), cls, tuple(flat.values()))
 
 
 def band(*parts: BExpr) -> BExpr:
-    flat: list[BExpr] = []
-    for p in parts:
-        if isinstance(p, BFalse):
-            return B_FALSE
-        if isinstance(p, BTrue):
-            continue
-        if isinstance(p, BAnd):
-            flat.extend(p.args)
-        else:
-            flat.append(p)
-    seen: list[BExpr] = []
-    for p in flat:
-        if p not in seen:
-            seen.append(p)
-    if not seen:
-        return B_TRUE
-    if len(seen) == 1:
-        return seen[0]
-    return BAnd(tuple(seen))
+    return _junction(BAnd, B_TRUE, B_FALSE, parts)
 
 
 def bor(*parts: BExpr) -> BExpr:
-    flat: list[BExpr] = []
-    for p in parts:
-        if isinstance(p, BTrue):
-            return B_TRUE
-        if isinstance(p, BFalse):
-            continue
-        if isinstance(p, BOr):
-            flat.extend(p.args)
-        else:
-            flat.append(p)
-    seen: list[BExpr] = []
-    for p in flat:
-        if p not in seen:
-            seen.append(p)
-    if not seen:
-        return B_FALSE
-    if len(seen) == 1:
-        return seen[0]
-    return BOr(tuple(seen))
+    return _junction(BOr, B_FALSE, B_TRUE, parts)
 
 
 def bnext(e: BExpr) -> BExpr:
     if isinstance(e, (BTrue, BFalse)):
         return e
-    return BNext(e)
+    return _interned((BNext, id(e)), BNext, e)
 
 
 def buntil(left: BExpr, right: BExpr) -> BExpr:
@@ -190,7 +209,7 @@ def buntil(left: BExpr, right: BExpr) -> BExpr:
         return right
     if isinstance(left, BFalse):
         return right
-    return BUntil(left, right)
+    return _interned((BUntil, id(left), id(right)), BUntil, left, right)
 
 
 # --- value predicates ----------------------------------------------------
@@ -234,9 +253,11 @@ _recent: tuple | None = None
 
 
 def booleanize(f: Formula, predicate) -> BExpr:
-    global _recent
+    global _recent, _nodes
     recent = _recent
     if recent is None or recent[0] is not f:
+        # The memo and the intern table of the formula before go together.
+        _nodes = {}
         recent = _recent = (f, _Thresholds())
     thresholds = recent[1]
     n, d = Fraction(predicate.bound).as_integer_ratio()
@@ -282,7 +303,7 @@ class _Thresholds:
         return got
 
     def _atom(self, f: Atom, n, d, strict) -> BExpr:
-        return BAtom(f.name)
+        return batom(f.name)
 
     def _not(self, f: Not, n, d, strict) -> BExpr:
         # Complementation to 1 swaps "at least" with "strictly above".

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 
 STATE_CEILING_ENV = "HQSYNTH_STATE_CEILING"
 DEFAULT_STATE_CEILING = 10**6
@@ -32,12 +32,12 @@ class Record:
     """An immutable value whose fields are the `__slots__` of its class.
 
     It takes its fields positionally or by keyword, and its repr reads
-    `Until(left=Atom(name='a'), right=...)`.  Records are equal when they
-    are of one class with equal fields; against another class `==` returns
-    `NotImplemented`, so `Not(a) != Next(a)`.  Each class compares and
-    hashes through an `attrgetter` (C code, no per-class code generated at
-    import) over a class tag and its fields; the tag keeps a one-field
-    record's hash apart from its field's.
+    `Until(left=Atom(name='a'), right=...)`, written without recursion.
+    Records are equal when they are of one class with equal fields; against
+    another class `==` returns `NotImplemented`, so `Not(a) != Next(a)`.
+    Each class compares and hashes through an `attrgetter` (C code, no
+    per-class code generated at import) over a class tag and its fields;
+    the tag keeps a one-field record's hash apart from its field's.
     """
 
     __slots__ = ()
@@ -86,8 +86,50 @@ class Record:
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+        return text(self, _repr_pieces)
+
+
+def text(root, pieces=methodcaller("_pieces")) -> str:
+    """The text of `root`, written without recursion, so a tree of any depth
+    prints.  `pieces(x)`, by default `x._pieces()`, lists the pieces of x's
+    text in order: a string is written as it is, any other piece is expanded
+    by `pieces` in turn."""
+    out = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+        else:
+            stack.extend(reversed(pieces(x)))
+    return "".join(out)
+
+
+def interleave(items, sep: str) -> list:
+    """`items` with `sep` between each two."""
+    out = []
+    for x in items:
+        if out:
+            out.append(sep)
+        out.append(x)
+    return out
+
+
+def _repr_pieces(x) -> list:
+    """The pieces of the repr of a record or a tuple: the records and tuples
+    inside it left to expand, every other field as its repr."""
+    if x.__class__ is tuple:
+        head, fields, tail = "(", [("", v) for v in x], ",)" if len(x) == 1 else ")"
+    else:
+        head, tail = x.__class__.__qualname__ + "(", ")"
+        fields = [(name + "=", getattr(x, name)) for name in x.__slots__]
+    out = [head]
+    for i, (label, v) in enumerate(fields):
+        out.append(", " + label if i else label)
+        out.append(v if v.__class__ is tuple or v.__class__.__repr__ is Record.__repr__
+                   else repr(v))
+    out.append(tail)
+    return out
 
 
 def state_ceiling(override: int | None = None) -> int:

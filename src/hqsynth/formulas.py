@@ -20,13 +20,34 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
-from .common import Record, parse_fraction
+from .common import Record, interleave, parse_fraction, text
 
 
 class Formula(Record):
-    """Base class for all core AST nodes."""
+    """Base class for all core AST nodes.
 
-    __slots__ = ()
+    Equality is structural, and the hash, structural too, is computed once
+    per node and kept in the `_hash` slot, so hashing a formula again (a key
+    of the automaton cache, say) costs no walk of its tree.  `_hash` is a
+    cache, not a field: each node class lists only its fields.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __str__(self):
+        return text(self)
+
+    def _pieces(self) -> list:
+        """The pieces of the node's text: strings and child nodes."""
+        raise NotImplementedError
 
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children())
@@ -48,22 +69,22 @@ class Formula(Record):
 class TrueFormula(Formula):
     __slots__ = ()
 
-    def __str__(self):
-        return "true"
+    def _pieces(self):
+        return ["true"]
 
 
 class FalseFormula(Formula):
     __slots__ = ()
 
-    def __str__(self):
-        return "false"
+    def _pieces(self):
+        return ["false"]
 
 
 class Atom(Formula):
     __slots__ = ("name",)
 
-    def __str__(self):
-        return self.name
+    def _pieces(self):
+        return [self.name]
 
 
 class Not(Formula):
@@ -72,8 +93,8 @@ class Not(Formula):
     def children(self):
         return (self.child,)
 
-    def __str__(self):
-        return f"!{paren(self.child)}"
+    def _pieces(self):
+        return ["!", *_operand(self.child)]
 
 
 class Min(Formula):
@@ -82,8 +103,8 @@ class Min(Formula):
     def children(self):
         return self.args
 
-    def __str__(self):
-        return "min(" + ", ".join(str(a) for a in self.args) + ")"
+    def _pieces(self):
+        return ["min(", *interleave(self.args, ", "), ")"]
 
 
 class Max(Formula):
@@ -92,8 +113,8 @@ class Max(Formula):
     def children(self):
         return self.args
 
-    def __str__(self):
-        return "max(" + ", ".join(str(a) for a in self.args) + ")"
+    def _pieces(self):
+        return ["max(", *interleave(self.args, ", "), ")"]
 
 
 class Factor(Formula):
@@ -102,8 +123,8 @@ class Factor(Formula):
     def children(self):
         return (self.child,)
 
-    def __str__(self):
-        return f"factor{{{self.lam}}} {paren(self.child)}"
+    def _pieces(self):
+        return [f"factor{{{self.lam}}} ", *_operand(self.child)]
 
 
 class WAvg(Formula):
@@ -112,8 +133,8 @@ class WAvg(Formula):
     def children(self):
         return (self.left, self.right)
 
-    def __str__(self):
-        return f"wavg{{{self.lam}}}({self.left}, {self.right})"
+    def _pieces(self):
+        return [f"wavg{{{self.lam}}}(", self.left, ", ", self.right, ")"]
 
 
 class Next(Formula):
@@ -122,8 +143,8 @@ class Next(Formula):
     def children(self):
         return (self.child,)
 
-    def __str__(self):
-        return f"X {paren(self.child)}"
+    def _pieces(self):
+        return ["X ", *_operand(self.child)]
 
 
 class Until(Formula):
@@ -132,18 +153,20 @@ class Until(Formula):
     def children(self):
         return (self.left, self.right)
 
-    def __str__(self):
-        return f"({self.left} U {self.right})"
+    def _pieces(self):
+        return ["(", self.left, " U ", self.right, ")"]
 
 
 TRUE = TrueFormula()
 FALSE = FalseFormula()
 
 
-def paren(f: Formula) -> str:
+def _operand(f: Formula) -> tuple:
+    """The pieces of a prefix operator's operand: parenthesized unless it
+    is an atom, a constant or a bracketed call."""
     if isinstance(f, (Atom, TrueFormula, FalseFormula, Min, Max, WAvg)):
-        return str(f)
-    return f"({f})"
+        return (f,)
+    return ("(", f, ")")
 
 
 def conj(*args: Formula) -> Formula:

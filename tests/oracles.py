@@ -182,9 +182,10 @@ def fraction_candidates(formula) -> frozenset:
 
 def fraction_booleanize(formula, predicate):
     """The Boolean formula `booleanize` builds, from a threshold recursion
-    on `Fraction` bounds keyed by (subformula, bound, strictness)."""
-    from hqsynth.booleanize import (B_FALSE, B_TRUE, AtLeast, BAtom, EqualTo,
-                                    GreaterThan, band, bnext, bnot, bor, buntil)
+    on `Fraction` bounds keyed by (subformula, bound, strictness), through
+    the same hash-consing constructors."""
+    from hqsynth.booleanize import (B_FALSE, B_TRUE, AtLeast, EqualTo, GreaterThan,
+                                    band, batom, bnext, bnot, bor, buntil)
 
     memo: dict = {}
 
@@ -204,7 +205,7 @@ def fraction_booleanize(formula, predicate):
         if isinstance(f, FalseFormula):
             return B_FALSE
         if isinstance(f, Atom):
-            return BAtom(f.name)
+            return batom(f.name)
         if isinstance(f, Not):
             return bnot(clears(f.child, 1 - v, not strict))
         if isinstance(f, Min):

@@ -1,10 +1,12 @@
 """LTL -> NBW -> DPW pipeline, products, lasso runs, nonemptiness."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from hqsynth.booleanize import (
     GreaterThan,
     band,
     bnext,
+    bnot,
     booleanize,
     bor,
 )
@@ -47,6 +50,7 @@ from hqsynth.mdp import DistributionMDP, UniformInputs, induced_pre_mdp
 from hqsynth.transducers import Transducer
 
 from oracles import (
+    bexpr_to_formula,
     dpw_decided_values,
     dpw_to_dot,
     nbw_accepts_lasso,
@@ -57,6 +61,9 @@ from oracles import (
     random_lasso,
 )
 from scenarios import battery_formula
+
+# the module; the package exports its function `booleanize` under that name
+booleanize_module = importlib.import_module("hqsynth.booleanize")
 
 
 def lassos_up_to(atoms, max_pre, max_per):
@@ -639,6 +646,71 @@ def test_earlier_automata_do_not_fail_a_build(fresh_dpw_for):
         if automata._recent[2] not in tableaux:
             tableaux.append(automata._recent[2])
     assert len(tableaux) > 1
+
+
+# --- hash-consed Boolean formulas ---------------------------------------
+
+
+def _nodes_of(*trees):
+    """{id: node} of every node of the Boolean formulas, shared ones once."""
+    out: dict = {}
+    stack = list(trees)
+    while stack:
+        e = stack.pop()
+        if id(e) not in out:
+            out[id(e)] = e
+            stack.extend(e.children())
+    return out
+
+
+def test_value_trees_share_equal_nodes():
+    # The Boolean formulas of one formula's value predicates are hash-consed:
+    # structurally equal nodes are one object, however many trees hold them.
+    # They are still the right formulas: each holds on a word exactly when
+    # the formula's value there meets the predicate.
+    rng = random.Random(15)
+    groups = [(f, [p] + _predicates(f), ["a", "b"], 2) for f, p in _random_automata_draws()]
+    groups += [(f, _predicates(f), sorted(atoms), 4) for f, atoms in _bench_formulas()]
+    for f, predicates, atoms, words in groups:
+        trees = [booleanize(f, p) for p in predicates]
+        nodes = _nodes_of(*trees).values()
+        assert len(set(nodes)) == len(nodes), str(f)
+        for _ in range(words):
+            w = random_lasso(rng, atoms)
+            value = eval_lasso(f, w)
+            for p, beta in zip(predicates, trees):
+                assert eval_lasso(bexpr_to_formula(beta), w) == p.holds(value), (str(f), p)
+
+
+def test_add_walks_each_shared_node_once():
+    # battery8's nine value automata on one tableau: the walk memo of `add`
+    # gets one entry per structurally distinct (node, negated) pair, so no
+    # pair is walked twice, in one formula or across them.
+    text, atoms = GOLDEN_FORMULAS["battery8"]
+    f, atoms = parse(text), frozenset(atoms)
+    tableau = automata.Tableau(atoms)
+    vs = candidate_values(f)
+    for v in vs:
+        ltl_to_nbw(booleanize(f, EqualTo(v)), atoms, tableau=tableau)
+    nodes = _nodes_of(*tableau.held)
+    pairs = {(nodes[i], negated) for i, negated in tableau.made}
+    assert len(vs) == 9
+    assert len(pairs) == len(tableau.made)
+
+
+def test_intern_table_goes_with_the_formula():
+    # The intern table lives as long as `booleanize`'s memo: the predicates
+    # of one formula share it, and booleanizing another formula drops it.
+    f, g = parse("a U (b & X a)"), parse("F a")
+    beta = booleanize(f, AtLeast(Fraction(1)))
+    table = booleanize_module._nodes
+    assert booleanize(f, EqualTo(Fraction(0))) is bnot(beta)
+    assert booleanize_module._nodes is table and table
+    booleanize(g, AtLeast(Fraction(1)))
+    assert booleanize_module._nodes is not table
+    assert sys.getrefcount(table) == 2  # `table` and the argument
+    again = booleanize(parse("a U (b & X a)"), AtLeast(Fraction(1)))
+    assert again == beta and again is not beta
 
 
 def test_dpw_cache_is_bounded_and_least_recently_used(monkeypatch):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from hqsynth.booleanize import AtLeast, booleanize
 from hqsynth.formulas import (
     Atom,
     FALSE,
     Factor,
     LassoWord,
+    MAX_NESTING,
     Max,
     Min,
     Next,
@@ -79,6 +81,45 @@ class TestParser:
     def test_lambda_outside_unit_interval(self):
         with pytest.raises(ParseError):
             parse("factor{5/4} p")
+
+
+def _wrapped(text, first):
+    """A prefix operator's operand as printed: the innermost atom bare."""
+    return text if first else f"({text})"
+
+
+# (text to repeat, innermost operand, one more level of str, one more level
+# of repr) of the chains `parse` accepts MAX_NESTING times over
+CHAINS = {
+    "G": ("G ", "a", lambda t, first: f"!((true U !{_wrapped(t, first)}))",
+          lambda r: f"Not(child=Until(left=TrueFormula(), right=Not(child={r})))"),
+    "X": ("X ", "a", lambda t, first: f"X {_wrapped(t, first)}", lambda r: f"Next(child={r})"),
+    "!": ("! ", "a", lambda t, first: f"!{_wrapped(t, first)}", lambda r: f"Not(child={r})"),
+    "U": ("a U ", "b", lambda t, first: f"(a U {t})",
+          lambda r: f"Until(left=Atom(name='a'), right={r})"),
+    "->": ("a -> ", "b", lambda t, first: f"max(!a, {t})",
+           lambda r: f"Max(args=(Not(child=Atom(name='a')), {r}))"),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_deepest_formulas_print(chain):
+    # str and repr do not recurse, so every formula `parse` accepts prints,
+    # with the text of the nested calls.
+    repeat, inner, str_level, repr_level = CHAINS[chain]
+    f = parse(repeat * MAX_NESTING + inner)
+    with pytest.raises(ParseError):
+        parse(repeat * (MAX_NESTING + 1) + inner)
+    text, rep = inner, f"Atom(name='{inner}')"
+    for i in range(MAX_NESTING):
+        text, rep = str_level(text, i == 0), repr_level(rep)
+    assert str(f) == text
+    assert repr(f) == rep
+    beta = booleanize(f, AtLeast(Fraction(1, 2)))
+    assert str(beta) and repr(beta)
+    if chain == "G":
+        # !!x is x, so G...G a is !(true U (true U ... !a))
+        assert str(beta) == "!(" + "(true U " * MAX_NESTING + "!(a)" + ")" * MAX_NESTING + ")"
 
 
 class TestLassoWord:

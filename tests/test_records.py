@@ -17,6 +17,9 @@ from hqsynth.booleanize import (
     BUntil,
     EqualTo,
     GreaterThan,
+    band,
+    bnext,
+    bor,
 )
 from hqsynth.formulas import (
     TRUE,
@@ -84,6 +87,20 @@ def test_repr_text():
     assert repr(AtLeast(Fraction(1, 2))) == "AtLeast(bound=Fraction(1, 2))"
 
 
+def test_deep_boolean_formula_text():
+    # str and repr of a Boolean formula deeper than the recursion limit
+    e, text, rep = BAtom("a"), "a", "BAtom(name='a')"
+    for i in range(1500):
+        if i % 2 == 0:
+            e = band(bnext(BAtom("a")), e)
+            text, rep = f"(X (a) & {text})", f"BAnd(args=(BNext(child=BAtom(name='a')), {rep}))"
+        else:
+            e = bor(BAtom("b"), e)
+            text, rep = f"(b | {text})", f"BOr(args=(BAtom(name='b'), {rep}))"
+    assert str(e) == text
+    assert repr(e) == rep
+
+
 def test_keyword_and_positional_construction():
     assert Atom(name="a") == Atom("a")
     half = Fraction(1, 2)
@@ -111,8 +128,9 @@ def test_bad_construction_raises_type_error(args, kwargs):
 
 def test_copy_and_pickle_round_trip():
     f = parse("(a U wavg{1/3}(!b, min(true, X a)))")
+    h = hash(f)  # a formula keeps its hash; copies compute their own
     for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-        assert g == f and repr(g) == repr(f)
+        assert g == f and repr(g) == repr(f) and hash(g) == h
     assert pickle.loads(pickle.dumps(TRUE)) == TRUE
 
 
