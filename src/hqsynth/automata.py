@@ -87,7 +87,7 @@ These local conventions keep it fast and the halves compatible:
 
 * Determinization uses compact ordered trees of Buchi state sets, each
   label an int bitmask over the Buchi states, with the successor masks of
-  each (label, letter) pair memoized for one `determinize` call.  Node
+  each label on every letter memoized for one `determinize` call.  Node
   names are kept compact after every step by an order-preserving rename;
   the priority of a step is derived from the smallest name removed and the
   smallest name marked before renaming.  Priorities are turned into ranks
@@ -97,6 +97,18 @@ These local conventions keep it fast and the halves compatible:
   alone, say) step every tree alike, so a tree is stepped once per class of
   such letters, and once per tree whatever the priorities of the states
   holding it; targets are still numbered in letter order.
+
+* A step merges in two linear passes over the node names in ascending
+  order, which visits parents before children and older siblings before
+  younger ones.  Both rest on Safra's invariant: a child's label is inside
+  its parent's, and siblings are disjoint.  The horizontal pass gives each
+  node its image less the states of its parent's older children and of
+  the older siblings of its ancestors; the vertical pass removes empty
+  nodes, marks a live node whose label is the union of its children's, and
+  removes everything below a removed or marked node.  A step depends only
+  on the tree's shape (its parents) and each node's (all, fair) successor
+  masks, so it is memoized on that pair for one `determinize` call, across
+  trees and letter classes.
 
 * `dpw_for` keeps the last DPW_CACHE_SIZE automata it built, dropping the
   least recently used.  `formulas.values` asks it for the value automaton
@@ -643,110 +655,95 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
                     fair |= 1 << tgt
             row.append((alls, fair))
         succ.append(tuple(row))
-    # Letters with one successor row step every tree alike: cls[i] is the
-    # first letter with the row of letter i, and only those are stepped.
-    first: dict = {}
-    cls = [first.setdefault(row, i) for i, row in enumerate(succ)]
-    reps = list(first.values())
-    posts: list[dict] = [{} for _ in letters]
+    # Letters with one successor row step every tree alike: classes maps a
+    # row to the position of its class, cls[i] is the class of letter i.
+    classes: dict = {}
+    cls = [classes.setdefault(row, len(classes)) for row in succ]
+    posts: dict = {}
 
-    def post(label: int, i: int):
-        """The (all, fair) successor bitmasks of a label on letter i."""
-        got = posts[i].get(label)
-        if got is None:
-            row = succ[i]
+    def post(label: int) -> tuple:
+        """The (all, fair) successor bitmasks of a label on each class."""
+        states = []
+        rest = label
+        while rest:
+            low = rest & -rest
+            states.append(low.bit_length() - 1)
+            rest ^= low
+        out = []
+        for row in classes:
             alls = fair = 0
-            rest = label
-            while rest:
-                low = rest & -rest
-                a, f = row[low.bit_length() - 1]
+            for q in states:
+                a, f = row[q]
                 alls |= a
                 fair |= f
-                rest ^= low
-            got = posts[i][label] = (alls, fair)
+            out.append((alls, fair))
+        got = posts[label] = tuple(out)
         return got
 
-    def tree_step(tree, i):
-        if not tree:
-            return tree, 1
+    def merge(shape, images):
+        """The tree and priority of a step from a tree with parents `shape`
+        whose labels have the (all, fair) successor masks `images`."""
         # Nodes are named by position from 1; the child that node v grows
-        # for its fair successors is named k + v.  A parent's name is below
-        # its children's, so ascending names visit parents first.
-        k = len(tree)
-        size = 2 * k + 1
-        parent = [0] * size
-        label = [0] * size
+        # for its fair successors is named k + v, after all its siblings.
+        k = len(shape)
+        parent = [0, *shape, *range(1, k + 1)]
+        label = [0] * (2 * k + 1)
         names = list(range(1, k + 1))
-        for name, (par, lab) in enumerate(tree, 1):
-            parent[name] = par
-            label[name], fair = post(lab, i)
+        for v, (alls, fair) in enumerate(images, 1):
+            label[v] = alls
             if fair:
-                parent[k + name] = name
-                label[k + name] = fair
-                names.append(k + name)
-        children: list[list] = [[] for _ in range(size)]
-        for name in names:
-            children[parent[name]].append(name)
-
-        def subtree(name):
-            out = [name]
-            for v in out:
-                out.extend(children[v])
-            return out
-
-        # Horizontal merge: a state stays with the oldest sibling holding it.
-        for kids in children:
-            seen = 0
-            for c in kids:
-                clash = label[c] & seen
-                if clash:
-                    for d in subtree(c):
-                        label[d] &= ~clash
-                seen |= label[c]
-
+                label[k + v] = fair
+                names.append(k + v)
         if not label[1]:
             return (), 1
-        removed = [not label[name] for name in range(size)]
-
+        # Horizontal merge: a state stays with the oldest sibling holding it.
+        # forbid[v] holds the states of the older siblings of v and of its
+        # ancestors, seen[v] the labels of v's children so far.
+        forbid = [0] * len(label)
+        seen = [0] * len(label)
+        for v in names:
+            p = parent[v]
+            forbid[v] = forbid[p] | seen[p]
+            label[v] &= ~forbid[v]
+            seen[p] |= label[v]
         # Vertical merge: a node whose children cover it absorbs them.
-        marked = []
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            ch = [c for c in children[v] if not removed[c]]
-            cover = 0
-            for c in ch:
-                cover |= label[c]
-            if ch and label[v] == cover:
-                marked.append(v)
-                for c in ch:
-                    for d in subtree(c):
-                        removed[d] = True
+        # cut[v]: v is removed or absorbs its children, so they are removed.
+        cut = [False] * len(label)
+        alive = []
+        gone = marked = 0
+        for v in names:
+            if cut[parent[v]] or not label[v]:
+                cut[v] = True
+                gone = gone or v
             else:
-                stack.extend(ch)
+                alive.append(v)
+                if label[v] == seen[v]:
+                    cut[v] = True
+                    marked = marked or v
+        prio = min(2 * gone - 1 if gone else neutral, 2 * marked if marked else neutral)
+        rename = [0] * len(label)
+        for new, v in enumerate(alive, 1):
+            rename[v] = new
+        return tuple((rename[parent[v]], label[v]) for v in alive), prio
 
-        cands = []
-        gone = [name for name in names if removed[name]]
-        if gone:
-            cands.append(2 * gone[0] - 1)
-        if marked:
-            cands.append(2 * min(marked))
-        prio = min(cands) if cands else neutral
-
-        rename = [0] * size
-        alive = [name for name in names if not removed[name]]
-        for new, name in enumerate(alive, 1):
-            rename[name] = new
-        return tuple((rename[parent[name]], label[name]) for name in alive), prio
-
-    # states that differ only in priority share their tree's steps
-    steps: dict = {}
+    # Steps are memoized on (shape, images) across trees and letter classes,
+    # and states that differ only in priority share their tree's steps; the
+    # empty tree steps to itself with priority 1 on every letter.
+    merged: dict = {}
+    steps: dict = {(): [((), 1)] * len(classes)}
 
     def expand(state, number):
         tree = state[0]
         step = steps.get(tree)
         if step is None:
-            step = steps[tree] = {i: tree_step(tree, i) for i in reps}
+            shape = tuple([par for par, _ in tree])
+            step = steps[tree] = []
+            for images in zip(*[posts.get(lab) or post(lab) for _, lab in tree]):
+                key = (shape, images)
+                got = merged.get(key)
+                if got is None:
+                    got = merged[key] = merge(shape, images)
+                step.append(got)
         # targets are numbered in letter order, as if every letter stepped
         return [number(step[c]) for c in cls]
 

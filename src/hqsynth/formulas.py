@@ -29,7 +29,9 @@ class Formula(Record):
     Equality is structural, and the hash, structural too, is computed once
     per node and kept in the `_hash` slot, so hashing a formula again (a key
     of the automaton cache, say) costs no walk of its tree.  `_hash` is a
-    cache, not a field: each node class lists only its fields.
+    cache, not a field: each node class lists only its fields.  Hashing,
+    equality and `size` run on explicit stacks, since formulas built through
+    the constructors can nest deeper than the recursion limit.
     """
 
     __slots__ = ("_hash",)
@@ -38,9 +40,38 @@ class Formula(Record):
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._key(self))
-            object.__setattr__(self, "_hash", h)
-            return h
+            pass
+        # Children first, so a node's key hashes cached child hashes only.
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            todo = [c for c in node.children() if not hasattr(c, "_hash")]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            object.__setattr__(node, "_hash", hash(node._key(node)))
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for name in a.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x.__class__ is tuple and y.__class__ is tuple and len(x) == len(y):
+                    stack.extend(zip(x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __str__(self):
         return text(self)
@@ -50,7 +81,12 @@ class Formula(Record):
         raise NotImplementedError
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children())
+        n = 0
+        stack = [self]
+        while stack:
+            n += 1
+            stack.extend(stack.pop().children())
+        return n
 
     def children(self) -> tuple["Formula", ...]:
         return ()

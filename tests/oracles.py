@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from hqsynth.automata import DPW, NBW, ProductPreAutomaton
-from hqsynth.common import InternalConsistencyError, all_letters
+from hqsynth.common import InternalConsistencyError, all_letters, explore
 from hqsynth.formulas import (
     Atom,
     FalseFormula,
@@ -314,6 +314,144 @@ def nbw_accepts_lasso(nbw: NBW, word: LassoWord) -> bool:
     reach = reach_sets(len(nodes), lambda i: [index[w] for w, _ in edges[nodes[i]]])
     return any(fair and index[v] in reach[index[w]]
                for v in nodes for w, fair in edges[v])
+
+
+# --- Safra's construction the plain way ----------------------------------
+#
+# `automata.determinize` merges a stepped tree in two passes over its node
+# names, memoized across trees and letters; this one builds the children
+# lists and walks subtrees, step by step, and checks every tree it reaches.
+
+
+def check_safra_tree(tree):
+    """Assert the invariants of a Safra tree given as (parent name, label)
+    pairs, nodes named by position from 1 and the root's parent 0: parents
+    come before their children, the root's label is nonempty, a child's
+    label is inside its parent's, siblings are disjoint, and no node's
+    label is the union of its children's labels."""
+    labels = [0] + [lab for _, lab in tree]
+    covered = [0] * len(labels)  # union of each node's children's labels
+    for name, (par, lab) in enumerate(tree, 1):
+        assert (par == 0) == (name == 1), tree
+        assert par < name, tree
+        assert lab, tree
+        if par:
+            assert lab & ~labels[par] == 0, tree
+            assert lab & covered[par] == 0, tree
+        covered[par] |= lab
+    for name in range(1, len(labels)):
+        assert labels[name] != covered[name], tree
+
+
+def plain_determinize(nbw: NBW, ceiling=None) -> DPW:
+    """Safra's construction on the trees of `automata.determinize`, with the
+    same names, priorities and exploration order, so the two automata must
+    be equal; every tree reached passes `check_safra_tree`."""
+    letters = all_letters(nbw.atoms)
+    n = max(1, len(nbw.states))
+    top_name = 2 * n + 2
+    neutral = 2 * top_name + 1
+    ceil_prio = 2 * top_name + 2
+
+    def post(label, letter):
+        alls = fair = 0
+        for q in range(len(nbw.states)):
+            if label >> q & 1:
+                for tgt, is_fair in nbw.trans[(q, letter)]:
+                    alls |= 1 << tgt
+                    if is_fair:
+                        fair |= 1 << tgt
+        return alls, fair
+
+    def tree_step(tree, letter):
+        if not tree:
+            return tree, 1
+        # the child that node v grows for its fair successors is named k + v
+        k = len(tree)
+        size = 2 * k + 1
+        parent = [0] * size
+        label = [0] * size
+        names = list(range(1, k + 1))
+        for name, (par, lab) in enumerate(tree, 1):
+            parent[name] = par
+            label[name], fair = post(lab, letter)
+            if fair:
+                parent[k + name] = name
+                label[k + name] = fair
+                names.append(k + name)
+        children: list[list] = [[] for _ in range(size)]
+        for name in names:
+            children[parent[name]].append(name)
+
+        def subtree(name):
+            out = [name]
+            for v in out:
+                out.extend(children[v])
+            return out
+
+        # Horizontal merge: a state stays with the oldest sibling holding it.
+        for kids in children:
+            seen = 0
+            for c in kids:
+                clash = label[c] & seen
+                if clash:
+                    for d in subtree(c):
+                        label[d] &= ~clash
+                seen |= label[c]
+
+        if not label[1]:
+            return (), 1
+        removed = [not label[name] for name in range(size)]
+
+        # Vertical merge: a node whose children cover it absorbs them.
+        marked = []
+        stack = [1]
+        while stack:
+            v = stack.pop()
+            ch = [c for c in children[v] if not removed[c]]
+            cover = 0
+            for c in ch:
+                cover |= label[c]
+            if ch and label[v] == cover:
+                marked.append(v)
+                for c in ch:
+                    for d in subtree(c):
+                        removed[d] = True
+            else:
+                stack.extend(ch)
+
+        cands = []
+        gone = [name for name in names if removed[name]]
+        if gone:
+            cands.append(2 * gone[0] - 1)
+        if marked:
+            cands.append(2 * min(marked))
+        prio = min(cands) if cands else neutral
+
+        rename = [0] * size
+        alive = [name for name in names if not removed[name]]
+        for new, name in enumerate(alive, 1):
+            rename[name] = new
+        return tuple((rename[parent[name]], label[name]) for name in alive), prio
+
+    def expand(state, number):
+        tree = state[0]
+        check_safra_tree(tree)
+        return [number(tree_step(tree, letter)) for letter in letters]
+
+    init_tree = ((0, 1 << nbw.initial),)
+    states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
+    trans = {(src, letter): tgt for src, row in enumerate(rows)
+             for letter, tgt in zip(letters, row)}
+    rank = [ceil_prio - prio for (_, prio) in states]
+    return DPW(nbw.atoms, len(states), 0, trans, rank)
+
+
+def assert_same_dpw(got: DPW, want: DPW):
+    """The two automata have the same states, transitions and ranks."""
+    assert got.n_states == want.n_states
+    assert got.trans == want.trans
+    assert got.rank == want.rank
 
 
 class Product(ProductPreAutomaton):
@@ -616,6 +754,18 @@ def random_formula(rng, atoms, size, boolean=False, until=True):
     if op == "wavg":
         return WAvg(rng.choice(_LAMBDAS), left, right)
     return Until(left, right)
+
+
+def random_nbw(rng, atoms, n, density=0.3, fair=0.4) -> NBW:
+    """An NBW on states 0..n-1 with initial state 0: each (state, letter,
+    target) triple is an edge with probability `density`, and each edge is
+    fair with probability `fair`."""
+    trans = {}
+    for q in range(n):
+        for letter in all_letters(atoms):
+            trans[(q, letter)] = tuple((t, rng.random() < fair)
+                                       for t in range(n) if rng.random() < density)
+    return NBW(atoms, range(n), 0, trans)
 
 
 def random_lasso(rng, atoms, max_prefix=3, max_period=3) -> LassoWord:

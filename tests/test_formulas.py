@@ -122,6 +122,33 @@ def test_deepest_formulas_print(chain):
         assert str(beta) == "!(" + "(true U " * MAX_NESTING + "!(a)" + ")" * MAX_NESTING + ")"
 
 
+def _next_chain(depth, leaf):
+    f = Atom(leaf)
+    for _ in range(depth):
+        f = Next(f)
+    return f
+
+
+def test_deep_formulas_hash_size_and_compare():
+    # Built through the constructors, a formula may nest deeper than the
+    # recursion limit; hashing, `size` and `==` still walk it.
+    f, g, h = _next_chain(1200, "a"), _next_chain(1200, "a"), _next_chain(1200, "b")
+    assert hash(f) == hash(g)
+    assert f.size() == 1201
+    assert f == g and not f != g
+    assert f != h and not f == h
+    # Each node's cached hash is the hash of its key (class tag and fields),
+    # as when it was computed recursively, so hash values did not change.
+    rng = random.Random(17)
+    for _ in range(50):
+        stack = [random_formula(rng, ["a", "b"], rng.randint(1, 12))]
+        hash(stack[0])
+        while stack:
+            node = stack.pop()
+            assert node._hash == hash(node._key(node))
+            stack.extend(node.children())
+
+
 class TestLassoWord:
     def test_empty_period_rejected(self):
         with pytest.raises(ValueError):
