@@ -119,10 +119,17 @@ These local conventions keep it fast and the halves compatible:
   an empty verdict in its place, so a candidate is decided once.
 
 Everything downstream (products, runs, emptiness) works on the ranked
-deterministic form.
+deterministic form.  Every automaton here, and the product, keeps its
+transitions as rows: `rows[q][m]` is state q's entry on letter m, the
+bitmask m over the sorted atoms (`common.all_letters`).  Frozenset letters
+remain only at the boundary: `trans` views the rows as a table keyed by
+(state, letter), `step` reads one entry, and constructors take such tables.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from functools import cached_property
 
 from .booleanize import (
     BAnd,
@@ -141,6 +148,7 @@ from .common import (
     StateLimitExceeded,
     all_letters,
     explore,
+    letter_masks,
     state_ceiling,
     strongly_connected_components,
 )
@@ -431,19 +439,70 @@ class Tableau:
         return cover
 
 
-class NBW:
+class LetterRows(Mapping):
+    """The read-only table {(state, letter): entry} over `rows`, a list
+    indexed by state number or a dict keyed by state: the entry of s on
+    letter m of `all_letters(atoms)` is `rows[s][m]`, and none is stored."""
+
+    def __init__(self, rows, atoms):
+        self._rows, self._letters, self._masks = rows, all_letters(atoms), letter_masks(atoms)
+        self._states = range(len(rows)) if isinstance(rows, list) else rows
+
+    def __getitem__(self, key):
+        s, letter = key
+        if s not in self._states or letter not in self._masks:
+            raise KeyError(key)
+        return self._rows[s][self._masks[letter]]
+
+    def __iter__(self):
+        return ((s, letter) for s in self._states for letter in self._letters)
+
+    def __len__(self):
+        return len(self._states) * len(self._letters)
+
+
+class _ByLetter:
+    """`trans` and `step`: an automaton's `rows` read by frozenset letter,
+    for tests and library callers."""
+
+    @cached_property
+    def trans(self) -> LetterRows:
+        return LetterRows(self.rows, self.atoms)
+
+    def step(self, s, letter: frozenset):
+        return self.trans[(s, letter)]
+
+
+def _rows(trans, n: int, atoms) -> list:
+    """The rows given as a list or tuple, or those of a {(state, letter):
+    entry} table, checked to cover the states 0..n-1 and every letter m of
+    `all_letters(atoms)`."""
+    # a type test, not isinstance(trans, Mapping): the first check of a type
+    # against an ABC walks the ABC's subclasses, once in every fresh process
+    if not isinstance(trans, (list, tuple)):
+        try:
+            return [tuple(trans[(q, letter)] for letter in all_letters(atoms)) for q in range(n)]
+        except KeyError as exc:
+            raise ValueError(f"missing transition {exc.args[0]}") from None
+    rows = list(trans)
+    if len(rows) != n or any(len(row) != 1 << len(atoms) for row in rows):
+        raise ValueError(f"rows do not cover {n} states and {1 << len(atoms)} letters")
+    return rows
+
+
+class NBW(_ByLetter):
     """Nondeterministic Buchi automaton with acceptance on transitions.
 
-    `trans[(state, letter)]` lists (successor, fair) pairs where `fair`
-    means the transition counts toward acceptance.  A run is accepting when
-    it takes fair transitions infinitely often.
+    `rows[q][m]` lists the (successor, fair) pairs of state q on letter m,
+    where `fair` means the transition counts toward acceptance.  A run is
+    accepting when it takes fair transitions infinitely often.
     """
 
     def __init__(self, atoms, states, initial, trans):
         self.atoms = frozenset(atoms)
         self.states = list(states)
         self.initial = initial
-        self.trans = trans
+        self.rows = _rows(trans, len(self.states), self.atoms)
 
     def __len__(self):
         return len(self.states)
@@ -585,16 +644,14 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
         # leaves only entries a later build can use.
         if limit is not None and tableau.memo_size() > limit:
             raise StateLimitExceeded(TABLEAU_MEMOS, limit)
-        return row
+        return tuple(row)
 
     try:
         states, rows = explore((1 << root, 0), expand, "tableau automaton", ceiling)
     finally:
         tableau.prefixes.clear()
         tableau.prefixes[0] = ((0, 0, 0, 0, 0),)
-    trans = {(src, letter): edges for src, row in enumerate(rows)
-             for letter, edges in zip(letters, row)}
-    return NBW(tableau.atoms, states, 0, trans)
+    return NBW(tableau.atoms, states, 0, rows)
 
 
 def _bexpr_atoms(e: BExpr) -> frozenset:
@@ -611,45 +668,37 @@ def _bexpr_atoms(e: BExpr) -> frozenset:
 # --- determinization -----------------------------------------------------
 
 
-class DPW:
+class DPW(_ByLetter):
     """Deterministic parity automaton; accepts when the maximal rank seen
-    infinitely often is even."""
+    infinitely often is even.  `rows[q][m]` is the successor of q on letter m."""
 
     def __init__(self, atoms, n_states, initial, trans, rank):
         self.atoms = frozenset(atoms)
         self.n_states = n_states
         self.initial = initial
-        self.trans = trans
+        self.rows = _rows(trans, n_states, self.atoms)
         self.rank = rank
-        letters = all_letters(self.atoms)
         for q in range(n_states):
             if not 1 <= rank[q]:
                 raise ValueError(f"state {q} has rank {rank[q]} below 1")
-            for letter in letters:
-                if (q, letter) not in trans:
-                    raise ValueError(f"missing transition from {q} on {set(letter)}")
-
-    def step(self, q: int, letter: frozenset) -> int:
-        return self.trans[(q, letter)]
 
     def __len__(self):
         return self.n_states
 
 
 def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
-    letters = all_letters(nbw.atoms)
     n = max(1, len(nbw.states))
     top_name = 2 * n + 2
     neutral = 2 * top_name + 1
     ceil_prio = 2 * top_name + 2
 
-    # succ[i][q]: the (all, fair) successor bitmasks of state q on letter i
+    # succ[m][q]: the (all, fair) successor bitmasks of state q on letter m
     succ = []
-    for letter in letters:
+    for m in range(1 << len(nbw.atoms)):
         row = []
-        for q in range(len(nbw.states)):
+        for nbw_row in nbw.rows:
             alls = fair = 0
-            for tgt, is_fair in nbw.trans[(q, letter)]:
+            for tgt, is_fair in nbw_row[m]:
                 alls |= 1 << tgt
                 if is_fair:
                     fair |= 1 << tgt
@@ -745,14 +794,12 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
                     got = merged[key] = merge(shape, images)
                 step.append(got)
         # targets are numbered in letter order, as if every letter stepped
-        return [number(step[c]) for c in cls]
+        return tuple([number(step[c]) for c in cls])
 
     init_tree = ((0, 1 << nbw.initial),)
     states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
-    trans = {(src, letter): tgt for src, row in enumerate(rows)
-             for letter, tgt in zip(letters, row)}
     rank = [ceil_prio - prio for (_, prio) in states]
-    return DPW(nbw.atoms, len(states), 0, trans, rank)
+    return DPW(nbw.atoms, len(states), 0, rows, rank)
 
 
 # --- value automata ------------------------------------------------------
@@ -812,11 +859,12 @@ def _shared_nbw(formula: Formula, beta: BExpr, atoms: frozenset, ceiling) -> NBW
 # --- products ------------------------------------------------------------
 
 
-class ProductPreAutomaton:
+class ProductPreAutomaton(_ByLetter):
     """Reachable synchronized product of deterministic components.
 
     States are tuples of component states; projection i is plain tuple
-    indexing.  Components only need `initial` and `step`.
+    indexing.  Components only need `initial` and `rows`; `rows[s][m]` is
+    the successor of s on letter m.
     """
 
     def __init__(self, components, ceiling: int | None = None):
@@ -829,19 +877,16 @@ class ProductPreAutomaton:
         self.atoms = atoms
         self.components = list(components)
         self.initial = tuple(c.initial for c in components)
-        letters = all_letters(atoms)
-        self.trans = {}
+        parts = [c.rows for c in self.components]
 
         def expand(s, number):
-            for letter in letters:
-                t = self.trans[(s, letter)] = tuple(
-                    c.step(q, letter) for c, q in zip(self.components, s))
+            row = tuple(zip(*[rows[q] for rows, q in zip(parts, s)]))
+            for t in row:
                 number(t)
+            return row
 
-        self.states, _ = explore(self.initial, expand, "product automaton", ceiling)
-
-    def step(self, s: tuple, letter: frozenset) -> tuple:
-        return self.trans[(s, letter)]
+        self.states, rows = explore(self.initial, expand, "product automaton", ceiling)
+        self.rows = dict(zip(self.states, rows))
 
     def __len__(self):
         return len(self.states)
@@ -882,11 +927,12 @@ def nbw_nonempty(nbw: NBW) -> bool:
     a strongly connected component reachable from the initial state."""
     succ: list = [set() for _ in nbw.states]
     fair_edges = []
-    for (q, _), edges in nbw.trans.items():
-        for t, fair in edges:
-            succ[q].add(t)
-            if fair:
-                fair_edges.append((q, t))
+    for q, row in enumerate(nbw.rows):
+        for edges in row:
+            for t, fair in edges:
+                succ[q].add(t)
+                if fair:
+                    fair_edges.append((q, t))
     component = {}
     for i, comp in enumerate(strongly_connected_components([nbw.initial], succ.__getitem__)):
         for q in comp:
@@ -897,7 +943,7 @@ def nbw_nonempty(nbw: NBW) -> bool:
 def accepting_lasso_from(dpw: DPW, q: int):
     """A lasso word accepted from q, or None."""
     letters = all_letters(dpw.atoms)
-    found = parity_lasso(q, lambda s: [(a, dpw.step(s, a)) for a in letters],
+    found = parity_lasso(q, lambda s: list(zip(letters, dpw.rows[s])),
                          lambda s: dpw.rank[s])
     if found is None:
         return None

@@ -211,9 +211,8 @@ def cmd_simulate(args) -> int:
     spec, T = _load_pair(args)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
-    mean, xs = simulate(T, spec.formula, args.samples, args.seed,
-                        spec.distribution)
-    exact = expected_value(T, spec.formula, spec.distribution)
+    mean, xs, exact = simulate(T, spec.formula, args.samples, args.seed,
+                               spec.distribution)
     n = len(xs)
     if n > 1:
         var = sum((x - mean) ** 2 for x in xs) / (n - 1)

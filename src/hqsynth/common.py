@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter, methodcaller
+from types import MappingProxyType
 
 STATE_CEILING_ENV = "HQSYNTH_STATE_CEILING"
 DEFAULT_STATE_CEILING = 10**6
@@ -220,17 +222,36 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def all_letters(atoms) -> list[frozenset]:
-    """Every subset of the atom set, in a fixed bitmask order.  An alphabet
-    of more letters than the state ceiling raises `StateLimitExceeded`."""
-    names = sorted(atoms)
+def all_letters(atoms) -> tuple[frozenset, ...]:
+    """Every subset of the atom set; letter m holds the atoms at the set
+    bits of m over the sorted atoms.  Inside the library letters travel as
+    these bitmasks over the joint alphabet of inputs and outputs, which
+    index every automaton's rows; frozensets remain at the library and JSON
+    boundary.  The last alphabets of up to 12 atoms are kept, but each call
+    checks that the ceiling admits that many letters (`StateLimitExceeded`)."""
+    return _alphabet(atoms)[0]
+
+
+def letter_masks(atoms):
+    """The read-only map {letter: its bitmask} over `all_letters(atoms)`."""
+    return _alphabet(atoms)[1]
+
+
+def _alphabet(atoms) -> tuple:
+    names = tuple(sorted(atoms))
     limit = state_ceiling()
     if 1 << len(names) > limit:
         raise StateLimitExceeded(f"alphabet of {len(names)} atoms", limit)
-    out = []
-    for mask in range(1 << len(names)):
-        out.append(frozenset(names[i] for i in range(len(names)) if mask >> i & 1))
-    return out
+    return (_kept_alphabet if len(names) <= 12 else _build_alphabet)(names)
+
+
+def _build_alphabet(names: tuple) -> tuple:
+    letters = tuple(frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
+                    for mask in range(1 << len(names)))
+    return letters, MappingProxyType({letter: mask for mask, letter in enumerate(letters)})
+
+
+_kept_alphabet = lru_cache(maxsize=32)(_build_alphabet)
 
 
 def strongly_connected_components(nodes, succ):

@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .booleanize import AtLeast, EqualTo
-from .common import InternalConsistencyError, all_letters, explore, probability_row
+from .common import (InternalConsistencyError, all_letters, explore, letter_masks,
+                     probability_row)
 from .automata import dpw_for, parity_lasso
 from .formulas import Formula, LassoWord, check_nesting, eval_lasso, is_boolean, values
 from .mdp import MarkovChain, input_process, mc_ergodic_analysis
@@ -53,7 +54,7 @@ def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovCha
     process = input_process(dist, T.inputs, T.outputs)
     if process.inputs != T.inputs or process.outputs != T.outputs:
         raise ValueError("input process and transducer disagree on alphabets")
-    in_letters = all_letters(T.inputs)
+    in_letters, masks = all_letters(T.inputs), letter_masks(T.inputs | T.outputs)
 
     def expand(state, number):
         t, qs, sd = state
@@ -66,12 +67,12 @@ def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovCha
                     "step ahead: all successors of a transducer state must share "
                     "a label")
             (committed,) = labels
+        rows = [a.rows[q] for a, q in zip(automata, qs)]
         branches = []
         for i, sd2, w in process.branches(sd, committed):
             t2 = T.delta[(t, i)]
-            letter = i | T.labels[t2]
-            branches.append(
-                ((t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2), w))
+            m = masks[i] | masks[T.labels[t2]]
+            branches.append(((t2, tuple([row[m] for row in rows]), sd2), w))
         return probability_row(branches, number)
 
     init = (T.initial, tuple(a.initial for a in automata), process.initial)
@@ -120,8 +121,8 @@ def check_assumption(assumption: Formula, inputs):
         raise ValueError("assumption must range over inputs only")
 
 
-def _outcomes(T: Transducer, formula: Formula, assumption=None, dist=None,
-              ceiling=None):
+def outcomes(T: Transducer, formula: Formula, assumption=None, dist=None,
+             ceiling=None):
     """(probability, value) of each ergodic component of the product chain;
     given an assumption, of the components where it holds, with their
     probabilities conditioned on it."""
@@ -141,30 +142,35 @@ def _outcomes(T: Transducer, formula: Formula, assumption=None, dist=None,
     return [(p / mass, v) for p, v in kept]
 
 
+def expectation(outs) -> Fraction:
+    return sum((p * v for p, v in outs), Fraction(0))
+
+
+def floor_of(outs) -> Fraction:
+    """The smallest value among (probability, value) outcomes with mass."""
+    return min(v for p, v in outs if p > 0)
+
+
 def expected_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
-    outcomes = _outcomes(T, formula, None, dist, ceiling)
-    return sum((p * v for p, v in outcomes), Fraction(0))
+    return expectation(outcomes(T, formula, None, dist, ceiling))
 
 
 def conditional_expected_value(T: Transducer, formula: Formula, assumption: Formula,
                                dist=None, ceiling=None) -> Fraction:
-    outcomes = _outcomes(T, formula, assumption, dist, ceiling)
-    return sum((p * v for p, v in outcomes), Fraction(0))
+    return expectation(outcomes(T, formula, assumption, dist, ceiling))
 
 
 def almost_sure_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
     """The largest value the computation reaches with probability one, i.e.
     the smallest value among ergodic components that carry mass."""
-    outcomes = _outcomes(T, formula, None, dist, ceiling)
-    return min(v for p, v in outcomes if p > 0)
+    return floor_of(outcomes(T, formula, None, dist, ceiling))
 
 
 def conditional_almost_sure_floor(T: Transducer, formula: Formula, assumption: Formula,
                                   dist=None, ceiling=None) -> Fraction:
     """The largest value reached with conditional probability one, given
     the assumption."""
-    outcomes = _outcomes(T, formula, assumption, dist, ceiling)
-    return min(v for p, v in outcomes if p > 0)
+    return floor_of(outcomes(T, formula, assumption, dist, ceiling))
 
 
 # --- worst case ----------------------------------------------------------
@@ -180,19 +186,17 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
     """
     _check_formula(T, formula)
     atoms = T.inputs | T.outputs
-    in_letters = all_letters(T.inputs)
+    in_letters, masks = all_letters(T.inputs), letter_masks(atoms)
     pos = {q: k for k, q in enumerate(T.states)}
+    # targets[k]: (input letter, successor) of each input, from state k
+    targets = [[(i, T.delta[(q, i)]) for i in in_letters] for q in T.states]
     for v in values(formula, atoms, ceiling=ceiling):
         dpw = dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling)
 
-        def succ(node):
+        def succ(node, rows=dpw.rows):
             tk, q = node
-            out = []
-            for i in in_letters:
-                t2 = T.delta[(T.states[tk], i)]
-                q2 = dpw.step(q, i | T.labels[t2])
-                out.append((i, (pos[t2], q2)))
-            return out
+            return [(i, (pos[t2], rows[q][masks[i] | masks[T.labels[t2]]]))
+                    for i, t2 in targets[tk]]
 
         found = parity_lasso((pos[T.initial], dpw.initial), succ,
                              lambda node: dpw.rank[node[1]])
@@ -215,7 +219,8 @@ def worst_case_value(T: Transducer, formula: Formula, ceiling=None) -> Fraction:
 
 def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
              dist=None, ceiling=None):
-    """Monte-Carlo check of the exact pipeline: (mean, per-sample values).
+    """Monte-Carlo check of the exact pipeline: (mean, per-sample values,
+    exact expected value), the exact value read off the same analysis.
 
     Walks the same product chain with a seeded generator until absorption;
     the sample's value is the value of the component entered.  Bit-for-bit
@@ -225,7 +230,7 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
     """
     import random
 
-    chain, bottoms, _, comp_values, _ = _setup(T, formula, (), dist, ceiling)
+    chain, bottoms, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
     value_at = {}
     for comp, v in zip(bottoms, comp_values):
         for s in comp:
@@ -251,4 +256,4 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
                 raise InternalConsistencyError("simulation failed to absorb")
         out.append(value_at[s])
     mean = sum(out, Fraction(0)) / samples if samples else Fraction(0)
-    return mean, out
+    return mean, out, expectation(zip(rho, comp_values))

@@ -2,8 +2,11 @@
 
 A pre-MDP here always arises from a deterministic automaton whose letters
 split into inputs and outputs: the controller picks the output letter, the
-environment draws the input letter, and the automaton state advances.  Every
-solver below is exact.
+environment draws the input letter, and the automaton state advances on the
+bitmask of their union over the joint alphabet, `rows[q][mask]`, the masks
+of a process state's branches built once per call (`masked_branches`);
+actions and input processes keep frozenset letters.  Every solver below is
+exact.
 
 Probabilities are carried as positive int weights over one denominator
 `den` shared by every row of an input process, and of every MDP and chain
@@ -59,6 +62,7 @@ from .common import (
     all_letters,
     explore,
     format_fraction,
+    letter_masks,
     probability_row,
     state_ceiling,
     strongly_connected_components,
@@ -305,6 +309,24 @@ def input_process(dist, inputs, outputs):
     return UniformInputs(inputs, outputs) if dist is None else dist
 
 
+def masked_branches(process, atoms, outputs):
+    """A function from a process state to its branches under each of the
+    `outputs`, as ((mask of input and output over `atoms`, next state,
+    weight), ...), each state's built once."""
+    masks = letter_masks(atoms)
+    memo: dict = {}
+
+    def at(sd) -> list:
+        got = memo.get(sd)
+        if got is None:
+            got = memo[sd] = [tuple((masks[i] | masks[o], sd2, w)
+                                    for i, sd2, w in process.branches(sd, o))
+                              for o in outputs]
+        return got
+
+    return at
+
+
 # --- induced MDPs --------------------------------------------------------
 
 
@@ -314,12 +336,13 @@ def induced_pre_mdp(automaton, process, ceiling: int | None = None) -> PreMDP:
     States are (automaton state, process state) pairs.
     """
     out_letters = all_letters(process.outputs)
+    branches = masked_branches(process, automaton.atoms, out_letters)
 
     def expand(lab, number):
         q, sd = lab
-        return [probability_row([((automaton.step(q, i | o), sd2), p)
-                                 for i, sd2, p in process.branches(sd, o)], number)
-                for o in out_letters]
+        row = automaton.rows[q]
+        return [probability_row([((row[m], sd2), w) for m, sd2, w in bs], number)
+                for bs in branches(sd)]
 
     labels, rows = explore((automaton.initial, process.initial), expand,
                            "induced MDP", ceiling)
@@ -548,14 +571,13 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
     policy = [0] * n_nodes
     values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
                               den, ceiling)
-    # action values are compared times `den`, so no division is needed
     while True:
         improved = False
+        ints, ends = _scaled(values, terminal, den)
         for i in range(n_nodes):
-            best_a, best_v = policy[i], values[i] * den
+            best_a, best_v = policy[i], ints[i] * den
             for a in range(len(node_actions[i])):
-                v = _policy_action_value(i, a, node_actions, node_rows, terminal, values,
-                                         den)
+                v = _policy_action_value(i, a, node_actions, node_rows, ends, ints)
                 if v > best_v:
                     best_a, best_v = a, v
                     improved = True
@@ -565,10 +587,9 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
         values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
                                   den, ceiling)
     for i in range(n_nodes):
-        here = values[i] * den
+        here = ints[i] * den
         for a in range(len(node_actions[i])):
-            if _policy_action_value(i, a, node_actions, node_rows, terminal, values,
-                                    den) == here:
+            if _policy_action_value(i, a, node_actions, node_rows, ends, ints) == here:
                 policy[i] = a
                 break
     normalized = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
@@ -604,12 +625,19 @@ def _add_node_action(M, node_of, node_actions, node_rows, i, s, a):
     node_actions[i].append(("via", s, a))
 
 
-def _policy_action_value(i, a, node_actions, node_rows, terminal, values, den):
-    """The value of node i's action a, times `den`."""
-    act = node_actions[i][a]
-    if act == ("stay",):
-        return terminal[i] * den
-    return sum(w * values[j] for j, w in node_rows[(i, a)])
+def _scaled(values, terminal, den):
+    """(values, terminal rewards times `den`) of a policy evaluation as ints,
+    scaled by the lcm of their denominators: a positive factor keeps `<`."""
+    scale = lcm(*(x.denominator for x in values), *(x.denominator for x in terminal))
+    return ([x.numerator * (scale // x.denominator) for x in values],
+            [x.numerator * (scale // x.denominator) * den for x in terminal])
+
+
+def _policy_action_value(i, a, node_actions, node_rows, ends, ints):
+    """The value of node i's action a times `den`, on `_scaled` ints."""
+    if node_actions[i][a] == ("stay",):
+        return ends[i]
+    return sum(w * ints[j] for j, w in node_rows[(i, a)])
 
 
 def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den, ceiling):

@@ -43,6 +43,10 @@ class Transducer:
                     raise ValueError(f"missing transition from {q!r} on {set(i)}")
                 if tgt not in ids:
                     raise ValueError(f"transition from {q!r} leads to unknown {tgt!r}")
+        if len(self.delta) > len(self.states) * len(letters):
+            q, i = next(k for k in self.delta if k[0] not in ids or k[1] not in letters)
+            raise ValueError(f"transition from {q!r} on {set(i)} is outside the states "
+                             "and inputs")
 
     def step(self, q, input_letter: frozenset):
         return self.delta[(q, frozenset(input_letter))]
@@ -124,8 +128,13 @@ def transducer_from_json(doc: dict) -> Transducer:
             raise ValueError(f"controller state ids must be integers or strings, not {q!r}")
     labels = {st["id"]: json_atoms(st["label"], "controller state label")
               for st in records}
-    delta = {(tr["from"], json_atoms(tr["input"], "controller transition input")): tr["to"]
-             for tr in transitions}
+    delta = {}
+    for tr in transitions:
+        key = (tr["from"], json_atoms(tr["input"], "controller transition input"))
+        if key in delta:
+            raise ValueError(f"controller transition from {key[0]!r} on "
+                             f"{sorted(key[1])} is given twice")
+        delta[key] = tr["to"]
     return Transducer(json_atoms(doc["inputs"], "controller inputs"),
                       json_atoms(doc["outputs"], "controller outputs"),
                       [st["id"] for st in records], doc["initial"], delta, labels)

@@ -217,8 +217,8 @@ class TestSimulate:
                        {(0, frozenset()): 1, (1, frozenset()): 1},
                        {0: frozenset(), 1: frozenset({"o"})})
         phi = parse("X o")
-        mean, xs = simulate(T, phi, 1, seed=7)
-        assert mean == expected_value(T, phi) == 1
+        mean, xs, exact = simulate(T, phi, 1, seed=7)
+        assert mean == exact == expected_value(T, phi) == 1
 
     def test_seeded_runs_reproduce(self):
         T = S.close_second_cycle()
@@ -230,7 +230,8 @@ class TestSimulate:
     def test_estimate_tracks_exact_value(self):
         T = S.close_second_cycle()
         phi = S.hard_drive_formula()
-        mean, xs = simulate(T, phi, 4000, seed=11)
+        mean, xs, exact = simulate(T, phi, 4000, seed=11)
+        assert exact == expected_value(T, phi)
         assert len(xs) == 4000
         assert all(x in (0, HALF, 1, Fraction(3, 4)) for x in xs)
         assert abs(mean - expected_value(T, phi)) < Fraction(1, 20)

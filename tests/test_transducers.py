@@ -48,6 +48,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             Transducer(frozenset(), frozenset(), [0], 7, {(0, E): 0}, {0: E})
 
+    def test_transition_on_a_letter_outside_the_inputs_rejected(self):
+        delta = {(0, E): 0, (0, DATA): 0, (0, CLOSE): 0}
+        with pytest.raises(ValueError, match="outside the states and inputs"):
+            Transducer(frozenset({"data"}), frozenset(), [0], 0, delta, {0: E})
+
+    def test_transition_from_an_unknown_state_rejected(self):
+        delta = {(0, E): 0, (0, DATA): 0, (9, E): 0}
+        with pytest.raises(ValueError, match="from 9 on"):
+            Transducer(frozenset({"data"}), frozenset(), [0], 0, delta, {0: E})
+
+    @pytest.mark.parametrize("extra,why", [
+        ({"from": 0, "input": [], "to": 3}, "given twice"),
+        ({"from": 0, "input": ["zz"], "to": 3}, "outside the states and inputs"),
+        ({"from": 7, "input": [], "to": 3}, "outside the states and inputs"),
+    ], ids=["repeated", "outside-inputs", "unknown-state"])
+    def test_ambiguous_controller_file_is_an_error(self, tmp_path, capsys, extra, why):
+        # a controller file that gives a (state, input) pair twice, or a
+        # transition the machine cannot take, would run as some other machine
+        from hqsynth.cli import main
+
+        doc = transducer_to_json(close_second_cycle())
+        doc["transitions"].append(extra)
+        ctrl = tmp_path / "ctrl.json"
+        ctrl.write_text(json.dumps(doc), encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"inputs": ["data"], "outputs": ["close"],
+                                    "formula": "F close"}), encoding="utf-8")
+        assert main(["eval", str(spec), str(ctrl)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert why in captured.err
+
 
     def test_input_letters_are_built_once(self, monkeypatch):
         import hqsynth.transducers as transducers

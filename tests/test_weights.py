@@ -1,15 +1,18 @@
-"""Int-weight rows against the Fraction-row oracles, on every benchmark spec,
-and the exact type of every value the library returns."""
+"""Int-weight rows against the Fraction-row oracles, on every benchmark spec
+and on random specs whose outputs sort between the inputs, and the exact
+type of every value the library returns."""
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from hqsynth.automata import ProductPreAutomaton, dpw_for
-from hqsynth.booleanize import EqualTo
+from hqsynth.automata import ProductPreAutomaton, determinize, dpw_for, ltl_to_nbw, run_lasso
+from hqsynth.booleanize import EqualTo, booleanize
 from hqsynth.cli import load_spec_file
+from hqsynth.common import all_letters
 from hqsynth.evaluation import (
     almost_sure_value,
     conditional_almost_sure_floor,
@@ -17,12 +20,21 @@ from hqsynth.evaluation import (
     expected_value,
     product_chain,
     worst_case_value,
+    worst_case_witness,
 )
-from hqsynth.formulas import values
-from hqsynth.mdp import UniformInputs, induced_pre_mdp, solve_mean_payoff
-from hqsynth.synthesis import SynthesisResult, achievability_mdp, synthesize
+from hqsynth.formulas import parse, values
+from hqsynth.mdp import DistributionMDP, UniformInputs, induced_pre_mdp, solve_mean_payoff
+from hqsynth.synthesis import SynthesisResult, SynthesisSpec, achievability_mdp, synthesize
 
-from oracles import induced_fraction_rows, product_chain_fraction_rows
+from oracles import (
+    induced_fraction_rows,
+    oracle_eval,
+    plain_determinize,
+    product_chain_fraction_rows,
+    random_formula,
+    random_lasso,
+    random_transducer,
+)
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "bench", "inputs")
@@ -132,3 +144,106 @@ def test_values_are_fractions(name):
     RM, _ = achievability_mdp(spec.formula, spec.inputs, spec.outputs, process)
     _assert_fraction(solve_mean_payoff(RM)[0])
 
+
+
+# --- alphabets whose outputs sort between the inputs ----------------------
+#
+# Inputs {a, c} and outputs {b, d} interleave in the joint alphabet's bit
+# order a, b, c, d: an input letter's bitmask over the inputs alone is not
+# its bitmask over the joint alphabet, which indexes every automaton's rows.
+# The bench/inputs specs have one output, or inputs that sort first.
+
+AC, BD = frozenset({"a", "c"}), frozenset({"b", "d"})
+ABCD = AC | BD
+
+
+def _interleaved_process(rng):
+    """An output-sensitive input process over AC: one state per input
+    letter, so the process is told apart by the inputs it emits."""
+    letters = all_letters(AC)
+    trans = {}
+    for s in range(len(letters)):
+        for o in all_letters(BD):
+            weights = [rng.randint(0, 3) for _ in letters]
+            weights[rng.randrange(len(letters))] += 1
+            trans[(s, o)] = [(t, Fraction(w, sum(weights))) for t, w in enumerate(weights)]
+    return DistributionMDP(AC, BD, letters, 0, trans)
+
+
+def _interleaved_specs():
+    """Seeded random specs over inputs AC and outputs BD, each with uniform
+    inputs and with a random input process."""
+    rng = random.Random(2357)
+    specs = []
+    while len(specs) < 10:
+        f = random_formula(rng, sorted(ABCD), rng.randint(4, 8))
+        if f.atoms() & AC and f.atoms() & BD:  # reads an input and an output
+            specs.append((f, [UniformInputs(AC, BD), _interleaved_process(rng)]))
+    return specs
+
+
+INTERLEAVED = _interleaved_specs()
+
+
+@pytest.mark.parametrize("k", range(len(INTERLEAVED)))
+def test_interleaved_dpw_rows_match_the_plain_table(k):
+    f, _ = INTERLEAVED[k]
+    letters = all_letters(ABCD)
+    rng = random.Random(k)
+    for v in values(f, ABCD):
+        nbw = ltl_to_nbw(booleanize(f, EqualTo(v)), ABCD)
+        dpw, want = determinize(nbw), plain_determinize(nbw)
+        assert dpw.n_states == want.n_states and dpw.rank == want.rank
+        for q in range(dpw.n_states):
+            assert [dpw.rows[q][m] for m in range(len(letters))] == \
+                [want.trans[(q, letter)] for letter in letters]
+        for _ in range(10):
+            w = random_lasso(rng, sorted(ABCD))
+            assert run_lasso(dpw, w) == (oracle_eval(f, w) == v), (f, w)
+
+
+@pytest.mark.parametrize("k", range(len(INTERLEAVED)))
+def test_interleaved_induced_rows_match_fraction_oracle(k):
+    f, processes = INTERLEAVED[k]
+    dpws = [dpw_for(f, EqualTo(v), ABCD) for v in values(f, ABCD)]
+    for automaton in (ProductPreAutomaton(dpws), dpws[0]):
+        for process in processes:
+            M = induced_pre_mdp(automaton, process)
+            rows = [[M.weights[(s, a)] for a in range(len(M.actions[s]))]
+                    for s in range(M.n)]
+            assert _by_label(M.labels, rows, M.den) == \
+                induced_fraction_rows(automaton, process)
+
+
+@pytest.mark.parametrize("k", range(len(INTERLEAVED)))
+def test_interleaved_product_chain_rows_match_fraction_oracle(k):
+    f, processes = INTERLEAVED[k]
+    dpws = [dpw_for(f, EqualTo(v), ABCD) for v in values(f, ABCD)]
+    rng = random.Random(k)
+    for process in processes:
+        # a synthesized controller, and under uniform inputs a random one
+        uniform = isinstance(process, UniformInputs)
+        spec = SynthesisSpec(AC, BD, f, distribution=None if uniform else process)
+        controllers = [synthesize(spec).transducer]
+        if uniform:
+            controllers.append(random_transducer(rng, AC, BD, 5))
+        for T in controllers:
+            C = product_chain(T, dpws, process)
+            got = _by_label(C.labels, [[row] for row in C.weights], C.den)
+            assert got == product_chain_fraction_rows(T, dpws, process)
+
+
+@pytest.mark.parametrize("k", range(len(INTERLEAVED)))
+def test_interleaved_synthesis_certifies(k):
+    # `synthesize` re-evaluates its controller and `worst_case_witness`
+    # replays its witness, so a step on a wrong mask in extraction, the
+    # restricted MDP, the worst-case search or the assumption chain shows
+    # up as an InternalConsistencyError or a changed assumption probability.
+    f, processes = INTERLEAVED[k]
+    for process in processes:
+        dist = None if isinstance(process, UniformInputs) else process
+        spec = SynthesisSpec(AC, BD, f, distribution=dist)
+        worst_case_witness(synthesize(spec).transducer, f)
+        synthesize(spec.replace(threshold=Fraction(1, 2)))
+    res = synthesize(SynthesisSpec(AC, BD, f, assumption=parse("a | X c")))
+    assert res.assumption_probability == Fraction(3, 4)

@@ -10,6 +10,13 @@ worker process of its own.  The command lines are:
   threshold and with the thresholds 1/2 and 3/4;
 * small-specs batches 0-3 of seed 0 and 0-1 of seed 104729, generated by
   bench/workloads.py (read only), synthesized as the benchmark does;
+* INTERLEAVED seeded random specs over inputs {a, c} and outputs {b, d},
+  whose outputs sort between the inputs, so that a letter's bitmask over
+  the inputs alone differs from its bitmask over the joint alphabet: drawn
+  here with bench/workloads.py's formula generator (no until nested in
+  another), every other one under an output-sensitive input process, the
+  rest under uniform inputs and every fourth with an assumption, each
+  synthesized without a threshold and with 1/2;
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
   controllers of both trees.
@@ -45,6 +52,7 @@ BENCH = os.path.join(ROOT, "bench")
 INPUTS = os.path.join(BENCH, "inputs")
 THRESHOLDS = (None, "1/2", "3/4")
 SMALL_SPECS = ((0, range(4)), (104729, range(2)))
+INTERLEAVED = 20
 SIMULATE = ["--samples", "200", "--seed", "0"]
 CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
 TREES = ("old", "new")
@@ -153,6 +161,51 @@ def small_spec_cases(specdir: str) -> list:
     return cases
 
 
+def _interleaved_process(rng) -> dict:
+    """An input process over {a, c} as spec JSON: one state per input letter,
+    its rows drawn per output letter over {b, d}."""
+    letters = [[], ["a"], ["c"], ["a", "c"]]
+    transitions = []
+    for s in range(len(letters)):
+        for o in ([], ["b"], ["d"], ["b", "d"]):
+            weights = [rng.randint(0, 3) for _ in letters]
+            weights[rng.randrange(len(letters))] += 1
+            transitions += [{"from": s, "output": o, "to": t, "prob": f"{w}/{sum(weights)}"}
+                            for t, w in enumerate(weights) if w]
+    return {"inputs": ["a", "c"], "outputs": ["b", "d"], "initial": 0,
+            "states": [{"id": s, "input": i} for s, i in enumerate(letters)],
+            "transitions": transitions}
+
+
+def interleaved_cases(specdir: str) -> list:
+    """The same, for INTERLEAVED specs over inputs {a, c} and outputs {b, d}."""
+    sys.path.insert(0, BENCH)
+    import workloads
+
+    rng = random.Random("interleaved")
+    cases = []
+    for k in range(INTERLEAVED):
+        doc = {"inputs": ["a", "c"], "outputs": ["b", "d"],
+               "formula": workloads.render(workloads.random_formula(
+                   rng, ["a", "b", "c", "d"], rng.randint(3, 8)))}
+        if k % 2:
+            doc["distribution"] = _interleaved_process(rng)
+        elif k % 4 == 0:
+            doc["assumption"] = "a | X c"
+        path = os.path.join(specdir, f"interleaved{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        modes = ("expected", "almost-sure", "worst-case") + \
+            (("conditional",) if "assumption" in doc else ())
+        follow = [["eval", path, CTRL, "--mode", mode] for mode in modes]
+        follow.append(["simulate", path, CTRL] + SIMULATE)
+        for t in (None, "1/2"):
+            flags = [] if t is None else ["--threshold", t]
+            cases.append((f"interleaved{k}.synth{'' if t is None else '-' + t}",
+                          ["synth", path] + flags, follow))
+    return cases
+
+
 # --- comparison -----------------------------------------------------------
 
 
@@ -183,7 +236,7 @@ def sha256(path: str) -> str | None:
 def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]:
     specdir = os.path.join(workdir, "specs")
     os.makedirs(specdir)
-    cases = input_cases() + small_spec_cases(specdir)
+    cases = input_cases() + small_spec_cases(specdir) + interleaved_cases(specdir)
     ctrl = {t: os.path.join(workdir, t) for t in TREES}
     for path in ctrl.values():
         os.makedirs(path)
