@@ -975,63 +975,28 @@ def parity_lasso(init, succ, rank):
             if len(comp) == 1 and all(y != comp[0] for _, y in succ(comp[0])):
                 continue
             u = min(x for x in comp if rank(x) == d)
-            prefix = _label_path(init, u, reach, succ)
-            cycle = _label_cycle(u, set(comp), succ)
-            return prefix, cycle
+            prefix = [] if init == u else _label_path(init, u, reach, succ)
+            return prefix, _label_path(u, u, set(comp), succ)
     return None
 
 
 def _label_path(src, goal, allowed, succ):
-    if src == goal:
-        return []
+    """Labels of a shortest nonempty path from `src` to `goal` whose inner
+    states lie in `allowed`; breadth first, successors in `succ` order."""
     back = {src: None}
     frontier = [src]
     while frontier:
         nxt = []
         for x in frontier:
             for lab, y in succ(x):
+                if y == goal:
+                    out = [lab]
+                    while back[x] is not None:
+                        x, lab = back[x]
+                        out.append(lab)
+                    return out[::-1]
                 if y in allowed and y not in back:
                     back[y] = (x, lab)
-                    if y == goal:
-                        return _unwind(back, y)
                     nxt.append(y)
         frontier = nxt
-    raise InternalConsistencyError("lasso prefix target unreachable")
-
-
-def _label_cycle(u, compset, succ):
-    back = {}
-    frontier = []
-    for lab, y in succ(u):
-        if y in compset and y not in back:
-            if y == u:
-                return [lab]
-            back[y] = (u, lab)
-            frontier.append(y)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for lab, y in succ(x):
-                if y == u:
-                    out = [lab]
-                    while back.get(x) is not None:
-                        x2, l2 = back[x]
-                        out.append(l2)
-                        if x2 == u:
-                            break
-                        x = x2
-                    return list(reversed(out))
-                if y in compset and y not in back:
-                    back[y] = (x, lab)
-                    nxt.append(y)
-        frontier = nxt
-    raise InternalConsistencyError("no cycle through the chosen lasso top")
-
-
-def _unwind(back, node):
-    out = []
-    while back[node] is not None:
-        prev, lab = back[node]
-        out.append(lab)
-        node = prev
-    return list(reversed(out))
+    raise InternalConsistencyError("lasso target unreachable")

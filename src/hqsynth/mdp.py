@@ -4,7 +4,7 @@ A pre-MDP here always arises from a deterministic automaton whose letters
 split into inputs and outputs: the controller picks the output letter, the
 environment draws the input letter, and the automaton state advances on the
 bitmask of their union over the joint alphabet, `rows[q][mask]`, the masks
-of a process state's branches built once per call (`masked_branches`);
+of a process state's branches built once per `induced_pre_mdp` call;
 actions and input processes keep frozenset letters.  Every solver below is
 exact.
 
@@ -69,11 +69,11 @@ from .common import (
 )
 
 
-def _check_probability(p, where: str):
-    """Reject a probability that is not an int or a `Fraction`: a float (or
-    a bool) would put inexact arithmetic on the value path."""
+def _check_probability(p, where: str, what: str = "probability"):
+    """Reject a probability (or reward) that is not an int or a `Fraction`:
+    a float (or a bool) would put inexact arithmetic on the value path."""
     if type(p) is not int and type(p) is not Fraction:
-        raise ValueError(f"probability {p!r} at {where} is not an int or a Fraction")
+        raise ValueError(f"{what} {p!r} at {where} is not an int or a Fraction")
 
 
 def _to_weights(rows: dict):
@@ -127,12 +127,15 @@ class PreMDP:
             if not self.actions[s]:
                 raise ValueError(f"state {s} has no actions")
             for a in range(len(self.actions[s])):
-                row = self.weights[(s, a)]
-                total = sum(w for _, w in row)
+                total = low = 0
+                for _, w in self.weights[(s, a)]:
+                    total += w
+                    if w < low:
+                        low = w
                 if total != self.den:
                     raise ValueError(f"transition ({s},{a}) sums to "
                                      f"{format_fraction(Fraction(total, self.den))}")
-                if any(w < 0 for _, w in row):
+                if low < 0:
                     raise ValueError(f"negative probability at ({s},{a})")
 
     def successors(self, s: int, a: int):
@@ -145,6 +148,7 @@ class RewardMDP(PreMDP):
         self.reward = list(reward)
         if validate:
             for s, r in enumerate(self.reward):
+                _check_probability(r, f"state {s}", "reward")
                 if not 0 <= r <= 1:
                     raise ValueError(f"reward {r} at state {s} outside [0, 1]")
 
@@ -309,45 +313,47 @@ def input_process(dist, inputs, outputs):
     return UniformInputs(inputs, outputs) if dist is None else dist
 
 
-def masked_branches(process, atoms, outputs):
-    """A function from a process state to its branches under each of the
-    `outputs`, as ((mask of input and output over `atoms`, next state,
-    weight), ...), each state's built once."""
-    masks = letter_masks(atoms)
-    memo: dict = {}
-
-    def at(sd) -> list:
-        got = memo.get(sd)
-        if got is None:
-            got = memo[sd] = [tuple((masks[i] | masks[o], sd2, w)
-                                    for i, sd2, w in process.branches(sd, o))
-                              for o in outputs]
-        return got
-
-    return at
-
-
 # --- induced MDPs --------------------------------------------------------
 
 
-def induced_pre_mdp(automaton, process, ceiling: int | None = None) -> PreMDP:
+def induced_pre_mdp(automaton, process, ceiling: int | None = None,
+                    safe=None) -> PreMDP:
     """MDP of a deterministic automaton over 2^(I+O) under an input process:
     the action fixes the output letter, the process draws the input letter.
-    States are (automaton state, process state) pairs.
+    States are (automaton state, process state) pairs.  With `safe`, a
+    predicate on them, an output letter is an action only where every
+    successor it can lead to is safe.
     """
     out_letters = all_letters(process.outputs)
-    branches = masked_branches(process, automaton.atoms, out_letters)
+    masks = letter_masks(automaton.atoms)
+    memo: dict = {}  # process state -> its masked branches per output letter
 
     def expand(lab, number):
         q, sd = lab
+        branches = memo.get(sd)
+        if branches is None:
+            branches = memo[sd] = [tuple((masks[i] | masks[o], sd2, w)
+                                         for i, sd2, w in process.branches(sd, o))
+                                   for o in out_letters]
         row = automaton.rows[q]
-        return [probability_row([((row[m], sd2), w) for m, sd2, w in bs], number)
-                for bs in branches(sd)]
+        if safe is None:
+            return out_letters, [
+                probability_row([((row[m], sd2), w) for m, sd2, w in bs], number)
+                for bs in branches]
+        kept, rows = [], []
+        for o, bs in zip(out_letters, branches):
+            succs = [((row[m], sd2), w) for m, sd2, w in bs]
+            if all(map(safe, [t for t, _ in succs])):
+                kept.append(o)
+                rows.append(probability_row(succs, number))
+        if not kept:
+            raise InternalConsistencyError(f"no safe action at {lab}")
+        return tuple(kept), rows
 
     labels, rows = explore((automaton.initial, process.initial), expand,
                            "induced MDP", ceiling)
-    trans = {(s, a): row for s, acts in enumerate(rows) for a, row in enumerate(acts)}
-    return PreMDP(labels, 0, [out_letters] * len(labels), trans, den=process.den)
+    trans = {(s, a): row for s, (_, acts) in enumerate(rows) for a, row in enumerate(acts)}
+    return PreMDP(labels, 0, [letters for letters, _ in rows], trans, den=process.den)
 
 
 # Kept under its old name too, for callers that look builders up by name.

@@ -48,8 +48,7 @@ from fractions import Fraction
 
 from .automata import ProductPreAutomaton, dpw_for
 from .booleanize import AtLeast, EqualTo
-from .common import (InternalConsistencyError, all_letters, explore, letter_masks,
-                     probability_row)
+from .common import InternalConsistencyError, all_letters, explore, letter_masks
 from .evaluation import (
     AssumptionHasZeroProbability,
     almost_sure_value,
@@ -63,7 +62,6 @@ from .evaluation import (
 from .formulas import Formula, check_nesting, implies, values
 from .mdp import (
     DistributionMDP,
-    MarkovChain,
     ParityMDP,
     PreMDP,
     RewardMDP,
@@ -71,7 +69,6 @@ from .mdp import (
     induced_chain,
     induced_pre_mdp,
     input_process,
-    masked_branches,
     mc_ergodic_analysis,
     solve_mean_payoff,
 )
@@ -178,33 +175,6 @@ def _gamma_rewards(M, vals, wins):
     return gamma
 
 
-def _induced_restricted(prod, att_pos, att_win, process, ceiling):
-    """Induced MDP keeping only output letters under which every possible
-    input stays inside the threshold automaton's winning region."""
-    out_letters = all_letters(process.outputs)
-    branches_at = masked_branches(process, prod.atoms, out_letters)
-
-    def expand(lab, number):
-        qs, sd = lab
-        row = prod.rows[qs]
-        allowed, kept = [], []
-        for o, masked in zip(out_letters, branches_at(sd)):
-            branches = [((row[m], sd2), w) for m, sd2, w in masked]
-            if all((qs2[att_pos], sd2) in att_win for (qs2, sd2), _ in branches):
-                allowed.append(o)
-                kept.append(branches)
-        if not allowed:
-            raise InternalConsistencyError("winning region is not action-closed")
-        return tuple(allowed), [probability_row(b, number) for b in kept]
-
-    labels, rows = explore((prod.initial, process.initial), expand,
-                           "restricted product MDP", ceiling)
-    trans = {(s, a): row for s, (_, acts) in enumerate(rows)
-             for a, row in enumerate(acts)}
-    return PreMDP(labels, 0, [allowed for allowed, _ in rows], trans, validate=False,
-                  den=process.den)
-
-
 def _install_triggers(M, primary, vals, att, t, ceiling):
     """Absorption analysis of the primary strategy's chain.
 
@@ -305,25 +275,20 @@ def _assumption_chain(psi_dpw, process, ceiling):
     """(probability that the input word satisfies the assumption, the
     (automaton state, process state) keys inside rejecting ergodic
     components, where the assumption fails surely), from one analysis of
-    the assumption automaton's chain under the input process.  Outputs are
-    fixed to the empty letter, which is legitimate only for
-    output-insensitive processes."""
-    branches = masked_branches(process, psi_dpw.atoms, [frozenset()])
+    the assumption automaton's chain under the input process.
 
-    def expand(lab, number):
-        q, sd = lab
-        row = psi_dpw.rows[q]
-        (masked,) = branches(sd)
-        return probability_row([((row[m], sd2), w) for m, sd2, w in masked], number)
-
-    labels, rows = explore((psi_dpw.initial, process.initial), expand,
-                           "assumption chain", ceiling)
-    chain = MarkovChain(labels, 0, rows, validate=False, den=process.den)
-    bottoms, rho = mc_ergodic_analysis(chain, ceiling)
+    The chain is the induced MDP under action 0, the empty output letter.
+    That is exact: the assumption ranges over inputs only
+    (`check_assumption`), so the automaton's rows do not depend on output
+    bits, and both callers require an output-insensitive process, so every
+    action's row equals action 0's and numbers no other state.
+    """
+    M = induced_pre_mdp(psi_dpw, process, ceiling)
+    bottoms, rho = mc_ergodic_analysis(induced_chain(M, [0] * M.n), ceiling)
     prob = Fraction(0)
     rejecting = set()
     for comp, p in zip(bottoms, rho):
-        keys = [labels[s] for s in comp]
+        keys = [M.labels[s] for s in comp]
         if max(psi_dpw.rank[q] for q, _ in keys) % 2 == 0:
             prob += p
         else:
@@ -376,10 +341,9 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
         psi_dpw, rejecting = assumption
         parts.append(psi_dpw)
     prod = ProductPreAutomaton(parts, ceiling=ceiling)
-    if att is None:
-        M = induced_pre_mdp(prod, process, ceiling)
-    else:
-        M = _induced_restricted(prod, len(dpws), att_win, process, ceiling)
+    pos = len(dpws)
+    safe = None if att is None else (lambda lab: (lab[0][pos], lab[1]) in att_win)
+    M = induced_pre_mdp(prod, process, ceiling, safe)
     played, reset = M, []
     if assumption is not None:
         reset = [s for s, (qs, sd) in enumerate(M.labels) if (qs[-1], sd) in rejecting]

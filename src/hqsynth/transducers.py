@@ -124,7 +124,7 @@ def transducer_from_json(doc: dict) -> Transducer:
     ids = ([doc["initial"]] + [st["id"] for st in records]
            + [tr[k] for tr in transitions for k in ("from", "to")])
     for q in ids:
-        if not isinstance(q, (int, str)):
+        if type(q) is not int and not isinstance(q, str):
             raise ValueError(f"controller state ids must be integers or strings, not {q!r}")
     labels = {st["id"]: json_atoms(st["label"], "controller state label")
               for st in records}

@@ -20,6 +20,7 @@ from hqsynth.automata import (
     dpw_for,
     dpw_nonempty_from,
     ltl_to_nbw,
+    parity_lasso,
     run_lasso,
 )
 from hqsynth.booleanize import (
@@ -879,3 +880,44 @@ def test_tableau_memo_bound_counts_branches(monkeypatch, fresh_dpw_for):
     assert info.value.what == automata.TABLEAU_MEMOS
     # a call on a tableau of its own counts states only
     assert len(ltl_to_nbw(booleanize(f, EqualTo(Fraction(0))), ab)) == 1024
+
+
+# --- lasso search ----------------------------------------------------------
+
+
+def _random_labelled_graphs():
+    """3000 seeded random graphs with ranks, as (initial, successor lists,
+    ranks); the label of an edge is its position in its successor list, and
+    successor lists repeat targets, loop and may be empty."""
+    rng = random.Random(2718)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        targets = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        yield rng.randrange(n), targets, [rng.randint(1, 4) for _ in range(n)]
+
+
+def test_parity_lasso_digest():
+    # One digest over the lassos `parity_lasso` returns on seeded random
+    # graphs, recorded when the prefix and cycle searches were two searches;
+    # each lasso is replayed as well.
+    digest = hashlib.sha256()
+    found = 0
+    for init, targets, rank in _random_labelled_graphs():
+        lasso = parity_lasso(init, lambda x: list(enumerate(targets[x])),
+                             rank.__getitem__)
+        digest.update(repr(lasso).encode())
+        if lasso is None:
+            continue
+        found += 1
+        prefix, cycle = lasso
+        u = init
+        for lab in prefix:
+            u = targets[u][lab]
+        x, seen = u, []
+        for lab in cycle:
+            x = targets[x][lab]
+            seen.append(rank[x])
+        assert cycle and x == u and max(seen) % 2 == 0 and max(seen) == rank[u]
+    assert found > 1000
+    assert digest.hexdigest() == \
+        "428624d1682f9c4ba984a26d819d25f19f8b59a454cd7bf115028508646b27cf"

@@ -86,6 +86,13 @@ class TestProbabilityTypes:
         assert C.den == 3 and C.rows == [((0, Fraction(1, 3)), (1, Fraction(2, 3))),
                                          ((1, ONE),)]
 
+    @pytest.mark.parametrize("rewards", [[0.25, 0.5], [True, 1], ["1/2", 0]],
+                             ids=["float", "bool", "str"])
+    def test_reward_mdp_rejects(self, rewards):
+        trans = {(0, 0): ((0, ONE),), (0, 1): ((1, ONE),), (1, 0): ((1, ONE),)}
+        with pytest.raises(ValueError, match="reward .* is not an int or a Fraction"):
+            RewardMDP([0, 1], 0, [("a", "b"), ("go",)], trans, rewards)
+
     def test_zero_entries_are_dropped(self):
         M = single_action([[(1, ONE), (0, Fraction(0))], [(1, ONE)]])
         assert M.successors(0, 0) == [1]

@@ -1,6 +1,7 @@
 """Transducer structure, execution semantics, serialization."""
 
 import json
+import os
 import random
 
 import pytest
@@ -81,6 +82,32 @@ class TestValidation:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert why in captured.err
 
+    @pytest.mark.parametrize("how", ["renamed", "beside"])
+    def test_boolean_state_ids_rejected(self, tmp_path, capsys, how):
+        # JSON true is not the state 1: renamed, it would run as state 1;
+        # next to 1, it would be reported as a duplicate id
+        from hqsynth.cli import main
+
+        inputs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "bench", "inputs")
+        with open(os.path.join(inputs, "gf2_controller.json")) as fh:
+            doc = json.load(fh)
+        if how == "renamed":
+            doc["states"] = [{**st, "id": True} if st["id"] == 1 else st
+                             for st in doc["states"]]
+            doc["transitions"] = [{k: True if k in ("from", "to") and v == 1 else v
+                                   for k, v in tr.items()} for tr in doc["transitions"]]
+        else:
+            doc["states"].append({"id": True, "label": []})
+        with pytest.raises(ValueError, match="must be integers or strings, not True"):
+            transducer_from_json(doc)
+        ctrl = tmp_path / "ctrl.json"
+        ctrl.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", os.path.join(inputs, "gf2.json"), str(ctrl)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: controller state ids must be integers "
+                                "or strings, not True\n")
 
     def test_input_letters_are_built_once(self, monkeypatch):
         import hqsynth.transducers as transducers

@@ -2,6 +2,7 @@
 and on random specs whose outputs sort between the inputs, and the exact
 type of every value the library returns."""
 
+import hashlib
 import json
 import os
 import random
@@ -10,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from hqsynth.automata import ProductPreAutomaton, determinize, dpw_for, ltl_to_nbw, run_lasso
-from hqsynth.booleanize import EqualTo, booleanize
+from hqsynth.booleanize import AtLeast, EqualTo, booleanize
 from hqsynth.cli import load_spec_file
-from hqsynth.common import all_letters
+from hqsynth.common import InternalConsistencyError, all_letters
 from hqsynth.evaluation import (
     almost_sure_value,
     conditional_almost_sure_floor,
@@ -25,6 +26,7 @@ from hqsynth.evaluation import (
 from hqsynth.formulas import parse, values
 from hqsynth.mdp import DistributionMDP, UniformInputs, induced_pre_mdp, solve_mean_payoff
 from hqsynth.synthesis import SynthesisResult, SynthesisSpec, achievability_mdp, synthesize
+from hqsynth.transducers import transducer_from_json
 
 from oracles import (
     induced_fraction_rows,
@@ -247,3 +249,143 @@ def test_interleaved_synthesis_certifies(k):
         synthesize(spec.replace(threshold=Fraction(1, 2)))
     res = synthesize(SynthesisSpec(AC, BD, f, assumption=parse("a | X c")))
     assert res.assumption_probability == Fraction(3, 4)
+
+
+# --- induced MDPs restricted to safe actions, and assumption chains -------
+
+
+def _kept_rows_oracle(full, start, safe):
+    """{label: {output letter index: row}} of the oracle MDP `full` cut down
+    to the output letters whose successors are all safe, over the labels
+    reachable through them; None when a reached label keeps no letter."""
+    kept: dict = {}
+    queue = [start]
+    while queue:
+        lab = queue.pop()
+        if lab in kept:
+            continue
+        kept[lab] = {a: row for a, row in enumerate(full[lab]) if all(map(safe, row))}
+        if not kept[lab]:
+            return None
+        for row in kept[lab].values():
+            queue.extend(row)
+    return kept
+
+
+def _safe_regions(full, rng):
+    """A random set of labels, and the largest part of it in which every
+    label keeps a letter whose successors all stay inside."""
+    drawn = {lab for lab in full if rng.random() < 0.85}
+    region = set(drawn)
+    while True:
+        smaller = {lab for lab in region
+                   if any(all(t in region for t in row) for row in full[lab])}
+        if smaller == region:
+            return [drawn, region]
+        region = smaller
+
+
+SAFE_CASES = SPECS + [f"interleaved{k}" for k in range(len(INTERLEAVED))]
+
+
+def _safe_case(name):
+    """(automaton, process) pairs: the value automata product of a benchmark
+    spec, or the product and first value automaton of an interleaved spec,
+    each under uniform inputs and the spec's own process."""
+    if name in SPECS:
+        spec = _spec(name)
+        return [(ProductPreAutomaton(_value_automata(spec)), p) for p in _processes(spec)]
+    f, processes = INTERLEAVED[int(name[len("interleaved"):])]
+    dpws = [dpw_for(f, EqualTo(v), ABCD) for v in values(f, ABCD)]
+    return [(a, p) for a in (ProductPreAutomaton(dpws), dpws[0]) for p in processes]
+
+
+@pytest.mark.parametrize("name", SAFE_CASES)
+def test_safe_induced_mdp_matches_the_oracle(name):
+    # Kept letters' rows equal the oracle's, every dropped letter has an
+    # unsafe successor, and the labels are exactly those the kept actions
+    # reach; a reached state that keeps no letter is an error.
+    rng = random.Random(SAFE_CASES.index(name))
+    for automaton, process in _safe_case(name):
+        full = induced_fraction_rows(automaton, process)
+        start = (automaton.initial, process.initial)
+        letters = all_letters(process.outputs)
+        for region in _safe_regions(full, rng):
+            want = _kept_rows_oracle(full, start, region.__contains__)
+            if want is None:
+                with pytest.raises(InternalConsistencyError, match="no safe action"):
+                    induced_pre_mdp(automaton, process, safe=region.__contains__)
+                continue
+            M = induced_pre_mdp(automaton, process, safe=region.__contains__)
+            rows = [[M.weights[(s, a)] for a in range(len(M.actions[s]))]
+                    for s in range(M.n)]
+            by_label = _by_label(M.labels, rows, M.den)
+            got = {lab: dict(zip(map(letters.index, M.actions[s]), by_label[lab]))
+                   for s, lab in enumerate(M.labels)}
+            assert got == want
+
+
+def _insensitive_process(rng):
+    """An output-insensitive input process over AC and BD whose rows list
+    one law per state in a different order under each output, some with an
+    entry split in two or a zero entry added."""
+    letters = all_letters(AC)
+    trans = {}
+    for s in range(len(letters)):
+        weights = [rng.randint(0, 3) for _ in letters]
+        weights[rng.randrange(len(letters))] += 1
+        law = [(t, Fraction(w, sum(weights))) for t, w in enumerate(weights) if w]
+        for o in all_letters(BD):
+            row = list(law)
+            rng.shuffle(row)
+            if rng.random() < 0.3:
+                t, p = row.pop()
+                row += [(t, p / 2), (t, p / 2)]
+            if rng.random() < 0.3:
+                row.insert(rng.randrange(len(row) + 1), (rng.randrange(len(letters)), 0))
+            trans[(s, o)] = row
+    return DistributionMDP(AC, BD, letters, 0, trans)
+
+
+def test_assumption_rows_do_not_depend_on_the_output():
+    # An assumption ranges over the inputs, so under an output-insensitive
+    # process every action of its induced MDP has action 0's row: the chain
+    # under the empty output letter is the chain of every action.
+    rng = random.Random(1729)
+    cases = []
+    for name in SPECS:
+        spec = _spec(name)
+        if spec.assumption is not None:
+            atoms = spec.inputs | spec.outputs
+            cases += [(spec.assumption, atoms, p) for p in _processes(spec)]
+    while len(cases) < 30:
+        psi = random_formula(rng, sorted(AC), rng.randint(2, 7))
+        if psi.atoms():
+            cases.append((psi, ABCD, rng.choice([UniformInputs(AC, BD),
+                                                 _insensitive_process(rng)])))
+    for psi, atoms, process in cases:
+        assert process.output_insensitive()
+        M = induced_pre_mdp(dpw_for(psi, AtLeast(Fraction(1)), atoms), process)
+        assert all(M.actions[s][0] == frozenset() for s in range(M.n))
+        for s in range(M.n):
+            for a in range(len(M.actions[s])):
+                assert M.weights[(s, a)] == M.weights[(s, 0)], (psi, s, a)
+
+
+def test_worst_case_witness_digest():
+    # One digest over the worst-case witnesses of the controllers synthesized
+    # for every benchmark spec and of the committed gf2 controller, recorded
+    # when the lasso's prefix and cycle searches were two searches.
+    with open(os.path.join(INPUTS, "gf2_controller.json"), encoding="utf-8") as fh:
+        gf2 = transducer_from_json(json.load(fh))
+    controllers = [(synthesize(_plain(_spec(name))).transducer, _spec(name).formula)
+                   for name in SPECS]
+    controllers.append((gf2, _spec("gf2").formula))
+    digest = hashlib.sha256()
+    for T, f in controllers:
+        value, w = worst_case_witness(T, f)
+        text = repr((str(value), [sorted(i) for i in w.prefix],
+                     [sorted(i) for i in w.period]))
+        digest.update(text.encode())
+    assert digest.hexdigest() == \
+        "53afb8736cacf7ade45f42c47659936717f720f3df2734175885f379f23fe9b7"
