@@ -30,9 +30,7 @@ These local conventions keep it fast and the halves compatible:
   its postponing left one, a release's both-operands branch before its
   postponing right one), filtering literal clashes when branches combine.
   A state's cover extends the memoized cover of its obligations without
-  the highest id by that id.  The expansions run on an explicit stack,
-  since formulas built through the library can nest deeper than the
-  recursion limit.
+  the highest id by that id.
 
 * One tableau serves every automaton of a formula.  The Boolean formulas
   of a formula's candidate values and thresholds share most of their
@@ -58,26 +56,26 @@ These local conventions keep it fast and the halves compatible:
   `dpw_for` builds on a fresh tableau instead, so a build fails only where
   it would fail alone.
 
-* Unsatisfiable branches are pruned before their targets become states.
-  Call a set of obligations vacuous when its cover is empty, or when every
-  branch's next-step set is vacuous once its untils and releases are
-  dropped (read as true); the empty set never is.  A state skips each
-  branch whose next-step set, without its untils and releases, is
-  vacuous.  Dropping obligations weakens a set, so a vacuous set has no
-  model and a skipped branch starts no infinite run: the language is
-  unchanged.  Without untils and releases every next-step set is
-  shallower than the set it came from, so the check ends.  It is memoized
-  next to the covers and runs on an explicit stack too.
+* Unsatisfiable branches are pruned while covers are composed.  Call a
+  set of obligations vacuous when every branch of its cover has a vacuous
+  next-step set once its untils and releases are dropped (read as true);
+  the empty set never is.  Dropping obligations weakens a set, so a
+  vacuous set has no model and a dropped branch starts no infinite run:
+  the language is unchanged.  The test reads each obligation on its own,
+  so adding obligations keeps a vacuous set vacuous, and a branch's
+  next-step set only grows as it is composed.  So a branch is dropped as
+  soon as its weakened next-step set holds a vacuous singleton or pair
+  (when two parts combine, only the pairs across them are new), and a
+  cover keeps the branches whose whole weakened next-step set is not
+  vacuous, in order.  A set is vacuous when none of its branches
+  survives; the test stops at the first that does.
 
-* Vacuity is decided from small cores first.  The check reads each
-  obligation on its own, the untils and releases it drops read as true,
-  and finds a set vacuous exactly when those readings have no common
-  model; so adding obligations keeps a vacuous set vacuous.  Before it computes the cover of a set of
-  several obligations, the test asks whether a singleton or a pair inside
-  it is vacuous, and answers yes on the first that is.  Most vacuous
-  next-step sets are decided so; the covers of those large sets, never
-  needed by a state, are not computed.  A core is smaller than its set and
-  a next-step set shallower, so no set waits on itself.
+* One trampoline serves expansions, covers and vacuity.  Each needs the
+  others, so they are generators that yield what they need, run on one
+  explicit stack: formulas built through the library can nest deeper than
+  the recursion limit.  Without untils and releases every next-step set
+  is shallower than the set it came from, and an expansion needs only the
+  nodes below it, so no request waits on itself.
 
 * The intermediate Buchi automaton carries acceptance on transitions, one
   fairness index per until subformula (a transition is fair for an until
@@ -176,10 +174,11 @@ class Tableau:
     every node comes after its operands; a node no formula reaches any more
     only leaves a gap in the ids.  The tableau expands obligations in
     ascending id, and that order fixes the numbering and edge order of
-    every tableau automaton.
+    every tableau automaton.  With `prune` false, no branch is dropped as
+    vacuous.
     """
 
-    def __init__(self, atoms):
+    def __init__(self, atoms, prune: bool = True):
         self.atoms = frozenset(atoms)
         self.letters = all_letters(self.atoms)
         self.kind: list = []
@@ -203,16 +202,19 @@ class Tableau:
         self.expansions: dict = {}
         self.covers: dict = {}
         self.vacuous_sets: dict = {0: False}
+        # partners[b]: the nodes c (as bits) whose pair with node b (a bit)
+        # is decided, and those of them whose pair is vacuous
+        self.partners: dict = {}
         self.fits: dict = {}
         # The branches of obligation sets on the way to a cover; they belong
         # to one automaton and are dropped after it.
         self.prefixes: dict = {0: ((0, 0, 0, 0, 0),)}
-        # The branches the expansions and covers hold, in a list the closures
-        # can add to.
-        self.branches = [0]
-        # No closure here holds the tableau, so a dropped tableau is freed
-        # at once, not by the cycle collector.
-        self.cover = self._covers()
+        # The memo entries and the branches the expansions and covers hold,
+        # in a list `covers_of` can add to without holding the tableau.
+        self.size = [1]
+        self.prune = prune
+        # the (weak mask, limit) of the last `covers_of` and its function
+        self.served = (None, None, None)
 
     # --- the node table
 
@@ -311,14 +313,21 @@ class Tableau:
 
     def memo_size(self) -> int:
         """The entries of the memos and the branches they hold."""
-        return len(self.expansions) + len(self.covers) + len(self.vacuous_sets) + \
-            self.branches[0]
+        return self.size[0]
 
-    def _covers(self):
-        """The memoized `cover` function of this tableau."""
+    def covers_of(self, limit: int | None = None):
+        """The memoized `cover` function of this tableau over the nodes made
+        so far.  With a `limit`, more memo entries and branches than that,
+        the branches being composed included, raise `StateLimitExceeded`
+        naming TABLEAU_MEMOS."""
+        if self.served[:2] == (self.weak, limit):
+            return self.served[2]
         kind, args, closure, atom_bit = self.kind, self.args, self.closure, self.atom_bit
         expansions, covers, prefixes = self.expansions, self.covers, self.prefixes
-        count = self.branches
+        vacuous_sets, partners, size = self.vacuous_sets, self.partners, self.size
+        # Unpruned, every weakened next-step set is empty, never vacuous.
+        weak = self.weak if self.prune else 0
+        bound = float("inf") if limit is None else limit
 
         # Branches are (done, pos, neg, nxt, post): `done` the obligations
         # discharged so far, pos/neg atom bitmasks, nxt the obligations for
@@ -326,13 +335,43 @@ class Tableau:
         # lists are tuples: the memos outlive each automaton, and the
         # garbage collector stops scanning a tuple of ints once it has seen
         # it, where it would scan a list at every full collection.
+        #
+        # The generators below yield what they need and receive it: a
+        # (node, done) key for an expansion, an int for whether that
+        # weakened set is vacuous.  No singleton or pair inside the weakened
+        # next-step set of a branch they compose is vacuous, and so none
+        # inside a set they ask about.
+
+        def clash(news, olds):
+            """Whether a node of `news` and a node of `olds` make a vacuous
+            pair."""
+            while news:
+                b = news & -news
+                news ^= b
+                seen, bad = partners.get(b, (0, 0))
+                if bad & olds:
+                    return True
+                todo = olds & ~seen
+                while todo:
+                    c = todo & -todo
+                    todo ^= c
+                    got = vacuous_sets.get(b | c)
+                    if got is None:
+                        got = yield b | c
+                    for x, y in ((b, c), (c, b)):
+                        seen, bad = partners.get(x, (0, 0))
+                        partners[x] = (seen | y, bad | y if got else bad)
+                    if got:
+                        return True
+            return False
 
         def extend(branches, f):
             """`branches`, each followed by the expansion of obligation `f`,
-            in depth-first order without repeats.  Yields the (node, done)
-            keys whose expansions are not known yet and receives them."""
+            in depth-first order without repeats or vacuous pairs."""
             out: dict = {}
             for branch in branches:
+                if size[0] + len(out) > bound:
+                    raise StateLimitExceeded(TABLEAU_MEMOS, limit)
                 done, pos, neg, nxt, post = branch
                 if done >> f & 1:
                     out[branch] = None
@@ -341,9 +380,19 @@ class Tableau:
                 sub = expansions.get(key)
                 if sub is None:
                     sub = yield key
+                old = nxt & weak
+                fresh = weak & ~old
                 for done2, pos2, neg2, nxt2, post2 in sub:
                     if pos2 & neg or neg2 & pos:
                         continue
+                    # Only a pair across the parts can be vacuous, and there
+                    # is none when one part holds the other's nodes.
+                    if nxt2 & fresh and old & ~nxt2:
+                        bad = vacuous_sets.get(old | nxt2 & weak)
+                        if bad is None:
+                            bad = yield from clash(nxt2 & fresh, old & ~nxt2)
+                        if bad:
+                            continue
                     out[(done | done2, pos | pos2, neg | neg2, nxt | nxt2, post | post2)] = None
             return tuple(out)
 
@@ -363,7 +412,14 @@ class Tableau:
                 bit = atom_bit[name]
                 return ((done, 0, bit, 0, 0) if negated else (done, bit, 0, 0, 0),)
             if k == NEXT:
-                return ((done, 0, 0, 1 << args[f][0], 0),)
+                nxt = 1 << args[f][0]
+                if nxt & weak:
+                    bad = vacuous_sets.get(nxt)
+                    if bad is None:
+                        bad = yield nxt
+                    if bad:
+                        return ()
+                return ((done, 0, 0, nxt, 0),)
             if k == AND:
                 for c in args[f]:
                     base = yield from extend(base, c)
@@ -389,11 +445,47 @@ class Tableau:
                                          for d, p, n, x, s in later)]
             return tuple(dict.fromkeys(alternatives))
 
-        def run(gen):
-            """The value of the generator `gen`, computing the expansions it
-            asks for on an explicit stack: formulas can nest deeper than the
-            interpreter's recursion limit."""
-            stack = [(None, gen)]
+        def kept(obls, first):
+            """The (pos, neg, nxt, post) branches of `obls` whose weakened
+            next-step set is not vacuous, in the order of a depth-first
+            expansion of the obligations in ascending id (the known branches
+            of a prefix of them, extended by the others, lowest first); with
+            `first`, the first of them only."""
+            rest, tops = obls, []
+            while rest not in prefixes:
+                tops.append(rest.bit_length() - 1)
+                rest &= ~(1 << tops[-1])
+            branches = prefixes[rest]
+            for top in reversed(tops):
+                rest |= 1 << top
+                branches = prefixes[rest] = yield from extend(branches, top)
+            out = []
+            for branch in branches:
+                nxt = branch[3] & weak
+                bad = vacuous_sets.get(nxt)
+                if bad is None:
+                    bad = yield nxt
+                if not bad:
+                    out.append(branch[1:])
+                    if first:
+                        break
+            return out
+
+        def decide(obls):
+            """Whether the weakened set `obls` is vacuous."""
+            got = covers.get(obls)
+            if got is None:
+                got = yield from kept(obls, True)
+            return not got
+
+        def cover(obls: int) -> tuple:
+            """The (pos, neg, nxt, post) branches that discharge `obls`, none
+            of them with a vacuous weakened next-step set, composed on one
+            explicit stack that serves every request."""
+            got = covers.get(obls)
+            if got is not None:
+                return got
+            stack = [(None, kept(obls, False))]
             value = None
             while True:
                 key, it = stack[-1]
@@ -403,39 +495,22 @@ class Tableau:
                     value = stop.value
                     stack.pop()
                     if key is None:
-                        return value
-                    expansions[key] = value
-                    count[0] += len(value)
+                        got = covers[obls] = tuple(dict.fromkeys(value))
+                        size[0] += 1 + len(got)
+                        return got
+                    if type(key) is int:
+                        vacuous_sets[key] = value
+                        size[0] += 1
+                    else:
+                        expansions[key] = value
+                        size[0] += 1 + len(value)
                     continue
-                stack.append((want, expansion(*want)))
+                stack.append((want, decide(want) if type(want) is int else expansion(*want)))
                 value = None
 
-        def grow(rest, tops):
-            """The branches of `rest | tops`: the known branches of `rest`
-            extended by the obligations `tops`, highest first, each above
-            `rest`."""
-            branches = prefixes[rest]
-            for top in reversed(tops):
-                rest |= 1 << top
-                branches = prefixes[rest] = yield from extend(branches, top)
-            return branches
-
-        def cover(obls: int) -> tuple:
-            """The (pos, neg, nxt, post) branches that discharge `obls`, in
-            the order of a depth-first expansion of the obligations in
-            ascending id: the cover of `obls` without its highest id,
-            extended by it."""
-            got = covers.get(obls)
-            if got is None:
-                rest, tops = obls, []
-                while rest not in prefixes:
-                    tops.append(rest.bit_length() - 1)
-                    rest &= ~(1 << tops[-1])
-                branches = run(grow(rest, tops))
-                got = covers[obls] = tuple(dict.fromkeys(b[1:] for b in branches))
-                count[0] += len(got)
-            return got
-
+        # No closure here holds the tableau, so a dropped tableau is freed at
+        # once, not by the cycle collector.
+        self.served = (self.weak, limit, cover)
         return cover
 
 
@@ -508,83 +583,6 @@ class NBW(_ByLetter):
         return len(self.states)
 
 
-def _vacuity(cover, tableau):
-    """The memoized test for vacuous obligation sets (see the module
-    docstring) of `tableau`, given its `cover` function.  The answers are
-    kept in the tableau's `vacuous_sets`, and the sets met on the way are
-    weakened by its `weak` mask, which drops untils and releases."""
-    vacuous_sets, weak = tableau.vacuous_sets, tableau.weak
-
-    # partners[b]: the nodes c above node b (as bits) whose pair {b, c} this
-    # test has decided, and those of them whose pair is vacuous
-    partners: dict = {}
-
-    def decide(obls):
-        """Whether `obls` is vacuous; yields the sets whose answers it needs
-        and receives them."""
-        if obls & (obls - 1):
-            # A vacuous singleton or pair inside decides it without a cover.
-            rest = obls
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                got = vacuous_sets.get(low)
-                if got is None:
-                    got = yield low
-                if got:
-                    return True
-            if obls.bit_count() > 2:
-                rest = obls
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    seen, bad = partners.get(low, (0, 0))
-                    if bad & rest:
-                        return True
-                    todo = rest & ~seen
-                    while todo:
-                        other = todo & -todo
-                        todo ^= other
-                        got = vacuous_sets.get(low | other)
-                        if got is None:
-                            got = yield low | other
-                        seen, bad = partners.get(low, (0, 0))
-                        partners[low] = (seen | other, bad | other if got else bad)
-                        if got:
-                            return True
-        for _, _, nxt, _ in cover(obls):
-            nxt &= weak
-            got = vacuous_sets.get(nxt)
-            if got is None:
-                got = yield nxt
-            if not got:
-                return False
-        return True
-
-    def vacuous(obls: int) -> bool:
-        got = vacuous_sets.get(obls)
-        if got is not None:
-            return got
-        # A set waits on smaller sets inside it or on shallower next-step
-        # sets, so no set is pushed twice.
-        stack = [(obls, decide(obls))]
-        got = None
-        while True:
-            top, it = stack[-1]
-            try:
-                want = it.send(got)
-            except StopIteration as stop:
-                got = vacuous_sets[top] = stop.value
-                stack.pop()
-                if not stack:
-                    return got
-                continue
-            stack.append((want, decide(want)))
-            got = None
-
-    return vacuous
-
-
 def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
                tableau: Tableau | None = None) -> NBW:
     """The tableau automaton of `beta` over `atoms`, built on `tableau`.
@@ -593,9 +591,9 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
     counter) pairs; letters are bitmasks too, letter j of `all_letters`
     being the bitmask j over the sorted atoms.  Without a `tableau`, a fresh
     one serves this call alone.  A tableau passed in serves its own atoms as
-    the alphabet and outlives the call, so its memo entries count against the
-    state ceiling too, checked after each state: more of them raise
-    `StateLimitExceeded` naming TABLEAU_MEMOS.
+    the alphabet and outlives the call, so its memo entries and branches count
+    against the state ceiling too, checked while covers are composed: more of
+    them raise `StateLimitExceeded` naming TABLEAU_MEMOS.
     """
     limit = None
     if tableau is None:
@@ -606,15 +604,12 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
     untils = tableau.untils(root)
     m = len(untils)
     letters = tableau.letters
-    cover, fits, weak = tableau.cover, tableau.fits, tableau.weak
-    vacuous = _vacuity(cover, tableau)
+    cover, fits = tableau.covers_of(limit), tableau.fits
 
     def expand(state, number):
         obls, k = state
         by_letter = [[] for _ in letters]
         for pos, neg, nxt, post in cover(obls):
-            if vacuous(nxt & weak):
-                continue
             if m == 0:
                 k2, fair = 0, True
             elif not post >> untils[k] & 1:
@@ -640,10 +635,6 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
                     j = ids[tgt] = number(tgt)
                 out.append((j, fair))
             row.append(tuple(out))
-        # Memo entries are complete when counted, so an interrupted build
-        # leaves only entries a later build can use.
-        if limit is not None and tableau.memo_size() > limit:
-            raise StateLimitExceeded(TABLEAU_MEMOS, limit)
         return tuple(row)
 
     try:

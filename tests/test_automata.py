@@ -7,6 +7,7 @@ import json
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -423,15 +424,20 @@ def _transition_table_sha(nbw):
 @pytest.mark.parametrize("spec,value,nbw_states,dpw_states,sha,tableau",
                          [(*row, "pruned") for row in GOLDEN_TABLEAU]
                          + [(*row, "unpruned") for row in GOLDEN_UNPRUNED_TABLEAU])
-def test_tableau_golden(monkeypatch, spec, value, nbw_states, dpw_states, sha, tableau):
+def test_tableau_golden(spec, value, nbw_states, dpw_states, sha, tableau):
     # The value automata of the worked examples, recorded when the tableau
     # began to prune vacuous obligation sets and to number nodes in creation
     # order: state numbering and edge order must not change by accident,
-    # because determinization and every later tie-break follow them.
-    if tableau == "unpruned":
-        monkeypatch.setattr(automata, "_vacuity", lambda cover, weak: lambda obls: False)
+    # because determinization and every later tie-break follow them.  The
+    # unpruned rows switch pruning off, while covers are composed and when
+    # they are kept.
     text, atoms = GOLDEN_FORMULAS[spec]
-    nbw = ltl_to_nbw(booleanize(parse(text), EqualTo(Fraction(value))), frozenset(atoms))
+    atoms = frozenset(atoms)
+    beta = booleanize(parse(text), EqualTo(Fraction(value)))
+    if tableau == "unpruned":
+        nbw = ltl_to_nbw(beta, atoms, tableau=automata.Tableau(atoms, prune=False))
+    else:
+        nbw = ltl_to_nbw(beta, atoms)
     assert len(nbw) == nbw_states
     assert len(determinize(nbw)) == dpw_states
     assert _transition_table_sha(nbw) == sha
@@ -683,6 +689,19 @@ def test_earlier_automata_do_not_fail_a_build(fresh_dpw_for):
     assert len(tableaux) > 1
 
 
+def test_one_cover_counts_against_the_ceiling(fresh_dpw_for, monkeypatch):
+    # The initial state of this formula has 2^18 cover branches.  They count
+    # against the ceiling while they are composed, so the build stops early
+    # instead of composing them all first.
+    monkeypatch.setenv("HQSYNTH_STATE_CEILING", "5000")
+    f = parse(" & ".join(f"({'X ' * i}a | {'X ' * i}b)" for i in range(1, 19)))
+    t0 = time.perf_counter()
+    with pytest.raises(StateLimitExceeded) as info:
+        fresh_dpw_for(f, EqualTo(Fraction(1)), frozenset({"a", "b"}))
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.what == automata.TABLEAU_MEMOS
+
+
 # --- hash-consed Boolean formulas ---------------------------------------
 
 
@@ -795,6 +814,21 @@ def test_deep_formula_tableau():
     assert len(determinize(nbw)) == 5
 
 
+def test_deep_vacuity_requests_do_not_recurse():
+    # Every next-step operand of this 400-deep chain is a vacuity request
+    # made while an expansion is composed, inside the expansion of the next
+    # one down: expansions, covers and vacuity share one explicit stack.
+    a, b = BAtom("a"), BAtom("b")
+    e = a
+    for _ in range(400):
+        e = band(bnext(e), bor(a, bnext(bnot(b))))
+    t0 = time.perf_counter()
+    nbw = ltl_to_nbw(band(e, bnext(b)))
+    assert time.perf_counter() - t0 < 2.0
+    assert len(nbw) == 801
+    assert len(determinize(nbw)) == 802
+
+
 # --- the value automata with less work, against the plain way ------------
 
 
@@ -821,19 +855,47 @@ VACUITY_GROUPS = {
 @pytest.mark.parametrize("group", sorted(VACUITY_GROUPS))
 def test_vacuity_cores_match_the_plain_recursion(group):
     # Every set the vacuity test decides while the automata of every
-    # candidate value are built on one tableau, some of them through a
-    # vacuous singleton or pair inside, gets the answer of the recursion
-    # through covers alone.
+    # candidate value are built on one tableau (the singletons and pairs
+    # asked while covers are composed, and whole next-step sets) gets the
+    # answer of the recursion through covers alone.  Reading covers adds
+    # answers, so the loop reads a copy.
     decided = 0
     for f, atoms in VACUITY_GROUPS[group]():
         tableau = automata.Tableau(atoms)
         for v in candidate_values(f):
             ltl_to_nbw(booleanize(f, EqualTo(v)), atoms, tableau=tableau)
-        plain = plain_vacuity(tableau.cover, tableau.weak)
-        for obls, got in tableau.vacuous_sets.items():
+        plain = plain_vacuity(tableau.covers_of(), tableau.weak)
+        for obls, got in list(tableau.vacuous_sets.items()):
             assert plain(obls) == got, (str(f), bin(obls))
         decided += len(tableau.vacuous_sets)
     assert decided > 200
+
+
+@pytest.mark.parametrize("group", sorted(VACUITY_GROUPS))
+def test_pruned_covers_are_exact(group):
+    # Every cover of a tableau that built the automata of every candidate
+    # value is the cover of an unpruned tableau over the same nodes, less the
+    # branches whose weakened next-step set the recursion through unpruned
+    # covers finds vacuous, in the same order.
+    kept = dropped = 0
+    for f, atoms in VACUITY_GROUPS[group]():
+        tableau = automata.Tableau(atoms)
+        unpruned = automata.Tableau(atoms, prune=False)
+        for v in candidate_values(f):
+            beta = booleanize(f, EqualTo(v))
+            ltl_to_nbw(beta, atoms, tableau=tableau)
+            unpruned.add(beta)
+        assert unpruned.kind == tableau.kind and unpruned.args == tableau.args
+        weak = tableau.weak
+        cover = unpruned.covers_of()
+        plain = plain_vacuity(cover, weak)
+        for obls, branches in list(tableau.covers.items()):
+            want = cover(obls)
+            assert branches == tuple(b for b in want if not plain(b[2] & weak)), \
+                (str(f), bin(obls))
+            kept += len(branches)
+            dropped += len(want) - len(branches)
+    assert kept > 200 and dropped > 0
 
 
 def test_values_decided_on_the_buchi_automaton(fresh_dpw_for):

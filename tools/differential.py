@@ -17,6 +17,10 @@ worker process of its own.  The command lines are:
   another), every other one under an output-sensitive input process, the
   rest under uniform inputs and every fourth with an assumption, each
   synthesized without a threshold and with 1/2;
+* XWINDOW seeded message-shaped specs over the same alphabet: `wavg`,
+  `min` and `max` over views X^0..X^3 of one cell of `min`, `max` and
+  `factor` over literals, whose value automata prune many vacuous tableau
+  branches; each synthesized without a threshold and with 1/2;
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
   controllers of both trees.
@@ -53,6 +57,8 @@ INPUTS = os.path.join(BENCH, "inputs")
 THRESHOLDS = (None, "1/2", "3/4")
 SMALL_SPECS = ((0, range(4)), (104729, range(2)))
 INTERLEAVED = 20
+XWINDOW = 12
+LAMBDAS = ("1/4", "1/2", "3/4")
 SIMULATE = ["--samples", "200", "--seed", "0"]
 CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
 TREES = ("old", "new")
@@ -206,6 +212,51 @@ def interleaved_cases(specdir: str) -> list:
     return cases
 
 
+def _cell(rng, size: int) -> str:
+    """`min`, `max` and `factor` over `size` literals on {a, b, c, d}."""
+    if size <= 1:
+        body = rng.choice(("", "!")) + rng.choice("abcd")
+        return f"factor{{{rng.choice(LAMBDAS)}}} {body}" if rng.random() < 0.3 else body
+    left = rng.randint(1, size - 1)
+    return f"{rng.choice(('min', 'max'))}({_cell(rng, left)}, {_cell(rng, size - left)})"
+
+
+def xwindow_formula(rng) -> str:
+    """A message-shaped formula: one cell of literals seen through a window
+    of two to four of X^0..X^3, the views combined by `wavg`, `min` and
+    `max`."""
+    cell = _cell(rng, rng.randint(2, 3))
+    views = [("X (" * j) + cell + (")" * j)
+             for j in sorted(rng.sample(range(4), rng.randint(2, 4)))]
+    while len(views) > 1:
+        j = rng.randrange(len(views) - 1)
+        op = rng.choice(("wavg", "wavg", "min", "max"))
+        lam = f"{{{rng.choice(LAMBDAS)}}}" if op == "wavg" else ""
+        views[j:j + 2] = [f"{op}{lam}({views[j]}, {views[j + 1]})"]
+    return views[0]
+
+
+def xwindow_cases(specdir: str) -> list:
+    """The same, for XWINDOW message-shaped specs over inputs {a, c} and
+    outputs {b, d}."""
+    rng = random.Random("xwindow")
+    cases = []
+    for k in range(XWINDOW):
+        doc = {"inputs": ["a", "c"], "outputs": ["b", "d"],
+               "formula": xwindow_formula(rng)}
+        path = os.path.join(specdir, f"xwindow{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        follow = [["eval", path, CTRL, "--mode", mode]
+                  for mode in ("expected", "almost-sure", "worst-case")]
+        follow.append(["simulate", path, CTRL] + SIMULATE)
+        for t in (None, "1/2"):
+            flags = [] if t is None else ["--threshold", t]
+            cases.append((f"xwindow{k}.synth{'' if t is None else '-' + t}",
+                          ["synth", path] + flags, follow))
+    return cases
+
+
 # --- comparison -----------------------------------------------------------
 
 
@@ -236,7 +287,8 @@ def sha256(path: str) -> str | None:
 def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]:
     specdir = os.path.join(workdir, "specs")
     os.makedirs(specdir)
-    cases = input_cases() + small_spec_cases(specdir) + interleaved_cases(specdir)
+    cases = input_cases() + small_spec_cases(specdir) + interleaved_cases(specdir) + \
+        xwindow_cases(specdir)
     ctrl = {t: os.path.join(workdir, t) for t in TREES}
     for path in ctrl.values():
         os.makedirs(path)
