@@ -34,8 +34,8 @@ These local conventions keep it fast and the halves compatible:
 
 * One tableau serves every automaton of a formula.  The Boolean formulas
   of a formula's candidate values and thresholds share most of their
-  subformulas, so `dpw_for` builds them all on the tableau of the formula
-  and alphabet it served last (the scope of `booleanize`'s memo): they
+  subformulas, so `dpw_for` builds them all on one tableau over their
+  alphabet, held and replaced with the memo in `booleanize.SCOPE`: they
   share the node table, the walk memo from Boolean subformulas to nodes
   (keyed by identity: `booleanize` hash-conses its formulas, so a
   subformula common to several of them is one object, walked once), the
@@ -139,6 +139,7 @@ from .booleanize import (
     BOr,
     BTrue,
     BUntil,
+    SCOPE,
     booleanize,
 )
 from .common import (
@@ -796,14 +797,11 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
 # --- value automata ------------------------------------------------------
 
 # The automata `dpw_for` built last, least recently used first; the oldest
-# is dropped past DPW_CACHE_SIZE entries.
+# is dropped past DPW_CACHE_SIZE entries.  Unlike the scope of `booleanize`,
+# this cache is keyed by value, holds nothing keyed by identity, and
+# outlives formulas: a batch of calls hits it across formulas.
 DPW_CACHE_SIZE = 256
 _dpw_cache: dict = {}
-
-# (formula, atoms, tableau) of the formula `dpw_for` built automata for
-# last: its value automata share the tableau, as its reductions share the
-# memo of `booleanize`.
-_recent: tuple | None = None
 
 
 def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None,
@@ -819,7 +817,7 @@ def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None,
     # asked for, and whether no word is in the set)
     dpw, empty = _dpw_cache.pop(key, (None, None))
     if empty is None or (dpw is None and not nonempty):
-        nbw = _shared_nbw(formula, booleanize(formula, predicate), atoms, ceiling)
+        nbw = _shared_nbw(booleanize(formula, predicate), atoms, ceiling)
         empty = not nbw_nonempty(nbw)
         dpw = None if nonempty and empty else determinize(nbw, ceiling)
         if len(_dpw_cache) >= DPW_CACHE_SIZE:
@@ -828,13 +826,12 @@ def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None,
     return None if nonempty and empty else dpw
 
 
-def _shared_nbw(formula: Formula, beta: BExpr, atoms: frozenset, ceiling) -> NBW:
-    """The tableau automaton of `beta`, a reduction of `formula`, built on
-    the tableau `formula` shares over `atoms`."""
-    global _recent
-    if _recent is None or _recent[0] is not formula or _recent[1] != atoms:
-        _recent = (formula, atoms, Tableau(atoms))
-    tableau = _recent[2]
+def _shared_nbw(beta: BExpr, atoms: frozenset, ceiling) -> NBW:
+    """The tableau automaton of `beta`, a reduction of the formula
+    `booleanize` served last, built on that scope's tableau over `atoms`."""
+    tableau = SCOPE.tableau
+    if tableau is None or tableau.atoms != atoms:
+        tableau = SCOPE.tableau = Tableau(atoms)
     fresh = not tableau.covers
     try:
         return ltl_to_nbw(beta, atoms, ceiling, tableau)
@@ -843,8 +840,8 @@ def _shared_nbw(formula: Formula, beta: BExpr, atoms: frozenset, ceiling) -> NBW
             raise
     # The memos of the automata built before filled the tableau: this one
     # starts a fresh tableau, so it fails only where it fails alone.
-    _recent = (formula, atoms, Tableau(atoms))
-    return ltl_to_nbw(beta, atoms, ceiling, _recent[2])
+    SCOPE.tableau = Tableau(atoms)
+    return ltl_to_nbw(beta, atoms, ceiling, SCOPE.tableau)
 
 
 # --- products ------------------------------------------------------------

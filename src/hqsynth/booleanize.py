@@ -6,8 +6,8 @@ the words where f's satisfaction value reaches v.  One recursion serves
 swaps the two.  It is memoized per (subformula, bound, strictness), and
 so are the candidate values of subformulas that weighted averages
 enumerate: nested averages ask for the same subformulas at the same bounds
-many times over.  The memo is kept for the most recent formula, so the
-predicates of its candidate values share it.
+many times over.  The memo lives in the `Scope` of the formula served
+last, so the predicates of its candidate values share it.
 
 The Boolean formulas are hash-consed: the constructors `batom`, `bnot`,
 `band`, `bor`, `bnext` and `buntil` return one object per structurally
@@ -15,11 +15,11 @@ distinct node, looked up in an intern table by the atom's name or by the
 node's class and the identities of its children.  So `band` and `bor` drop
 repeated parts by identity, without comparing trees, and the formulas of one
 formula's predicates share their common subformulas as objects, which the
-tableau's walk memo in `automata` then meets once.  The table has the scope
-of the memo: `booleanize` starts a new one with each new formula and drops
-the old one with the memo, so it holds the nodes of one formula (and of any
-calls to the constructors since).  Nodes made by calling a class directly
-are never merged, which leaves the trees right but may keep repeats.
+tableau's walk memo in `automata` then meets once.  The table is in the
+scope too, so a new formula drops it with the memo and the tableau, and it
+holds the nodes of one formula (and of any calls to the constructors
+since).  Nodes made by calling a class directly are never merged, which
+leaves the trees right but may keep repeats.
 
 The recursion runs on integers.  A bound is carried as its numerator and
 denominator in lowest terms, so memo keys are tuples of ints (hashing a
@@ -143,16 +143,12 @@ class BUntil(BExpr):
 B_TRUE = BTrue()
 B_FALSE = BFalse()
 
-# The intern table of the constructors below, keyed by an atom's name or by
-# (class, ids of the children); a node in the table holds its children, so
-# those ids stay valid while it is there.
-_nodes: dict = {}
-
 
 def _interned(key, cls, *fields) -> BExpr:
-    node = _nodes.get(key)
+    nodes = SCOPE.nodes
+    node = nodes.get(key)
     if node is None:
-        node = _nodes[key] = cls(*fields)
+        node = nodes[key] = cls(*fields)
     return node
 
 
@@ -245,43 +241,41 @@ class EqualTo(Record):
         return f"={self.bound}"
 
 
-# The formula last booleanized and its threshold memo.  The value automata
-# of one formula are built one candidate value after another, and their
-# reductions share most (subformula, bound) pairs; holding the formula
-# keeps the identity keys of its memo valid.
-_recent: tuple | None = None
-
-
 def booleanize(f: Formula, predicate) -> BExpr:
-    global _recent, _nodes
-    recent = _recent
-    if recent is None or recent[0] is not f:
-        # The memo and the intern table of the formula before go together.
-        _nodes = {}
-        recent = _recent = (f, _Thresholds())
-    thresholds = recent[1]
+    """The Boolean formula of "`predicate` (an `AtLeast`, `GreaterThan` or
+    `EqualTo`) holds of f's value", built in the scope of f."""
+    scope = SCOPE
+    if scope.formula is not f:
+        scope.serve(f)
     n, d = Fraction(predicate.bound).as_integer_ratio()
     if isinstance(predicate, AtLeast):
-        return thresholds.clears(f, n, d, False)
+        return scope.clears(f, n, d, False)
     if isinstance(predicate, GreaterThan):
-        return thresholds.clears(f, n, d, True)
+        return scope.clears(f, n, d, True)
     if isinstance(predicate, EqualTo):
-        return band(thresholds.clears(f, n, d, False), bnot(thresholds.clears(f, n, d, True)))
+        return band(scope.clears(f, n, d, False), bnot(scope.clears(f, n, d, True)))
     raise TypeError(f"unknown predicate {predicate!r}")
 
 
-class _Thresholds:
-    """The threshold recursion of `booleanize` on one formula.  A bound n/d
-    is carried as its numerator and denominator in lowest terms, so the memo
-    keys (subformula identity, n, d, strictness) hash as ints, and the
-    candidate values of subformulas that weighted averages enumerate come as
-    integer numerators over one denominator, memoized by identity too.
-    Identity keys are safe because the formula being reduced, held next to
-    the memo, keeps its subformulas alive."""
+class Scope:
+    """The formula `booleanize` served last and what lives as long as it:
+    the threshold memo, the candidate values that weighted averages
+    enumerate, the constructors' intern table and the tableau `dpw_for`
+    builds value automata on.  `serve` replaces them all in one call.  A
+    bound n/d is carried as its numerator and denominator in lowest terms,
+    so the memo keys (subformula identity, n, d, strictness) hash as ints,
+    and candidate values come as integer numerators over one denominator.
+    Identity keys stay valid while the scope lasts: the formula keeps its
+    subformulas alive, and a node in the table its children."""
 
-    def __init__(self):
+    def serve(self, f: Formula | None) -> None:
+        self.formula = f
         self.memo: dict = {}
         self.values = candidate_value_sets()
+        self.nodes: dict = {}
+        self.tableau = None
+
+    __init__ = serve
 
     def clears(self, f: Formula, n: int, d: int, strict: bool) -> BExpr:
         """The Boolean formula of "f's value is at least n/d" (strict:
@@ -367,12 +361,15 @@ class _Thresholds:
 _STEPS = {
     TrueFormula: lambda self, f, n, d, strict: B_TRUE,
     FalseFormula: lambda self, f, n, d, strict: B_FALSE,
-    Atom: _Thresholds._atom,
-    Not: _Thresholds._not,
-    Min: _Thresholds._min,
-    Max: _Thresholds._max,
-    Factor: _Thresholds._factor,
-    WAvg: _Thresholds._avg,
-    Next: _Thresholds._next,
-    Until: _Thresholds._until,
+    Atom: Scope._atom,
+    Not: Scope._not,
+    Min: Scope._min,
+    Max: Scope._max,
+    Factor: Scope._factor,
+    WAvg: Scope._avg,
+    Next: Scope._next,
+    Until: Scope._until,
 }
+
+# changed in place, never rebound: `automata` imports it by name
+SCOPE = Scope(None)

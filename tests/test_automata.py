@@ -1,13 +1,13 @@
 """LTL -> NBW -> DPW pipeline, products, lasso runs, nonemptiness."""
 
 import hashlib
-import importlib
 import itertools
 import json
 import os
 import random
 import sys
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +25,7 @@ from hqsynth.automata import (
     run_lasso,
 )
 from hqsynth.booleanize import (
+    SCOPE,
     AtLeast,
     B_TRUE,
     BAtom,
@@ -66,9 +67,6 @@ from oracles import (
     random_nbw,
 )
 from scenarios import battery_formula
-
-# the module; the package exports its function `booleanize` under that name
-booleanize_module = importlib.import_module("hqsynth.booleanize")
 
 
 def lassos_up_to(atoms, max_pre, max_per):
@@ -601,9 +599,9 @@ def _same_dpw(got, want):
 
 @pytest.fixture
 def fresh_dpw_for(monkeypatch):
-    """`dpw_for` with an empty cache and no shared tableau."""
+    """`dpw_for` with an empty cache and a new scope, so no shared tableau."""
     monkeypatch.setattr(automata, "_dpw_cache", {})
-    monkeypatch.setattr(automata, "_recent", None)
+    SCOPE.serve(None)
     return dpw_for
 
 
@@ -684,8 +682,8 @@ def test_earlier_automata_do_not_fail_a_build(fresh_dpw_for):
     for v in candidate_values(f):
         dpw = fresh_dpw_for(f, EqualTo(v), atoms, ceiling=ceiling)
         assert _same_dpw(dpw, _fresh_dpw(f, EqualTo(v), atoms))
-        if automata._recent[2] not in tableaux:
-            tableaux.append(automata._recent[2])
+        if SCOPE.tableau not in tableaux:
+            tableaux.append(SCOPE.tableau)
     assert len(tableaux) > 1
 
 
@@ -757,14 +755,34 @@ def test_intern_table_goes_with_the_formula():
     # of one formula share it, and booleanizing another formula drops it.
     f, g = parse("a U (b & X a)"), parse("F a")
     beta = booleanize(f, AtLeast(Fraction(1)))
-    table = booleanize_module._nodes
+    table = SCOPE.nodes
     assert booleanize(f, EqualTo(Fraction(0))) is bnot(beta)
-    assert booleanize_module._nodes is table and table
+    assert SCOPE.nodes is table and table
     booleanize(g, AtLeast(Fraction(1)))
-    assert booleanize_module._nodes is not table
+    assert SCOPE.nodes is not table
     assert sys.getrefcount(table) == 2  # `table` and the argument
     again = booleanize(parse("a U (b & X a)"), AtLeast(Fraction(1)))
     assert again == beta and again is not beta
+
+
+def test_the_whole_scope_goes_with_its_formula(fresh_dpw_for):
+    # The memos, the intern table and the tableau of a formula go together
+    # when another formula is booleanized, and a new alphabet starts a new
+    # tableau in the same scope.
+    f, g, predicate = parse("a U (b & X a)"), parse("F a"), AtLeast(Fraction(1))
+    ab, abc = frozenset({"a", "b"}), frozenset({"a", "b", "c"})
+    fresh_dpw_for(f, predicate, ab)
+    memo, table, tableau = SCOPE.memo, SCOPE.nodes, weakref.ref(SCOPE.tableau)
+    assert memo and table and tableau().covers
+    booleanize(g, predicate)
+    assert tableau() is None and SCOPE.tableau is None
+    assert SCOPE.memo is not memo and SCOPE.nodes is not table and SCOPE.formula is g
+    automata._dpw_cache.clear()
+    fresh_dpw_for(f, predicate, ab)
+    first = SCOPE.tableau
+    assert first.atoms == ab and SCOPE.formula is f
+    assert _same_dpw(fresh_dpw_for(f, predicate, abc), _fresh_dpw(f, predicate, abc))
+    assert SCOPE.tableau is not first and SCOPE.tableau.atoms == abc
 
 
 def test_dpw_cache_is_bounded_and_least_recently_used(monkeypatch):

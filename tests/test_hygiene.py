@@ -1,6 +1,7 @@
 """Source hygiene of src/hqsynth, checked with `ast` alone (no linter is
-needed): no module imports a name it does not use, and every private
-module-level function or class is referenced somewhere in the package."""
+needed): no module imports a name it does not use, every private
+module-level function or class is referenced somewhere in the package, and
+no module has a `global` statement."""
 
 import ast
 import os
@@ -67,3 +68,11 @@ def test_private_definitions_are_referenced():
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in used)
     assert not unused, f"private definitions nothing references: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_global_statements(name):
+    # Module state is held only by objects changed in place, never rebound,
+    # so a module that imports it by name sees what every other one sees.
+    lines = [node.lineno for node in ast.walk(_tree(name)) if isinstance(node, ast.Global)]
+    assert not lines, f"{name} has `global` statements at lines {lines}"
