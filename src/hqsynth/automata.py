@@ -29,8 +29,11 @@ These local conventions keep it fast and the halves compatible:
   sequence, an OR's alternatives in order, an until's right branch before
   its postponing left one, a release's both-operands branch before its
   postponing right one), filtering literal clashes when branches combine.
-  A state's cover extends the memoized cover of its obligations without
-  the highest id by that id.
+  A state's cover extends the memoized branches of its obligations without
+  the highest id (a prefix) by that id.  A single-branch node (TRUE, FALSE,
+  a literal, X, an AND of those) has at most one branch, its literals and
+  next-step operands, summarized once when the node is made; it is folded
+  into every branch in one step, without an expansion.
 
 * One tableau serves every automaton of a formula.  The Boolean formulas
   of a formula's candidate values and thresholds share most of their
@@ -39,22 +42,23 @@ These local conventions keep it fast and the halves compatible:
   share the node table, the walk memo from Boolean subformulas to nodes
   (keyed by identity: `booleanize` hash-conses its formulas, so a
   subformula common to several of them is one object, walked once), the
-  closures, the `weak` mask and atom bits, the branch expansions, the
-  covers, the vacuity memo and the letters each literal set fits.  Each
-  automaton keeps its own root, its order of untils, its degeneralization
-  counter and the prefixes of its covers, which are dropped after it.  The
-  ids, and so the Buchi automaton's numbering, then depend on the formulas
+  closures, the `weak` mask and atom bits, the single-branch summaries, the
+  branch expansions, the prefixes of the covers, the covers, the vacuity
+  memo and the letters each literal set fits.  Each automaton keeps its own
+  root, its order of untils and its degeneralization counter.  The ids,
+  and so the Buchi automaton's numbering, then depend on the formulas
   built before, but its deterministic automaton does not: a cover's set
   of (pos, neg, nxt, post) branches does not depend on the order of the
   ids, vacuity is semantic, and Safra's steps on sets of Buchi states do
   not change when those states are renamed, so the transitions and ranks
   come out equal.  `ltl_to_nbw` called without a tableau builds on a
   fresh one, so its Buchi automaton is the same bit for bit however often
-  it is called.  A shared tableau's memo entries, and the branches its
-  expansions and covers hold, count against the state ceiling of the
-  automaton being built; when those of the automata before fill it,
-  `dpw_for` builds on a fresh tableau instead, so a build fails only where
-  it would fail alone.
+  it is called; its memos die with the call, so only the branches of the
+  cover being composed count against the state ceiling.  A shared
+  tableau's memo entries, and the branches its expansions, prefixes and
+  covers hold, count against the state ceiling of the automaton being
+  built; when those of the automata before fill it, `dpw_for` builds on a
+  fresh tableau instead, so a build fails only where it would fail alone.
 
 * Unsatisfiable branches are pruned while covers are composed.  Call a
   set of obligations vacuous when every branch of its cover has a vacuous
@@ -68,7 +72,11 @@ These local conventions keep it fast and the halves compatible:
   (when two parts combine, only the pairs across them are new), and a
   cover keeps the branches whose whole weakened next-step set is not
   vacuous, in order.  A set is vacuous when none of its branches
-  survives; the test stops at the first that does.
+  survives; the test stops at the first that does.  A set of single-branch
+  nodes has one branch, the union of theirs, so it is vacuous exactly when
+  that branch clashes or its weakened next-step set is vacuous: such a set
+  is decided along that chain of next-step sets, every set on it recorded,
+  and only the first set on it that is not single-branch composes a cover.
 
 * One trampoline serves expansions, covers and vacuity.  Each needs the
   others, so they are generators that yield what they need, run on one
@@ -198,6 +206,11 @@ class Tableau:
         # formulas share subformulas as objects, so those are walked once.
         self.made: dict = {}
         self.held: list = []
+        # one[j]: the one (pos, neg, nxt) branch of a single-branch node, its
+        # literals and next-step operands, a clash (pos & neg) when it has
+        # none; None for a node that may have more (OR, UNTIL, RELEASE, an
+        # AND over one of them).
+        self.one: list = []
         self.true = self._make(TRUE, ())
         self.false = self._make(FALSE, ())
         self.expansions: dict = {}
@@ -207,15 +220,17 @@ class Tableau:
         # is decided, and those of them whose pair is vacuous
         self.partners: dict = {}
         self.fits: dict = {}
-        # The branches of obligation sets on the way to a cover; they belong
-        # to one automaton and are dropped after it.
+        # The branches of obligation sets on the way to a cover, kept like
+        # the other memos: a prefix of one automaton's state is often one of
+        # the next automaton's.
         self.prefixes: dict = {0: ((0, 0, 0, 0, 0),)}
         # The memo entries and the branches the expansions and covers hold,
         # in a list `covers_of` can add to without holding the tableau.
         self.size = [1]
         self.prune = prune
-        # the (weak mask, limit) of the last `covers_of` and its function
-        self.served = (None, None, None)
+        # the (weak mask, limit, shared) of the last `covers_of` and its
+        # function
+        self.served = (None, None, None, None)
 
     # --- the node table
 
@@ -225,16 +240,31 @@ class Tableau:
         if j is None:
             j = len(self.kind)
             closure = 1 << j
+            one = None
             if k == LIT:
-                self.atom_bit.setdefault(a[0], 1 << len(self.atom_bit))
-            elif k != NEXT:
+                bit = self.atom_bit.setdefault(a[0], 1 << len(self.atom_bit))
+                one = (0, bit, 0) if a[1] else (bit, 0, 0)
+            elif k == NEXT:
+                one = (0, 0, 1 << a[0])
+            else:
                 for c in a:
                     closure |= self.closure[c]
+                if k == TRUE:
+                    one = (0, 0, 0)
+                elif k == FALSE:
+                    one = (-1, -1, 0)
+                elif k == AND and all(self.one[c] is not None for c in a):
+                    pos = neg = nxt = 0
+                    for c in a:
+                        p, n, x = self.one[c]
+                        pos, neg, nxt = pos | p, neg | n, nxt | x
+                    one = (pos, neg, nxt)
             if k in (UNTIL, RELEASE):
                 self.weak &= ~(1 << j)
             self.kind.append(k)
             self.args.append(a)
             self.closure.append(closure)
+            self.one.append(one)
             self.index[key] = j
         return j
 
@@ -316,16 +346,18 @@ class Tableau:
         """The entries of the memos and the branches they hold."""
         return self.size[0]
 
-    def covers_of(self, limit: int | None = None):
+    def covers_of(self, limit: int | None = None, shared: bool = True):
         """The memoized `cover` function of this tableau over the nodes made
         so far.  With a `limit`, more memo entries and branches than that,
         the branches being composed included, raise `StateLimitExceeded`
-        naming TABLEAU_MEMOS."""
-        if self.served[:2] == (self.weak, limit):
-            return self.served[2]
+        naming TABLEAU_MEMOS; on a tableau not `shared`, which serves one
+        call and dies with it, only the branches being composed count."""
+        if self.served[:3] == (self.weak, limit, shared):
+            return self.served[3]
         kind, args, closure, atom_bit = self.kind, self.args, self.closure, self.atom_bit
         expansions, covers, prefixes = self.expansions, self.covers, self.prefixes
-        vacuous_sets, partners, size = self.vacuous_sets, self.partners, self.size
+        vacuous_sets, partners, size, one = self.vacuous_sets, self.partners, self.size, self.one
+        counted = size if shared else [0]
         # Unpruned, every weakened next-step set is empty, never vacuous.
         weak = self.weak if self.prune else 0
         bound = float("inf") if limit is None else limit
@@ -371,7 +403,7 @@ class Tableau:
             in depth-first order without repeats or vacuous pairs."""
             out: dict = {}
             for branch in branches:
-                if size[0] + len(out) > bound:
+                if counted[0] + len(out) > bound:
                     raise StateLimitExceeded(TABLEAU_MEMOS, limit)
                 done, pos, neg, nxt, post = branch
                 if done >> f & 1:
@@ -446,12 +478,31 @@ class Tableau:
                                          for d, p, n, x, s in later)]
             return tuple(dict.fromkeys(alternatives))
 
+        def fold(branches, f):
+            """`branches`, each followed by the one branch of single-branch
+            node `f`, without repeats or literal clashes.  It needs no
+            expansion, and the vacuity of the next-step sets it makes is left
+            to `kept`, which tests each whole set."""
+            p, n, x = one[f]
+            if p & n:
+                return ()
+            c = closure[f]
+            out: dict = {}
+            for branch in branches:
+                done, pos, neg, nxt, post = branch
+                if done >> f & 1:
+                    out[branch] = None
+                elif not (p & neg or n & pos):
+                    out[(done | c, pos | p, neg | n, nxt | x, post)] = None
+            return tuple(out)
+
         def kept(obls, first):
             """The (pos, neg, nxt, post) branches of `obls` whose weakened
             next-step set is not vacuous, in the order of a depth-first
             expansion of the obligations in ascending id (the known branches
-            of a prefix of them, extended by the others, lowest first); with
-            `first`, the first of them only."""
+            of a prefix of them, extended by the others, lowest first, a
+            single-branch one folded in at once); with `first`, the first of
+            them only."""
             rest, tops = obls, []
             while rest not in prefixes:
                 tops.append(rest.bit_length() - 1)
@@ -459,7 +510,12 @@ class Tableau:
             branches = prefixes[rest]
             for top in reversed(tops):
                 rest |= 1 << top
-                branches = prefixes[rest] = yield from extend(branches, top)
+                if one[top] is None:
+                    branches = yield from extend(branches, top)
+                else:
+                    branches = fold(branches, top)
+                prefixes[rest] = branches
+                size[0] += 1 + len(branches)
             out = []
             for branch in branches:
                 nxt = branch[3] & weak
@@ -472,12 +528,44 @@ class Tableau:
                         break
             return out
 
+        def branch_of(obls):
+            """The one (pos, neg, nxt) branch of a set of single-branch nodes,
+            a clash when it has none; None for any other set."""
+            pos = neg = nxt = 0
+            while obls:
+                b = obls & -obls
+                obls ^= b
+                got = one[b.bit_length() - 1]
+                if got is None:
+                    return None
+                pos, neg, nxt = pos | got[0], neg | got[1], nxt | got[2]
+            return pos, neg, nxt
+
         def decide(obls):
-            """Whether the weakened set `obls` is vacuous."""
-            got = covers.get(obls)
-            if got is None:
-                got = yield from kept(obls, True)
-            return not got
+            """Whether the weakened set `obls` is vacuous.  A set of
+            single-branch nodes is vacuous exactly when its one branch
+            clashes or its weakened next-step set is vacuous, so that chain
+            of sets is followed here, without composing their covers, up to
+            a set whose answer is known or that is not single-branch."""
+            chain = []
+            bad = None
+            while bad is None and (branch := branch_of(obls)) is not None:
+                chain.append(obls)
+                pos, neg, nxt = branch
+                obls = nxt & weak
+                bad = True if pos & neg else vacuous_sets.get(obls)
+            if bad is None:
+                chain.append(obls)
+                got = covers.get(obls)
+                if got is None:
+                    got = yield from kept(obls, True)
+                bad = not got
+            # every set on the chain has the answer; the caller records the
+            # first, the set it asked about
+            for later in chain[1:]:
+                vacuous_sets[later] = bad
+            size[0] += len(chain) - 1
+            return bad
 
         def cover(obls: int) -> tuple:
             """The (pos, neg, nxt, post) branches that discharge `obls`, none
@@ -511,7 +599,7 @@ class Tableau:
 
         # No closure here holds the tableau, so a dropped tableau is freed at
         # once, not by the cycle collector.
-        self.served = (self.weak, limit, cover)
+        self.served = (self.weak, limit, shared, cover)
         return cover
 
 
@@ -591,21 +679,21 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
     Its states are (obligation bitmask over node ids, degeneralization
     counter) pairs; letters are bitmasks too, letter j of `all_letters`
     being the bitmask j over the sorted atoms.  Without a `tableau`, a fresh
-    one serves this call alone.  A tableau passed in serves its own atoms as
-    the alphabet and outlives the call, so its memo entries and branches count
-    against the state ceiling too, checked while covers are composed: more of
-    them raise `StateLimitExceeded` naming TABLEAU_MEMOS.
+    one serves this call alone, and its memos die with the call: only the
+    branches of the cover being composed count against the state ceiling.
+    A tableau passed in serves its own atoms as the alphabet and outlives
+    the call, so its memo entries and branches count against the state
+    ceiling too.  Both are checked while covers are composed: more raise
+    `StateLimitExceeded` naming TABLEAU_MEMOS.
     """
-    limit = None
-    if tableau is None:
+    shared = tableau is not None
+    if not shared:
         tableau = Tableau(_bexpr_atoms(beta) if atoms is None else atoms)
-    else:
-        limit = state_ceiling(ceiling)
     root = tableau.add(beta)
     untils = tableau.untils(root)
     m = len(untils)
     letters = tableau.letters
-    cover, fits = tableau.covers_of(limit), tableau.fits
+    cover, fits = tableau.covers_of(state_ceiling(ceiling), shared), tableau.fits
 
     def expand(state, number):
         obls, k = state
@@ -638,11 +726,7 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
             row.append(tuple(out))
         return tuple(row)
 
-    try:
-        states, rows = explore((1 << root, 0), expand, "tableau automaton", ceiling)
-    finally:
-        tableau.prefixes.clear()
-        tableau.prefixes[0] = ((0, 0, 0, 0, 0),)
+    states, rows = explore((1 << root, 0), expand, "tableau automaton", ceiling)
     return NBW(tableau.atoms, states, 0, rows)
 
 

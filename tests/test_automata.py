@@ -654,6 +654,19 @@ def test_tableau_memos_count_against_the_ceiling(fresh_dpw_for):
                      _fresh_dpw(f, predicate, CEILING_IO))
 
 
+def _cut_inside_a_chain(exc) -> bool:
+    """Whether `exc` was raised while a vacuity decision followed a chain of
+    single-branch next-step sets: `decide` holds the sets it followed, and
+    composes a cover only for the last."""
+    tb = exc.__traceback__
+    while tb is not None:
+        frame = tb.tb_frame
+        if frame.f_code.co_name == "decide" and len(frame.f_locals["chain"]) > 1:
+            return True
+        tb = tb.tb_next
+    return False
+
+
 def test_interrupted_builds_leave_no_partial_memo(fresh_dpw_for):
     # Builds cut short at many points, by the memos or by the states, leave
     # the shared tableau fit for the next build with a higher ceiling.
@@ -670,6 +683,32 @@ def test_interrupted_builds_leave_no_partial_memo(fresh_dpw_for):
             assert _same_dpw(fresh_dpw_for(f, EqualTo(v), atoms),
                              _fresh_dpw(f, EqualTo(v), atoms))
     assert failed == {automata.TABLEAU_MEMOS, "tableau automaton"}
+    # battery8's value automata, each cut short by the memos on the tableau
+    # that built the ones before it, so with their prefixes held, at
+    # points that move through the build; some cuts fall while a vacuity
+    # decision follows a chain of single-branch sets.  The tableau then
+    # builds the automaton whole, and every vacuity decision it recorded is
+    # that of the recursion through covers alone.
+    text, atoms = GOLDEN_FORMULAS["battery8"]
+    f, atoms = parse(text), frozenset(atoms)
+    betas = [booleanize(f, EqualTo(v)) for v in candidate_values(f)]
+    want = [determinize(ltl_to_nbw(beta, atoms)) for beta in betas]
+    cuts = held = in_chain = 0
+    for delta in range(1, 200, 25):
+        tableau = automata.Tableau(atoms)
+        for beta, dpw in zip(betas, want):
+            try:
+                ltl_to_nbw(beta, atoms, tableau.memo_size() + delta, tableau)
+            except StateLimitExceeded as exc:
+                assert exc.what == automata.TABLEAU_MEMOS
+                cuts += 1
+                held += len(tableau.prefixes) > 1
+                in_chain += _cut_inside_a_chain(exc)
+            assert _same_dpw(determinize(ltl_to_nbw(beta, atoms, tableau=tableau)), dpw)
+        plain = plain_vacuity(tableau.covers_of(), tableau.weak)
+        for obls, got in list(tableau.vacuous_sets.items()):
+            assert plain(obls) == got, bin(obls)
+    assert cuts > 40 and held > 0 and in_chain > 0
 
 
 def test_earlier_automata_do_not_fail_a_build(fresh_dpw_for):
@@ -698,6 +737,66 @@ def test_one_cover_counts_against_the_ceiling(fresh_dpw_for, monkeypatch):
         fresh_dpw_for(f, EqualTo(Fraction(1)), frozenset({"a", "b"}))
     assert time.perf_counter() - t0 < 1.0
     assert info.value.what == automata.TABLEAU_MEMOS
+
+
+def test_memo_size_counts_every_entry_and_branch():
+    # What counts against the ceiling on a shared tableau is every entry of
+    # its vacuity, expansion, prefix and cover memos and every branch the
+    # last three hold, the prefixes kept from one automaton to the next.
+    def held(tableau):
+        return len(tableau.vacuous_sets) + sum(
+            1 + len(branches) for memo in (tableau.expansions, tableau.prefixes, tableau.covers)
+            for branches in memo.values())
+
+    for f, atoms in _bench_formulas():
+        tableau = automata.Tableau(atoms)
+        start = held(tableau) - tableau.memo_size()
+        for predicate in _predicates(f):
+            ltl_to_nbw(booleanize(f, predicate), atoms, tableau=tableau)
+            assert held(tableau) - tableau.memo_size() == start, str(f)
+        assert len(tableau.prefixes) > 1
+
+
+def test_a_call_of_its_own_counts_its_cover_against_the_ceiling(monkeypatch):
+    # A tableau of one `ltl_to_nbw` call's own dies with the call, so its
+    # memos do not count, but the branches of the cover being composed do:
+    # the initial state of this formula has 2^16 cover branches, and the
+    # build stops early instead of composing them all first.
+    monkeypatch.setenv("HQSYNTH_STATE_CEILING", "5000")
+    f = parse(" & ".join(f"({'X ' * i}a | {'X ' * i}b)" for i in range(1, 17)))
+    beta = booleanize(f, EqualTo(Fraction(1)))
+    t0 = time.perf_counter()
+    with pytest.raises(StateLimitExceeded) as info:
+        ltl_to_nbw(beta, frozenset({"a", "b"}))
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.what == automata.TABLEAU_MEMOS
+
+
+def test_single_branch_summaries_match_the_expansions():
+    # Covers fold a single-branch node (true, false, a literal, X, an AND of
+    # those) into their branches from the summary made with the node, and
+    # vacuity follows its next-step operands.  The summary must be what the
+    # node's expansion from nothing discharged makes: one branch with every
+    # node of its closure done, or none when the summary clashes.  Each node
+    # is expanded as an alternative of an OR with a fresh literal, on an
+    # unpruned tableau, so no vacuity test drops a branch.
+    checked = clashing = 0
+    for f, atoms in _bench_formulas():
+        tableau = automata.Tableau(atoms, prune=False)
+        for predicate in _predicates(f):
+            tableau.add(booleanize(f, predicate))
+        other = tableau._make(automata.LIT, ("an atom no formula has", False))
+        cover = tableau.covers_of()
+        for j in range(other):
+            if tableau.one[j] is None:
+                continue
+            cover(1 << tableau._make(automata.OR, (j, other)))
+            pos, neg, nxt = tableau.one[j]
+            want = () if pos & neg else ((tableau.closure[j], pos, neg, nxt, 0),)
+            assert tableau.expansions[(j, 0)] == want, (str(f), j)
+            checked += 1
+            clashing += not want
+    assert checked > 150 and clashing > 0
 
 
 # --- hash-consed Boolean formulas ---------------------------------------

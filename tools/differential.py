@@ -21,6 +21,11 @@ worker process of its own.  The command lines are:
   `min` and `max` over views X^0..X^3 of one cell of `min`, `max` and
   `factor` over literals, whose value automata prune many vacuous tableau
   branches; each synthesized without a threshold and with 1/2;
+* BATTERY seeded battery8-shaped specs over the same alphabet: a
+  `G (l -> l')` conjunct with `min` and `max` windows over X^1..X^k, k up
+  to 8, of literals and of `factor`ed literals, whose value automata decide
+  long chains of single-branch tableau sets; each synthesized without a
+  threshold and with 1/2;
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
   controllers of both trees.
@@ -50,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -58,6 +64,7 @@ THRESHOLDS = (None, "1/2", "3/4")
 SMALL_SPECS = ((0, range(4)), (104729, range(2)))
 INTERLEAVED = 20
 XWINDOW = 12
+BATTERY = 4
 LAMBDAS = ("1/4", "1/2", "3/4")
 SIMULATE = ["--samples", "200", "--seed", "0"]
 CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
@@ -236,15 +243,37 @@ def xwindow_formula(rng) -> str:
     return views[0]
 
 
-def xwindow_cases(specdir: str) -> list:
-    """The same, for XWINDOW message-shaped specs over inputs {a, c} and
-    outputs {b, d}."""
-    rng = random.Random("xwindow")
+def battery_formula(rng) -> str:
+    """A battery8-shaped formula: `G (l -> l')` for an output literal l and
+    an input literal l', written `!(true U !max(!l, l'))`, and-ed with a
+    `max` of a window of input literals against one of output literals and
+    with a window of `factor`ed output literals, each window a `min` or
+    `max` over X^1..X^k."""
+    k = rng.randint(6, 8)
+    inp, out = rng.choice("ac"), rng.choice("bd")
+
+    def lit(atom):
+        return rng.choice(("", "!")) + atom
+
+    def window(body):
+        views = [("X (" * i) + body(i) + (")" * i) for i in range(1, k + 1)]
+        return f"{rng.choice(('min', 'max'))}({', '.join(views)})"
+
+    lo, hi = lit(inp), lit(out)
+    guard = f"!(true U !max({lit(out)}, {lit(inp)}))"
+    seen = f"max(!{window(lambda i: lo)}, {window(lambda i: hi)})"
+    paid = window(lambda i: f"max(!{out}, factor{{{Fraction(i, k)}}} {out})")
+    return f"min({guard}, {seen}, {paid})"
+
+
+def window_cases(specdir: str, name: str, count: int, formula) -> list:
+    """The same, for `count` specs over inputs {a, c} and outputs {b, d}
+    whose formulas `formula` draws from a generator seeded with `name`."""
+    rng = random.Random(name)
     cases = []
-    for k in range(XWINDOW):
-        doc = {"inputs": ["a", "c"], "outputs": ["b", "d"],
-               "formula": xwindow_formula(rng)}
-        path = os.path.join(specdir, f"xwindow{k}.json")
+    for k in range(count):
+        doc = {"inputs": ["a", "c"], "outputs": ["b", "d"], "formula": formula(rng)}
+        path = os.path.join(specdir, f"{name}{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         follow = [["eval", path, CTRL, "--mode", mode]
@@ -252,7 +281,7 @@ def xwindow_cases(specdir: str) -> list:
         follow.append(["simulate", path, CTRL] + SIMULATE)
         for t in (None, "1/2"):
             flags = [] if t is None else ["--threshold", t]
-            cases.append((f"xwindow{k}.synth{'' if t is None else '-' + t}",
+            cases.append((f"{name}{k}.synth{'' if t is None else '-' + t}",
                           ["synth", path] + flags, follow))
     return cases
 
@@ -288,7 +317,8 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     specdir = os.path.join(workdir, "specs")
     os.makedirs(specdir)
     cases = input_cases() + small_spec_cases(specdir) + interleaved_cases(specdir) + \
-        xwindow_cases(specdir)
+        window_cases(specdir, "xwindow", XWINDOW, xwindow_formula) + \
+        window_cases(specdir, "battery", BATTERY, battery_formula)
     ctrl = {t: os.path.join(workdir, t) for t in TREES}
     for path in ctrl.values():
         os.makedirs(path)
