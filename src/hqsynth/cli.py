@@ -13,9 +13,11 @@ lines, which are a convenience and never read back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .common import (
@@ -215,7 +217,9 @@ def cmd_simulate(args) -> int:
                                spec.distribution)
     n = len(xs)
     if n > 1:
-        var = sum((x - mean) ** 2 for x in xs) / (n - 1)
+        # A formula has only a handful of values: one term per distinct value.
+        var = sum(((x - mean) ** 2 * k for x, k in Counter(xs).items()),
+                  Fraction(0)) / (n - 1)
         stderr = math.sqrt(float(var) / n)
     else:
         stderr = 0.0
@@ -238,7 +242,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first `main` call of a process and reused by
+    every later one: `parse_args` keeps nothing from one call to the next."""
     ap = _Parser(prog="hqsynth",
                  description="Exact synthesis and evaluation of transducers "
                              "against quality-graded temporal specifications.")

@@ -210,7 +210,11 @@ def json_records(value, keys, what: str) -> list:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "num/den" or "num" into an exact rational."""
+    """Parse "num/den", an integer or a plain decimal into an exact rational.
+    Exponent notation is rejected: `Fraction` would expand "1e999999999"
+    into a billion-digit integer."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"bad rational literal {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

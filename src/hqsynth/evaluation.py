@@ -24,6 +24,7 @@ silently approximated.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .booleanize import AtLeast, EqualTo
@@ -255,5 +256,7 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
             if steps > 1_000_000:
                 raise InternalConsistencyError("simulation failed to absorb")
         out.append(value_at[s])
-    mean = sum(out, Fraction(0)) / samples if samples else Fraction(0)
+    # A formula has only a handful of values: one term per distinct value.
+    mean = sum((v * k for v, k in Counter(out).items()), Fraction(0)) / samples \
+        if samples else Fraction(0)
     return mean, out, expectation(zip(rho, comp_values))

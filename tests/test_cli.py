@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line front end, driven through main()
 so exit codes and report bytes are checked exactly."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 import hqsynth
+from hqsynth import cli
 from hqsynth.cli import main
-from hqsynth.evaluation import expected_value
+from hqsynth.common import format_fraction, parse_fraction
+from hqsynth.evaluation import expected_value, simulate
 from hqsynth.formulas import MAX_NESTING, parse
 from hqsynth.transducers import load_transducer
 
@@ -19,6 +24,10 @@ HD_FORMULA = ("((X data) -> !close)"
               " & (((!(X data)) -> close) | factor{1/2} (X close))")
 
 HD_SPEC = {"inputs": ["data"], "outputs": ["close"], "formula": HD_FORMULA}
+
+# its optimal controller's samples take the three values 0, 2/3 and 1
+UNTIL_FACTOR_SPEC = {"inputs": ["i0", "i1"], "outputs": ["o"],
+                     "formula": "((!i1 U X (factor{2/3} i0)) U i0)"}
 
 SMALL_SPEC = {"inputs": ["i"], "outputs": ["o"],
               "formula": "wavg{1/2}(X i, o)", "assumption": "i"}
@@ -44,6 +53,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment for a `python -m hqsynth.cli` child: this hqsynth
+    first on its path, and the terminal width its help text is wrapped to."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hqsynth.__file__)))
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestSynthCommand:
@@ -204,6 +222,70 @@ class TestSimulateCommand:
         assert "samples" in err
 
 
+class TestSimulateStatistics:
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("simulate")
+        spec = write_spec(tmp, UNTIL_FACTOR_SPEC)
+        ctrl = str(tmp / "ctrl.json")
+        assert main(["synth", spec, "--out", ctrl]) == 0
+        return spec, ctrl
+
+    @pytest.mark.parametrize("samples", [1, 2, 200])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_against_the_per_sample_formulas(self, pair, capsys, seed, samples):
+        spec, ctrl = pair
+        capsys.readouterr()
+        T = load_transducer(ctrl)
+        mean, xs, _ = simulate(T, parse(UNTIL_FACTOR_SPEC["formula"]), samples, seed)
+        n = len(xs)
+        assert n == samples
+        assert mean == sum(xs, Fraction(0)) / n
+        if n == 200:
+            assert len(set(xs)) == 3
+        stderr = (math.sqrt(float(sum((x - mean) ** 2 for x in xs) / (n - 1)) / n)
+                  if n > 1 else 0.0)
+        code, text, _ = run(capsys, "simulate", spec, ctrl,
+                            "--samples", str(samples), "--seed", str(seed))
+        assert code == 0
+        assert f"estimate = {format_fraction(mean)}\n" in text
+        assert f"stderr = {stderr!r}\n" in text
+
+
+def run_captured(argv):
+    """`main(argv)` with its own stdout and stderr buffers, as a long-lived
+    caller such as the benchmark worker runs each command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRepeatedCalls:
+    def test_each_call_matches_a_fresh_process(self, tmp_path, monkeypatch):
+        # the parser is built once per process; no call may see what an
+        # earlier one parsed, printed or failed on, nor the streams it
+        # printed to: the last call repeats the first
+        monkeypatch.setenv("COLUMNS", "80")
+        spec = write_spec(tmp_path, HD_SPEC)
+        ctrl = str(tmp_path / "ctrl.json")
+        argvs = [["synth", spec, "--no-such-flag"],
+                 ["synth", spec, "--out", ctrl],
+                 ["synth", "--help"],
+                 ["frobnicate", spec],
+                 ["eval", spec, ctrl],
+                 ["simulate", spec, ctrl, "--samples", "50", "--seed", "3"],
+                 ["synth", spec, "--no-such-flag"]]
+        in_process = [run_captured(argv) for argv in argvs]
+        assert [r[0] for r in in_process] == [1, 0, 0, 1, 0, 0, 1]
+        env = subprocess_env()
+        for argv, got in zip(argvs, in_process):
+            proc = subprocess.run([sys.executable, "-m", "hqsynth.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "synth", "/nonexistent/spec.json")
@@ -302,6 +384,36 @@ class TestErrorPaths:
         assert code == 0
         assert "result = OK" in text
         assert f"expected = {expected.numerator}/{expected.denominator}" in text
+
+    @pytest.mark.parametrize("where", ["flag", "spec", "distribution"])
+    def test_exponent_notation_is_rejected_at_once(self, tmp_path, where):
+        # Fraction("1e999999999") would build a billion-digit integer; each
+        # entry point of a rational rejects the literal instead.  A child
+        # process, so a regression fails on the timeout rather than hanging.
+        huge = "1e999999999"
+        argv = ["synth", write_spec(tmp_path, HD_SPEC), "--threshold", huge]
+        if where == "spec":
+            argv = ["synth", write_spec(tmp_path, dict(HD_SPEC, threshold=huge))]
+        elif where == "distribution":
+            rows = [dict(tr, prob=huge) for tr in UNIFORM_DATA["transitions"]]
+            argv = ["synth", write_spec(tmp_path, dict(
+                HD_SPEC, distribution=dict(UNIFORM_DATA, transitions=rows)))]
+        code = ("import json, sys, time; from hqsynth.cli import main; "
+                "t = time.perf_counter(); c = main(json.loads(sys.argv[1])); "
+                "print(json.dumps([c, time.perf_counter() - t]))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              timeout=60)
+        status, seconds = json.loads(proc.stdout)
+        assert status == 1
+        assert proc.stderr == f"error: bad rational literal '{huge}': " \
+                              "exponent notation is not accepted\n"
+        assert seconds < 1
+
+    @pytest.mark.parametrize("text, value", [("3/8", Fraction(3, 8)), ("1", 1),
+                                             ("0.375", Fraction(3, 8)), (" 1/2 ", Fraction(1, 2))])
+    def test_rational_syntax_still_accepted(self, text, value):
+        assert parse_fraction(text) == value
 
     def test_usage_errors_exit_one_not_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

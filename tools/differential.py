@@ -26,6 +26,12 @@ worker process of its own.  The command lines are:
   to 8, of literals and of `factor`ed literals, whose value automata decide
   long chains of single-branch tableau sets; each synthesized without a
   threshold and with 1/2;
+* USAGE command lines that end in a usage error (an unknown subcommand, an
+  unknown flag, a missing positional, a bad `--mode`, `--samples 0` and
+  `--samples x`) and the `--help` of the program and of each subcommand;
+  run as given, spread evenly among the syntheses above, so that a parser
+  or any other state kept from one call to the next shows up in the calls
+  after them;
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
   controllers of both trees.
@@ -36,8 +42,9 @@ controller are compared.  Report lines `key = value` whose key is named by
 tree runs the command lines of each phase (synth, then the follow-ups) in
 a permutation drawn from SEED, and its results are put back in order before
 the comparison: output that depends on what ran before in the same process
-(a cache, a memo) shows up as a difference.  Every difference is printed;
-the exit code is 1 if there is any, else 0.  Standard library only.
+(a cache, a memo, the parser) shows up as a difference.  A worker that does
+not finish within WORKER_TIMEOUT_S seconds is an error.  Every difference is
+printed; the exit code is 1 if there is any, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ LAMBDAS = ("1/4", "1/2", "3/4")
 SIMULATE = ["--samples", "200", "--seed", "0"]
 CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
 TREES = ("old", "new")
+WORKER_TIMEOUT_S = 900
 
 
 # --- the worker: one tree, in-process -------------------------------------
@@ -97,8 +105,12 @@ def worker(src: str):
 
 
 def run_tree(src: str, argvs: list) -> list:
-    proc = subprocess.run([sys.executable, "-I", os.path.abspath(__file__), "--worker", src],
-                          input=json.dumps(argvs), capture_output=True, text=True)
+    try:
+        proc = subprocess.run([sys.executable, "-I", os.path.abspath(__file__), "--worker", src],
+                              input=json.dumps(argvs), capture_output=True, text=True,
+                              timeout=WORKER_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"worker for {src} did not finish in {WORKER_TIMEOUT_S} s") from None
     if proc.returncode != 0:
         raise RuntimeError(f"worker for {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -286,6 +298,33 @@ def window_cases(specdir: str, name: str, count: int, formula) -> list:
     return cases
 
 
+def usage_cases() -> list:
+    """(id, argv, None) per USAGE command line: no `--out`, no follow-ups."""
+    hd = os.path.join(INPUTS, "hard_drive.json")
+    gf2, ctrl = os.path.join(INPUTS, "gf2.json"), os.path.join(INPUTS, "gf2_controller.json")
+    argvs = {
+        "unknown-subcommand": ["frobnicate", hd],
+        "unknown-flag": ["synth", hd, "--no-such-flag"],
+        "missing-positional": ["eval", gf2],
+        "bad-mode": ["eval", gf2, ctrl, "--mode", "best-case"],
+        "samples-0": ["simulate", gf2, ctrl, "--samples", "0"],
+        "samples-x": ["simulate", gf2, ctrl, "--samples", "x"],
+        "help": ["--help"],
+        "synth-help": ["synth", "--help"],
+        "eval-help": ["eval", "--help"],
+        "simulate-help": ["simulate", "--help"],
+    }
+    return [(f"usage.{name}", argv, None) for name, argv in argvs.items()]
+
+
+def spread(cases: list, extra: list) -> list:
+    """`cases` with `extra` inserted at even intervals, in order."""
+    out, step = [], len(cases) / (len(extra) + 1)
+    for k, case in enumerate(extra):
+        out += cases[round(k * step):round((k + 1) * step)] + [case]
+    return out + cases[round(len(extra) * step):]
+
+
 # --- comparison -----------------------------------------------------------
 
 
@@ -319,6 +358,7 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     cases = input_cases() + small_spec_cases(specdir) + interleaved_cases(specdir) + \
         window_cases(specdir, "xwindow", XWINDOW, xwindow_formula) + \
         window_cases(specdir, "battery", BATTERY, battery_formula)
+    cases = spread(cases, usage_cases())
     ctrl = {t: os.path.join(workdir, t) for t in TREES}
     for path in ctrl.values():
         os.makedirs(path)
@@ -326,13 +366,15 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     def ctrl_path(tree, case_id):
         return os.path.join(ctrl[tree], case_id.replace("/", "_") + ".ctrl.json")
 
-    synth = run_both(srcs, {t: [argv + ["--out", ctrl_path(t, cid)]
-                                for cid, argv, _ in cases] for t in TREES}, rng)
+    synth = run_both(srcs, {t: [argv if follow is None else argv + ["--out", ctrl_path(t, cid)]
+                                for cid, argv, follow in cases] for t in TREES}, rng)
     diffs, compared = [], 0
     follow_up, labels = [], []
     for k, (cid, _, follow) in enumerate(cases):
         compared += 1
         diffs += compare(cid, synth["old"][k], synth["new"][k], ignore)
+        if follow is None:
+            continue
         shas = {t: sha256(ctrl_path(t, cid)) for t in TREES}
         if shas["old"] != shas["new"]:
             diffs.append(f"{cid}: controller differs\n  old: {shas['old']}\n"
