@@ -127,15 +127,12 @@ These local conventions keep it fast and the halves compatible:
 Everything downstream (products, runs, emptiness) works on the ranked
 deterministic form.  Every automaton here, and the product, keeps its
 transitions as rows: `rows[q][m]` is state q's entry on letter m, the
-bitmask m over the sorted atoms (`common.all_letters`).  Frozenset letters
-remain only at the boundary: `trans` views the rows as a table keyed by
-(state, letter), `step` reads one entry, and constructors take such tables.
+bitmask m over the sorted atoms (`common.all_letters`), and constructors
+take such rows.  Frozenset letters come in only with a lasso word:
+`run_lasso` looks up each of its letters' masks once.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
-from functools import cached_property
 
 from .booleanize import (
     BAnd,
@@ -603,58 +600,16 @@ class Tableau:
         return cover
 
 
-class LetterRows(Mapping):
-    """The read-only table {(state, letter): entry} over `rows`, a list
-    indexed by state number or a dict keyed by state: the entry of s on
-    letter m of `all_letters(atoms)` is `rows[s][m]`, and none is stored."""
-
-    def __init__(self, rows, atoms):
-        self._rows, self._letters, self._masks = rows, all_letters(atoms), letter_masks(atoms)
-        self._states = range(len(rows)) if isinstance(rows, list) else rows
-
-    def __getitem__(self, key):
-        s, letter = key
-        if s not in self._states or letter not in self._masks:
-            raise KeyError(key)
-        return self._rows[s][self._masks[letter]]
-
-    def __iter__(self):
-        return ((s, letter) for s in self._states for letter in self._letters)
-
-    def __len__(self):
-        return len(self._states) * len(self._letters)
-
-
-class _ByLetter:
-    """`trans` and `step`: an automaton's `rows` read by frozenset letter,
-    for tests and library callers."""
-
-    @cached_property
-    def trans(self) -> LetterRows:
-        return LetterRows(self.rows, self.atoms)
-
-    def step(self, s, letter: frozenset):
-        return self.trans[(s, letter)]
-
-
-def _rows(trans, n: int, atoms) -> list:
-    """The rows given as a list or tuple, or those of a {(state, letter):
-    entry} table, checked to cover the states 0..n-1 and every letter m of
-    `all_letters(atoms)`."""
-    # a type test, not isinstance(trans, Mapping): the first check of a type
-    # against an ABC walks the ABC's subclasses, once in every fresh process
-    if not isinstance(trans, (list, tuple)):
-        try:
-            return [tuple(trans[(q, letter)] for letter in all_letters(atoms)) for q in range(n)]
-        except KeyError as exc:
-            raise ValueError(f"missing transition {exc.args[0]}") from None
-    rows = list(trans)
+def _rows(rows, n: int, atoms) -> list:
+    """The rows given, checked to cover the states 0..n-1 and every letter m
+    of `all_letters(atoms)`."""
+    rows = list(rows)
     if len(rows) != n or any(len(row) != 1 << len(atoms) for row in rows):
         raise ValueError(f"rows do not cover {n} states and {1 << len(atoms)} letters")
     return rows
 
 
-class NBW(_ByLetter):
+class NBW:
     """Nondeterministic Buchi automaton with acceptance on transitions.
 
     `rows[q][m]` lists the (successor, fair) pairs of state q on letter m,
@@ -662,11 +617,11 @@ class NBW(_ByLetter):
     accepting when it takes fair transitions infinitely often.
     """
 
-    def __init__(self, atoms, states, initial, trans):
+    def __init__(self, atoms, states, initial, rows):
         self.atoms = frozenset(atoms)
         self.states = list(states)
         self.initial = initial
-        self.rows = _rows(trans, len(self.states), self.atoms)
+        self.rows = _rows(rows, len(self.states), self.atoms)
 
     def __len__(self):
         return len(self.states)
@@ -744,15 +699,15 @@ def _bexpr_atoms(e: BExpr) -> frozenset:
 # --- determinization -----------------------------------------------------
 
 
-class DPW(_ByLetter):
+class DPW:
     """Deterministic parity automaton; accepts when the maximal rank seen
     infinitely often is even.  `rows[q][m]` is the successor of q on letter m."""
 
-    def __init__(self, atoms, n_states, initial, trans, rank):
+    def __init__(self, atoms, n_states, initial, rows, rank):
         self.atoms = frozenset(atoms)
         self.n_states = n_states
         self.initial = initial
-        self.rows = _rows(trans, n_states, self.atoms)
+        self.rows = _rows(rows, n_states, self.atoms)
         self.rank = rank
         for q in range(n_states):
             if not 1 <= rank[q]:
@@ -931,7 +886,7 @@ def _shared_nbw(beta: BExpr, atoms: frozenset, ceiling) -> NBW:
 # --- products ------------------------------------------------------------
 
 
-class ProductPreAutomaton(_ByLetter):
+class ProductPreAutomaton:
     """Reachable synchronized product of deterministic components.
 
     States are tuples of component states; projection i is plain tuple
@@ -970,21 +925,23 @@ class ProductPreAutomaton(_ByLetter):
 def run_lasso(dpw: DPW, word: LassoWord) -> bool:
     if not word.atoms <= dpw.atoms:
         raise ValueError("lasso alphabet is not covered by the automaton")
+    masks, rows = letter_masks(dpw.atoms), dpw.rows
 
-    def fit(letter):
-        return frozenset(letter & dpw.atoms)
+    def masked(letters):
+        return [masks[frozenset(letter & dpw.atoms)] for letter in letters]
 
     q = dpw.initial
-    for letter in word.prefix:
-        q = dpw.step(q, fit(letter))
+    for m in masked(word.prefix):
+        q = rows[q][m]
+    period = masked(word.period)
     starts = {}
     visits = []
     while q not in starts:
         starts[q] = len(visits)
         seen = []
-        for letter in word.period:
+        for m in period:
             seen.append(q)
-            q = dpw.step(q, fit(letter))
+            q = rows[q][m]
         visits.append(seen)
     cycle = [s for block in visits[starts[q]:] for s in block]
     return max(dpw.rank[s] for s in cycle) % 2 == 0

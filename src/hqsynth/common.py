@@ -229,10 +229,13 @@ def format_fraction(x: Fraction) -> str:
 def all_letters(atoms) -> tuple[frozenset, ...]:
     """Every subset of the atom set; letter m holds the atoms at the set
     bits of m over the sorted atoms.  Inside the library letters travel as
-    these bitmasks over the joint alphabet of inputs and outputs, which
-    index every automaton's rows; frozensets remain at the library and JSON
-    boundary.  The last alphabets of up to 12 atoms are kept, but each call
-    checks that the ceiling admits that many letters (`StateLimitExceeded`)."""
+    these bitmasks over the joint alphabet of inputs and outputs, from the
+    input process through the induced MDP's actions to the evaluation
+    chain, and index every automaton's rows; frozensets remain at the
+    boundary (JSON, the CLI, the `DistributionMDP` constructor, `Transducer`
+    and lasso words).  The last alphabets of up to 12 atoms are kept, but
+    each call checks that the ceiling admits that many letters
+    (`StateLimitExceeded`)."""
     return _alphabet(atoms)[0]
 
 

@@ -46,6 +46,17 @@ def _check_formula(T: Transducer, formula: Formula):
         raise ValueError("formula uses atoms the transducer does not carry")
 
 
+def _moves(T: Transducer) -> dict:
+    """{state: {input mask: (successor, the successor's output mask)}} of a
+    transducer, masks over its joint alphabet, inputs in `all_letters`
+    order: its letters looked up once."""
+    masks = letter_masks(T.inputs | T.outputs)
+    out = {q: masks[lab] for q, lab in T.labels.items()}
+    return {q: {masks[i]: (T.delta[(q, i)], out[T.delta[(q, i)]])
+                for i in all_letters(T.inputs)}
+            for q in T.states}
+
+
 def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovChain:
     """The chain over (transducer state, automaton state tuple, process state).
 
@@ -55,13 +66,16 @@ def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovCha
     process = input_process(dist, T.inputs, T.outputs)
     if process.inputs != T.inputs or process.outputs != T.outputs:
         raise ValueError("input process and transducer disagree on alphabets")
-    in_letters, masks = all_letters(T.inputs), letter_masks(T.inputs | T.outputs)
+    if any(a.atoms != T.inputs | T.outputs for a in automata):
+        raise ValueError("automaton and input process disagree on the alphabet")
+    moves = _moves(T)
 
     def expand(state, number):
         t, qs, sd = state
-        committed = frozenset()
+        step = moves[t]
+        committed = 0
         if not process.insensitive_at(sd):
-            labels = {T.labels[T.delta[(t, i)]] for i in in_letters}
+            labels = {o for _, o in step.values()}
             if len(labels) != 1:
                 raise ValueError(
                     "output-sensitive input process needs outputs committed one "
@@ -71,9 +85,8 @@ def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovCha
         rows = [a.rows[q] for a, q in zip(automata, qs)]
         branches = []
         for i, sd2, w in process.branches(sd, committed):
-            t2 = T.delta[(t, i)]
-            m = masks[i] | masks[T.labels[t2]]
-            branches.append(((t2, tuple([row[m] for row in rows]), sd2), w))
+            t2, o = step[i]
+            branches.append(((t2, tuple([row[i | o] for row in rows]), sd2), w))
         return probability_row(branches, number)
 
     init = (T.initial, tuple(a.initial for a in automata), process.initial)
@@ -187,24 +200,25 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
     """
     _check_formula(T, formula)
     atoms = T.inputs | T.outputs
-    in_letters, masks = all_letters(T.inputs), letter_masks(atoms)
+    letters, moves = all_letters(atoms), _moves(T)
     pos = {q: k for k, q in enumerate(T.states)}
-    # targets[k]: (input letter, successor) of each input, from state k
-    targets = [[(i, T.delta[(q, i)]) for i in in_letters] for q in T.states]
+    # targets[k]: (input mask, successor's position, its output mask) of
+    # each input, from state k
+    targets = [[(i, pos[t2], o) for i, (t2, o) in moves[q].items()] for q in T.states]
     for v in values(formula, atoms, ceiling=ceiling):
         dpw = dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling)
 
         def succ(node, rows=dpw.rows):
             tk, q = node
-            return [(i, (pos[t2], rows[q][masks[i] | masks[T.labels[t2]]]))
-                    for i, t2 in targets[tk]]
+            return [(i, (k2, rows[q][i | o])) for i, k2, o in targets[tk]]
 
         found = parity_lasso((pos[T.initial], dpw.initial), succ,
                              lambda node: dpw.rank[node[1]])
         if found is None:
             continue
         prefix, cycle = found
-        witness = LassoWord.make(prefix, cycle, T.inputs)
+        witness = LassoWord.make([letters[i] for i in prefix],
+                                 [letters[i] for i in cycle], T.inputs)
         if eval_lasso(formula, computation_lasso(T, witness)) != v:
             raise InternalConsistencyError("worst-case witness replay disagrees")
         return v, witness

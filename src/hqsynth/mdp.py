@@ -3,9 +3,10 @@
 A pre-MDP here always arises from a deterministic automaton whose letters
 split into inputs and outputs: the controller picks the output letter, the
 environment draws the input letter, and the automaton state advances on the
-bitmask of their union over the joint alphabet, `rows[q][mask]`, the masks
-of a process state's branches built once per `induced_pre_mdp` call;
-actions and input processes keep frozenset letters.  Every solver below is
+bitmask of their union over the joint alphabet, `rows[q][mask]`.  Letters
+are such masks throughout: an induced MDP's actions are output masks, and
+input processes list and track input masks.  Frozenset letters come in
+only through the `DistributionMDP` constructor.  Every solver below is
 exact.
 
 Probabilities are carried as positive int weights over one denominator
@@ -16,21 +17,20 @@ into `Fraction`s only at the linear solver: its system for x = P x + b is
 built with each row scaled by `den`, eliminated fraction-free, and solved
 into `Fraction`s.  Values and rewards are `Fraction`s.  Constructors also
 take rows of `Fraction` (or int) probabilities, turned into weights over
-the lcm of their denominators, and `PreMDP.trans` and `MarkovChain.rows`
-read the rows back as `Fraction` probabilities.  Any other probability, a
-float or a bool, is rejected with a `ValueError`.
+the lcm of their denominators.  Any other probability, a float or a bool,
+is rejected with a `ValueError`.
 
 The environment is an input process with one interface: `UniformInputs`
 draws every input letter with the same probability, `DistributionMDP` is a
 finite-state process whose rows may depend on the output letter.  Each has
 an `initial` state, a denominator `den`, `branches(s, o)` listing (input
-letter, next state, weight > 0) under output letter o,
+mask, next state, weight > 0) under output mask o,
 `insensitive_at(s)` and `output_insensitive()` telling whether rows ignore
 the output (as distributions: the order a row lists them in, repeated
-successors and zero entries do not count), and `next_state(s, o, i)` tracking the process from an
-observed input.  `input_process` turns the `dist=None` of public entry
-points into `UniformInputs`, so an induced MDP always labels its states
-(automaton state, process state).
+successors and zero entries do not count), and `next_state(s, o, i)`
+tracking the process from an observed input mask.  `input_process` turns
+the `dist=None` of public entry points into `UniformInputs`, so an induced
+MDP always labels its states (automaton state, process state).
 
 The analyses are the standard toolbox: maximal end components, the
 even-rank-stratified controllably-win-recurrent states, almost-sure parity
@@ -53,7 +53,6 @@ rows; the nonzeros stored at once count against the state ceiling.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .common import (
@@ -112,13 +111,6 @@ class PreMDP:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def trans(self) -> dict:
-        """The rows as (successor, `Fraction` probability) pairs."""
-        den = self.den
-        return {key: tuple((t, Fraction(w, den)) for t, w in row)
-                for key, row in self.weights.items()}
 
     def _validate(self):
         if not 0 <= self.initial < self.n:
@@ -185,12 +177,6 @@ class MarkovChain:
     def n(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def rows(self) -> list:
-        """The rows as (successor, `Fraction` probability) pairs."""
-        den = self.den
-        return [tuple((t, Fraction(w, den)) for t, w in row) for row in self.weights]
-
     def successors(self, s: int):
         return [t for t, _ in self.weights[s]]
 
@@ -207,10 +193,11 @@ class UniformInputs:
         self.inputs = frozenset(inputs)
         self.outputs = frozenset(outputs)
         letters = all_letters(self.inputs)
+        masks = letter_masks(self.inputs | self.outputs)
         self.den = len(letters)
-        self._branches = tuple((i, 0, 1) for i in letters)
+        self._branches = tuple((masks[i], 0, 1) for i in letters)
 
-    def branches(self, s: int, output: frozenset):
+    def branches(self, s: int, output: int):
         return self._branches
 
     def insensitive_at(self, s: int) -> bool:
@@ -222,7 +209,7 @@ class UniformInputs:
     def label_deterministic(self) -> bool:
         return True
 
-    def next_state(self, s: int, output: frozenset, letter: frozenset):
+    def next_state(self, s: int, output: int, letter: int):
         return 0
 
 
@@ -232,9 +219,11 @@ class DistributionMDP:
     process moves into, so the initial state's label is never read.
 
     `trans[(s, o)]` lists (next state, probability) pairs, ints or
-    `Fraction`s.  They are turned into weights once, over the lcm `den` of
-    their denominators; `branches` returns the positive ones, in the order
-    of the rows.
+    `Fraction`s, under output letter o, and `iota[s]` is state s's input
+    letter, both letters frozensets.  The rows are turned once into weights
+    over the lcm `den` of their denominators, and the letters into masks
+    over the joint alphabet; `branches` returns the positive weights, in
+    the order of the rows.
     """
 
     def __init__(self, inputs, outputs, iota, initial, trans):
@@ -244,6 +233,7 @@ class DistributionMDP:
         self.initial = initial
         self.trans = trans
         out_letters = all_letters(self.outputs)
+        masks = letter_masks(self.inputs | self.outputs)
         n = len(self.iota)
 
         def known(t):
@@ -269,9 +259,10 @@ class DistributionMDP:
                     raise ValueError(f"distribution rows at {where} do not sum to 1")
                 if any(p < 0 for _, p in row):
                     raise ValueError(f"negative probability at {where}")
-                rows[(s, o)] = row
+                rows[(s, masks[o])] = row
         weights, self.den = _to_weights(rows)
-        self._branches = {key: tuple((self.iota[t], t, w) for t, w in row)
+        iota = [masks[lab] for lab in self.iota]
+        self._branches = {key: tuple((iota[t], t, w) for t, w in row)
                           for key, row in weights.items()}
         # A row's law: weights merged per successor and sorted, so rows
         # listing one distribution in another order, with repeats or with
@@ -283,10 +274,10 @@ class DistributionMDP:
                 law[t] = law.get(t, 0) + w
             laws[key] = sorted(law.items())
         self._insensitive = [
-            all(laws[(s, o)] == laws[(s, frozenset())] for o in out_letters)
+            all(laws[(s, masks[o])] == laws[(s, 0)] for o in out_letters)
             for s in range(n)]
 
-    def branches(self, s: int, output: frozenset):
+    def branches(self, s: int, output: int):
         return self._branches[(s, output)]
 
     def insensitive_at(self, s: int) -> bool:
@@ -301,9 +292,10 @@ class DistributionMDP:
         it observes."""
         return all(len({i for i, _, _ in b}) == len(b) for b in self._branches.values())
 
-    def next_state(self, s: int, output: frozenset, letter: frozenset):
-        """The state entered when the process emits `letter` under `output`,
-        or None when it cannot emit it; assumes `label_deterministic`."""
+    def next_state(self, s: int, output: int, letter: int):
+        """The state entered when the process emits input mask `letter`
+        under output mask `output`, or None when it cannot emit it; assumes
+        `label_deterministic`."""
         return next((t for i, t, _ in self.branches(s, output) if i == letter), None)
 
 
@@ -319,30 +311,29 @@ def input_process(dist, inputs, outputs):
 def induced_pre_mdp(automaton, process, ceiling: int | None = None,
                     safe=None) -> PreMDP:
     """MDP of a deterministic automaton over 2^(I+O) under an input process:
-    the action fixes the output letter, the process draws the input letter.
-    States are (automaton state, process state) pairs.  With `safe`, a
-    predicate on them, an output letter is an action only where every
-    successor it can lead to is safe.
+    the action, an output mask, fixes the output letter, the process draws
+    the input letter.  Actions follow `all_letters(process.outputs)`, which
+    is the ascending order of their masks.  States are (automaton state,
+    process state) pairs.  With `safe`, a predicate on them, an output mask
+    is an action only where every successor it can lead to is safe.
     """
-    out_letters = all_letters(process.outputs)
-    masks = letter_masks(automaton.atoms)
-    memo: dict = {}  # process state -> its masked branches per output letter
+    atoms = process.inputs | process.outputs
+    if automaton.atoms != atoms:
+        raise ValueError("automaton and input process disagree on the alphabet")
+    masks = letter_masks(atoms)
+    outs = tuple(masks[o] for o in all_letters(process.outputs))
 
     def expand(lab, number):
         q, sd = lab
-        branches = memo.get(sd)
-        if branches is None:
-            branches = memo[sd] = [tuple((masks[i] | masks[o], sd2, w)
-                                         for i, sd2, w in process.branches(sd, o))
-                                   for o in out_letters]
         row = automaton.rows[q]
         if safe is None:
-            return out_letters, [
-                probability_row([((row[m], sd2), w) for m, sd2, w in bs], number)
-                for bs in branches]
+            return outs, [
+                probability_row([((row[i | o], sd2), w)
+                                 for i, sd2, w in process.branches(sd, o)], number)
+                for o in outs]
         kept, rows = [], []
-        for o, bs in zip(out_letters, branches):
-            succs = [((row[m], sd2), w) for m, sd2, w in bs]
+        for o in outs:
+            succs = [((row[i | o], sd2), w) for i, sd2, w in process.branches(sd, o)]
             if all(map(safe, [t for t, _ in succs])):
                 kept.append(o)
                 rows.append(probability_row(succs, number))
@@ -353,7 +344,7 @@ def induced_pre_mdp(automaton, process, ceiling: int | None = None,
     labels, rows = explore((automaton.initial, process.initial), expand,
                            "induced MDP", ceiling)
     trans = {(s, a): row for s, (_, acts) in enumerate(rows) for a, row in enumerate(acts)}
-    return PreMDP(labels, 0, [letters for letters, _ in rows], trans, den=process.den)
+    return PreMDP(labels, 0, [outs for outs, _ in rows], trans, den=process.den)
 
 
 # Kept under its old name too, for callers that look builders up by name.

@@ -48,7 +48,8 @@ from fractions import Fraction
 
 from .automata import ProductPreAutomaton, dpw_for
 from .booleanize import AtLeast, EqualTo
-from .common import InternalConsistencyError, all_letters, explore, letter_masks
+from .common import (InternalConsistencyError, all_letters, explore, letter_masks,
+                     parse_fraction)
 from .evaluation import (
     AssumptionHasZeroProbability,
     almost_sure_value,
@@ -96,7 +97,13 @@ class SynthesisSpec:
         if self.assumption is not None:
             check_assumption(self.assumption, self.inputs)
         if self.threshold is not None:
-            self.threshold = Fraction(self.threshold)
+            t = self.threshold
+            if isinstance(t, str):
+                t = parse_fraction(t)
+            elif type(t) is not int and not isinstance(t, Fraction):
+                raise ValueError(f"threshold {t!r} is not an int, a Fraction "
+                                 "or a rational string")
+            self.threshold = Fraction(t)
             if not 0 <= self.threshold <= 1:
                 raise ValueError("threshold must lie in [0,1]")
         if self.hard_constraint is not None:
@@ -151,14 +158,14 @@ class Unrealizable:
 
 def _component_win(dpw, M):
     """Almost-sure parity winning region of one automaton's induced MDP M,
-    as (winning keys, key -> winning output letter)."""
+    as (winning keys, key -> winning output mask)."""
     ranks = [dpw.rank[q] for q, _ in M.labels]
     PM = ParityMDP(M.labels, M.initial, M.actions, M.weights, ranks, validate=False,
                    den=M.den)
     win, strat = almost_sure_parity(PM)
     keys = frozenset(M.labels[s] for s in win)
-    letters = {M.labels[s]: M.actions[s][a] for s, a in strat.items()}
-    return keys, letters
+    outs = {M.labels[s]: M.actions[s][a] for s, a in strat.items()}
+    return keys, outs
 
 
 def _gamma_rewards(M, vals, wins):
@@ -218,7 +225,9 @@ def _extract(prod, M, primary, triggers, phase_letters, process,
     reads the sink's label: it is empty, except where the process reads the
     output, where it is the committed output so that successors share a label.
     """
-    in_letters, masks = all_letters(process.inputs), letter_masks(prod.atoms)
+    letters, masks = all_letters(prod.atoms), letter_masks(prod.atoms)
+    in_letters = all_letters(process.inputs)
+    in_masks = [masks[i] for i in in_letters]
     index_of = {lab: s for s, lab in enumerate(M.labels)}
     trigger_by_label = {M.labels[s]: key for s, key in triggers.items()}
 
@@ -228,32 +237,33 @@ def _extract(prod, M, primary, triggers, phase_letters, process,
             if s is None:
                 raise InternalConsistencyError("primary play left the analyzed region")
             return M.actions[s][primary[s]]
-        pos, letters = phase_letters[m]
+        pos, outs = phase_letters[m]
         qs, sd = lab
-        letter = letters.get((qs[pos], sd))
-        if letter is None:
+        out = outs.get((qs[pos], sd))
+        if out is None:
             raise InternalConsistencyError("phase play left its winning region")
-        return letter
+        return out
 
     def upd(m, lab):
         return trigger_by_label.get(lab) if m is None else m
 
-    # nodes are (MDP label, phase, stored output); sinks are (None, None, label)
+    # nodes are (MDP label, phase, stored output mask); sinks are (None, None,
+    # output mask)
     def expand(node, number):
         lab, m, stored = node
         if lab is None:
-            return stored, [number(node)] * len(in_letters)
+            return stored, [number(node)] * len(in_masks)
         out = act(m, lab)
         qs, sd = lab
-        row, om = prod.rows[qs], masks[out]
-        sink = (None, None, frozenset() if process.insensitive_at(sd) else out)
+        row = prod.rows[qs]
+        sink = (None, None, 0 if process.insensitive_at(sd) else out)
         succs = []
-        for i in in_letters:
+        for i in in_masks:
             sd2 = process.next_state(sd, out, i)
             if sd2 is None:
                 succs.append(number(sink))
             else:
-                lab2 = (row[masks[i] | om], sd2)
+                lab2 = (row[i | out], sd2)
                 succs.append(number((lab2, upd(m, lab2), out)))
         return stored, succs
 
@@ -263,7 +273,7 @@ def _extract(prod, M, primary, triggers, phase_letters, process,
                           "transducer extraction", ceiling)
     delta = {(k, i): j for k, (_, succs) in enumerate(rows)
              for i, j in zip(in_letters, succs)}
-    labels = {k: stored for k, (stored, _) in enumerate(rows)}
+    labels = {k: letters[stored] for k, (stored, _) in enumerate(rows)}
     return Transducer(process.inputs, process.outputs, range(len(nodes)), 0,
                       delta, labels)
 

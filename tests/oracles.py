@@ -290,13 +290,28 @@ def bottom_components(n, succ):
     return sorted(bottoms, key=min)
 
 
-# --- automata: lasso membership, products, export -----------------------
+# --- automata: rows by letter, lasso membership, products, export --------
+
+
+def letter_table(automaton) -> dict:
+    """{(state, letter): entry} of an automaton's `rows`, a list indexed by
+    state number or a dict keyed by state: the entry of state q on the
+    letter holding the atoms at the set bits of m over the sorted atoms is
+    `rows[q][m]`."""
+    atoms = sorted(automaton.atoms)
+    letters = [frozenset(a for k, a in enumerate(atoms) if m >> k & 1)
+               for m in range(1 << len(atoms))]
+    rows = automaton.rows
+    return {(q, letter): row[m]
+            for q, row in (rows.items() if isinstance(rows, dict) else enumerate(rows))
+            for m, letter in enumerate(letters)}
 
 
 def nbw_accepts_lasso(nbw: NBW, word: LassoWord) -> bool:
     """Membership of an ultimately periodic word, decided on the finite
     position graph: accept iff some reachable fair edge lies on a cycle,
     that is, its target reaches its source."""
+    table = letter_table(nbw)
     start = (0, nbw.initial)
     edges: dict = {}
     queue = [start]
@@ -307,7 +322,7 @@ def nbw_accepts_lasso(nbw: NBW, word: LassoWord) -> bool:
         pos, q = node
         letter = frozenset(word.letter(pos) & nbw.atoms)
         edges[node] = [((word.succ(pos), tgt), fair)
-                       for tgt, fair in nbw.trans[(q, letter)]]
+                       for tgt, fair in table[(q, letter)]]
         queue.extend(w for w, _ in edges[node])
     nodes = sorted(edges)
     index = {v: i for i, v in enumerate(nodes)}
@@ -347,7 +362,7 @@ def plain_determinize(nbw: NBW, ceiling=None) -> DPW:
     """Safra's construction on the trees of `automata.determinize`, with the
     same names, priorities and exploration order, so the two automata must
     be equal; every tree reached passes `check_safra_tree`."""
-    letters = all_letters(nbw.atoms)
+    letters, table = all_letters(nbw.atoms), letter_table(nbw)
     n = max(1, len(nbw.states))
     top_name = 2 * n + 2
     neutral = 2 * top_name + 1
@@ -357,7 +372,7 @@ def plain_determinize(nbw: NBW, ceiling=None) -> DPW:
         alls = fair = 0
         for q in range(len(nbw.states)):
             if label >> q & 1:
-                for tgt, is_fair in nbw.trans[(q, letter)]:
+                for tgt, is_fair in table[(q, letter)]:
                     alls |= 1 << tgt
                     if is_fair:
                         fair |= 1 << tgt
@@ -441,16 +456,14 @@ def plain_determinize(nbw: NBW, ceiling=None) -> DPW:
 
     init_tree = ((0, 1 << nbw.initial),)
     states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
-    trans = {(src, letter): tgt for src, row in enumerate(rows)
-             for letter, tgt in zip(letters, row)}
     rank = [ceil_prio - prio for (_, prio) in states]
-    return DPW(nbw.atoms, len(states), 0, trans, rank)
+    return DPW(nbw.atoms, len(states), 0, rows, rank)
 
 
 def assert_same_dpw(got: DPW, want: DPW):
     """The two automata have the same states, transitions and ranks."""
     assert got.n_states == want.n_states
-    assert got.trans == want.trans
+    assert letter_table(got) == letter_table(want)
     assert got.rank == want.rank
 
 
@@ -472,9 +485,10 @@ def dpw_to_dot(dpw: DPW, name: str = "dpw") -> str:
         lines.append(f'  q{q} [shape={shape} label="q{q}\\nrank {dpw.rank[q]}"];')
     lines.append(f"  init [shape=point]; init -> q{dpw.initial};")
     grouped: dict = {}
+    table = letter_table(dpw)
     for letter in all_letters(dpw.atoms):
         for q in range(dpw.n_states):
-            grouped.setdefault((q, dpw.step(q, letter)), []).append(letter)
+            grouped.setdefault((q, table[(q, letter)]), []).append(letter)
     for (q, t), letts in sorted(grouped.items()):
         label = " | ".join("{" + ",".join(sorted(l)) + "}" for l in letts)
         lines.append(f'  q{q} -> q{t} [label="{label}"];')
@@ -490,9 +504,9 @@ def chain_of_strategy(M: PreMDP, choice) -> list:
     rows = []
     for s in range(M.n):
         row: dict = {}
-        for t, p in M.trans[(s, choice[s])]:
-            if p > 0:
-                row[t] = row.get(t, ZERO) + p
+        for t, w in M.weights[(s, choice[s])]:
+            if w > 0:
+                row[t] = row.get(t, ZERO) + Fraction(w, M.den)
         rows.append(row)
     return rows
 
@@ -604,11 +618,11 @@ def _fraction_row(branches) -> dict:
 def induced_fraction_rows(automaton, process) -> dict:
     """{(automaton state, process state): one row per output letter} of the
     MDP a deterministic automaton induces under an input process."""
-    out_letters = all_letters(process.outputs)
+    out_letters, table = all_letters(process.outputs), letter_table(automaton)
 
     def expand(lab):
         q, sd = lab
-        return [_fraction_row(((automaton.step(q, i | o), sd2), p)
+        return [_fraction_row(((table[(q, i | o)], sd2), p)
                               for i, sd2, p in process_branches(process, sd, o))
                 for o in out_letters]
 
@@ -620,7 +634,7 @@ def product_chain_fraction_rows(T: Transducer, automata, process) -> dict:
     chain of a transducer driven by an input process, tracked by automata;
     where the process reads the output, the transducer's successors share
     the committed one."""
-    in_letters = all_letters(T.inputs)
+    in_letters, tables = all_letters(T.inputs), [letter_table(a) for a in automata]
 
     def expand(lab):
         t, qs, sd = lab
@@ -632,7 +646,7 @@ def product_chain_fraction_rows(T: Transducer, automata, process) -> dict:
             t2 = T.delta[(t, i)]
             letter = i | T.labels[t2]
             branches.append(
-                ((t2, tuple(a.step(q, letter) for a, q in zip(automata, qs)), sd2), p))
+                ((t2, tuple(table[(q, letter)] for table, q in zip(tables, qs)), sd2), p))
         return [_fraction_row(branches)]
 
     init = (T.initial, tuple(a.initial for a in automata), process.initial)
@@ -653,7 +667,7 @@ def ec_state_sets(M: PreMDP):
             ok = True
             for s in combo:
                 acts = [a for a in range(len(M.actions[s]))
-                        if all(t in S for t, p in M.trans[(s, a)] if p > 0)]
+                        if all(t in S for t, w in M.weights[(s, a)] if w > 0)]
                 if not acts:
                     ok = False
                     break
@@ -664,8 +678,8 @@ def ec_state_sets(M: PreMDP):
             succ = [set() for _ in combo]
             for s, acts in zip(combo, allowed):
                 for a in acts:
-                    for t, p in M.trans[(s, a)]:
-                        if p > 0:
+                    for t, w in M.weights[(s, a)]:
+                        if w > 0:
                             succ[pos[s]].add(pos[t])
             reach = reach_sets(len(combo), lambda i: succ[i])
             if all(len(rs) == len(combo) for rs in reach):
@@ -760,12 +774,9 @@ def random_nbw(rng, atoms, n, density=0.3, fair=0.4) -> NBW:
     """An NBW on states 0..n-1 with initial state 0: each (state, letter,
     target) triple is an edge with probability `density`, and each edge is
     fair with probability `fair`."""
-    trans = {}
-    for q in range(n):
-        for letter in all_letters(atoms):
-            trans[(q, letter)] = tuple((t, rng.random() < fair)
-                                       for t in range(n) if rng.random() < density)
-    return NBW(atoms, range(n), 0, trans)
+    rows = [[tuple((t, rng.random() < fair) for t in range(n) if rng.random() < density)
+             for _ in all_letters(atoms)] for _ in range(n)]
+    return NBW(atoms, range(n), 0, rows)
 
 
 def random_lasso(rng, atoms, max_prefix=3, max_period=3) -> LassoWord:
@@ -796,7 +807,7 @@ def random_pre_mdp(rng, n, max_actions=2) -> PreMDP:
 def random_parity_mdp(rng, n, max_actions=2, max_rank=4) -> ParityMDP:
     base = random_pre_mdp(rng, n, max_actions)
     rank = [rng.randint(1, max_rank) for _ in range(n)]
-    return ParityMDP(base.labels, 0, base.actions, base.trans, rank)
+    return ParityMDP(base.labels, 0, base.actions, base.weights, rank, den=base.den)
 
 
 def random_reward_mdp(rng, n, max_actions=2) -> RewardMDP:
@@ -808,7 +819,7 @@ def random_reward_mdp(rng, n, max_actions=2) -> RewardMDP:
         r = Fraction(rng.randint(0, 4), 4)
         for s in comp:
             reward[s] = r
-    return RewardMDP(base.labels, 0, base.actions, base.trans, reward)
+    return RewardMDP(base.labels, 0, base.actions, base.weights, reward, den=base.den)
 
 
 def random_transducer(rng, inputs, outputs, n) -> Transducer:

@@ -57,6 +57,7 @@ from oracles import (
     bexpr_to_formula,
     dpw_decided_values,
     dpw_to_dot,
+    letter_table,
     nbw_accepts_lasso,
     oracle_eval,
     plain_determinize,
@@ -129,7 +130,8 @@ class TestPruning:
                 for word in itertools.product(letters, repeat=d + 1)}
             for v in candidate_values(f):
                 nbw = ltl_to_nbw(booleanize(f, EqualTo(v)), ab)
-                live = [any(nbw.trans[(q, a)] for a in letters) for q in range(len(nbw))]
+                table = letter_table(nbw)
+                live = [any(table[(q, a)] for a in letters) for q in range(len(nbw))]
                 if attained is not None:
                     assert live[0] == (v in attained), (f, v)
                 assert all(live[1:]), (f, v)
@@ -209,11 +211,11 @@ class TestDpwFor:
     def test_every_state_total_and_ranked(self):
         # constructor re-validates; poke the structure once by hand anyway
         dpw = dpw_for(parse("a U b"), AtLeast(Fraction(1)))
-        letters = all_letters(dpw.atoms)
+        letters, table = all_letters(dpw.atoms), letter_table(dpw)
         for q in range(dpw.n_states):
             assert 1 <= dpw.rank[q]
             for a in letters:
-                assert (q, a) in dpw.trans
+                assert (q, a) in table
 
 
 class TestProduct:
@@ -221,10 +223,10 @@ class TestProduct:
         dpw = dpw_for(parse("a U b"), AtLeast(Fraction(1)))
         prod = product([dpw])
         assert len(prod) <= dpw.n_states
+        steps, table = letter_table(prod), letter_table(dpw)
         for s in prod.states:
             for a in all_letters(dpw.atoms):
-                assert prod.proj(0, prod.step(s, a)) == \
-                    dpw.trans[(prod.proj(0, s), a)]
+                assert prod.proj(0, steps[(s, a)]) == table[(prod.proj(0, s), a)]
 
     def test_size_bound_and_projection_commutes(self):
         both = frozenset({"p", "q"})
@@ -232,16 +234,16 @@ class TestProduct:
         d2 = dpw_for(Atom("q"), EqualTo(Fraction(1)), atoms=both)
         prod = product([d1, d2])
         assert len(prod) <= d1.n_states * d2.n_states
-        comps = [d1, d2]
+        steps, tables = letter_table(prod), [letter_table(d1), letter_table(d2)]
         frontier = [prod.initial]
         seen = set(frontier)
         for _ in range(4):
             nxt = []
             for s in frontier:
                 for a in all_letters(frozenset({"p", "q"})):
-                    t = prod.step(s, a)
-                    for i, d in enumerate(comps):
-                        assert prod.proj(i, t) == d.trans[(prod.proj(i, s), a)]
+                    t = steps[(s, a)]
+                    for i, table in enumerate(tables):
+                        assert prod.proj(i, t) == table[(prod.proj(i, s), a)]
                     if t not in seen:
                         seen.add(t)
                         nxt.append(t)
@@ -256,8 +258,7 @@ class TestProduct:
 
 class TestRunsAndEmptiness:
     def one_state(self, rank):
-        letters = all_letters(frozenset({"p"}))
-        return DPW(frozenset({"p"}), 1, 0, {(0, a): 0 for a in letters}, [rank])
+        return DPW(frozenset({"p"}), 1, 0, [(0, 0)], [rank])
 
     def test_rank_parity_decides(self):
         rng = random.Random(304)
@@ -414,7 +415,8 @@ GOLDEN_UNPRUNED_TABLEAU = [
 
 
 def _transition_table_sha(nbw):
-    rows = sorted((s, sorted(letter), edges) for (s, letter), edges in nbw.trans.items())
+    rows = sorted((s, sorted(letter), edges)
+                  for (s, letter), edges in letter_table(nbw).items())
     text = "\n".join(f"{s} {letter} -> {list(edges)}" for s, letter, edges in rows)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -443,7 +445,8 @@ def test_tableau_golden(spec, value, nbw_states, dpw_states, sha, tableau):
 
 def _dpw_table_sha(dpw):
     # letters as sorted tuples, so the text does not depend on the hash seed
-    rows = sorted((q, tuple(sorted(letter)), t) for (q, letter), t in dpw.trans.items())
+    rows = sorted((q, tuple(sorted(letter)), t)
+                  for (q, letter), t in letter_table(dpw).items())
     text = "\n".join(f"{q} {letter} -> {t}" for q, letter, t in rows)
     text += f"\nrank {list(dpw.rank)}"
     return hashlib.sha256(text.encode()).hexdigest()
@@ -562,8 +565,9 @@ def test_unmentioned_atom_keeps_the_dpw(extra):
         wide = determinize(ltl_to_nbw(beta, ab | {extra}))
         assert wide.n_states == dpw.n_states
         assert wide.rank == dpw.rank
-        for (q, letter), t in wide.trans.items():
-            assert t == dpw.trans[(q, letter - {extra})]
+        table = letter_table(dpw)
+        for (q, letter), t in letter_table(wide).items():
+            assert t == table[(q, letter - {extra})]
 
 
 # --- one tableau per formula ---------------------------------------------
@@ -594,7 +598,8 @@ def _fresh_dpw(f, predicate, atoms):
 
 
 def _same_dpw(got, want):
-    return (got.n_states, got.trans, got.rank) == (want.n_states, want.trans, want.rank)
+    return (got.n_states, letter_table(got), got.rank) == \
+        (want.n_states, letter_table(want), want.rank)
 
 
 @pytest.fixture

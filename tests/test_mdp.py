@@ -8,6 +8,7 @@ import pytest
 from hqsynth.automata import dpw_for
 from hqsynth.booleanize import EqualTo
 from hqsynth.common import InternalConsistencyError, StateLimitExceeded, all_letters
+from hqsynth.evaluation import product_chain
 from hqsynth.formulas import Atom
 from hqsynth.mdp import (
     DistributionMDP,
@@ -26,12 +27,25 @@ from hqsynth.mdp import (
     solve_linear_system,
     solve_mean_payoff,
 )
+from hqsynth.transducers import Transducer
 
 import oracles as O
 from oracles import product
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+
+def fraction_rows(M):
+    """The rows of an MDP ({(state, action index): row}) or of a chain
+    ([row]) as (successor, `Fraction` probability) pairs, read from its
+    weights over its denominator."""
+    def read(row):
+        return tuple((t, Fraction(w, M.den)) for t, w in row)
+
+    if isinstance(M.weights, dict):
+        return {key: read(row) for key, row in M.weights.items()}
+    return [read(row) for row in M.weights]
 
 
 def single_action(rows_by_state, initial=0):
@@ -80,11 +94,12 @@ class TestProbabilityTypes:
     def test_int_and_fraction_rows_read_back_as_fractions(self):
         M = single_action([[(1, HALF), (0, HALF)], [(1, 1)]])
         assert M.den == 2 and M.weights[(0, 0)] == ((1, 1), (0, 1))
-        assert M.trans[(1, 0)] == ((1, ONE),)
-        assert all(type(p) is Fraction for row in M.trans.values() for _, p in row)
+        rows = fraction_rows(M)
+        assert rows[(1, 0)] == ((1, ONE),)
+        assert all(type(p) is Fraction for row in rows.values() for _, p in row)
         C = MarkovChain([0, 1], 0, [((0, Fraction(1, 3)), (1, Fraction(2, 3))), ((1, 1),)])
-        assert C.den == 3 and C.rows == [((0, Fraction(1, 3)), (1, Fraction(2, 3))),
-                                         ((1, ONE),)]
+        assert C.den == 3 and fraction_rows(C) == [((0, Fraction(1, 3)), (1, Fraction(2, 3))),
+                                                   ((1, ONE),)]
 
     @pytest.mark.parametrize("rewards", [[0.25, 0.5], [True, 1], ["1/2", 0]],
                              ids=["float", "bool", "str"])
@@ -98,7 +113,8 @@ class TestProbabilityTypes:
         assert M.successors(0, 0) == [1]
         process = coin_distribution(ONE)
         assert process.den == 1
-        assert process.branches(0, frozenset()) == ((frozenset({"i"}), 1, 1),)
+        # masks over the joint alphabet {i, o}: {i} is 1, the empty output 0
+        assert process.branches(0, 0) == ((1, 1, 1),)
 
 
 class TestInducedUniform:
@@ -106,15 +122,16 @@ class TestInducedUniform:
         io = frozenset({"i", "o"})
         prod = product([dpw_for(Atom("i"), EqualTo(ONE), atoms=io)])
         M = induced_pre_mdp(prod, UniformInputs({"i"}, {"o"}))
+        rows = fraction_rows(M)
         for a in range(len(M.actions[0])):
-            assert sum(p for _, p in M.trans[(0, a)]) == 1
-            assert all(p == HALF for _, p in M.trans[(0, a)])
+            assert sum(p for _, p in rows[(0, a)]) == 1
+            assert all(p == HALF for _, p in rows[(0, a)])
 
     def test_single_letter_input_is_deterministic(self):
         io = frozenset({"o"})
         prod = product([dpw_for(Atom("o"), EqualTo(ONE), atoms=io)])
         M = induced_pre_mdp(prod, UniformInputs(set(), {"o"}))
-        for (s, a), rows in M.trans.items():
+        for (s, a), rows in fraction_rows(M).items():
             assert len(rows) == 1 and rows[0][1] == 1
 
 
@@ -143,6 +160,94 @@ def data_distribution(initial=0, close_row=KEEP):
         trans[(0, frozenset({"close"}))] = close_row
     return DistributionMDP({"data"}, {"close"}, [frozenset(), frozenset({"data"})],
                            initial, trans)
+
+
+AC, BD = frozenset({"a", "c"}), frozenset({"b", "d"})
+
+
+def _random_process(rng, sensitive: bool):
+    """A random input process over inputs {a, c} and outputs {b, d}, whose
+    outputs sort between the inputs.  Output-insensitive, each state lists
+    one law under every output, in a different order, sometimes with an
+    entry split in two or a zero entry added; output-sensitive, each row is
+    drawn on its own.  Input labels may repeat."""
+    n = rng.randint(2, 5)
+    iota = [rng.choice(all_letters(AC)) for _ in range(n)]
+
+    def law():
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
+        return [(t, Fraction(w, sum(weights))) for t, w in enumerate(weights) if w]
+
+    trans = {}
+    for s in range(n):
+        shared = law()
+        for o in all_letters(BD):
+            row = law() if sensitive else list(shared)
+            rng.shuffle(row)
+            if rng.random() < 0.3:
+                t, p = row.pop()
+                row += [(t, p / 2), (t, p / 2)]
+            if rng.random() < 0.3:
+                row.insert(rng.randrange(len(row) + 1), (rng.randrange(n), Fraction(0)))
+            trans[(s, o)] = row
+    return DistributionMDP(AC, BD, iota, 0, trans), iota, trans
+
+
+def test_process_masks_agree_with_the_frozenset_rows():
+    # `branches`, `next_state` and `insensitive_at` answer in masks over the
+    # sorted joint alphabet a < b < c < d; each must agree, in order, with
+    # the frozenset rows the process was built from.
+    def mask(letter):
+        return sum(1 << "abcd".index(x) for x in letter)
+
+    rng = random.Random(2311)
+    for k in range(40):
+        process, iota, trans = _random_process(rng, sensitive=k % 2 == 1)
+        for s in range(len(iota)):
+            laws = []
+            for o in all_letters(BD):
+                row = trans[(s, o)]
+                want = tuple((mask(iota[t]), t, p * process.den) for t, p in row if p)
+                assert process.branches(s, mask(o)) == want
+                for i in all_letters(AC):
+                    emitting = [t for t, p in row if p and iota[t] == i]
+                    if len(set(emitting)) <= 1:
+                        assert process.next_state(s, mask(o), mask(i)) == \
+                            (emitting[0] if emitting else None)
+                law: dict = {}
+                for t, p in row:
+                    law[t] = law.get(t, Fraction(0)) + p
+                laws.append({t: p for t, p in law.items() if p})
+            assert process.insensitive_at(s) == all(law == laws[0] for law in laws)
+        if k % 2 == 0:
+            assert process.output_insensitive()
+
+
+class TestAlphabetMismatch:
+    """An automaton must read exactly the letters of the process driving
+    it: one over fewer atoms lacks rows for some letters, and one over more
+    atoms would have its letters misread as masks."""
+
+    A, AB, ABC = frozenset({"a"}), frozenset({"a", "b"}), frozenset({"a", "b", "c"})
+
+    @pytest.mark.parametrize("atoms", [A, ABC], ids=["subset", "superset"])
+    def test_induced_mdp(self, atoms):
+        dpw = dpw_for(Atom("a"), EqualTo(ONE), atoms=atoms)
+        with pytest.raises(ValueError, match="disagree on the alphabet"):
+            induced_pre_mdp(dpw, UniformInputs({"a"}, {"b"}))
+        with pytest.raises(ValueError, match="disagree on the alphabet"):
+            induced_pre_mdp(product([dpw]), UniformInputs({"a"}, {"b"}))
+
+    @pytest.mark.parametrize("atoms", [A, ABC], ids=["subset", "superset"])
+    def test_product_chain(self, atoms):
+        T = Transducer({"a"}, {"b"}, [0], 0,
+                       {(0, i): 0 for i in all_letters(self.A)}, {0: frozenset({"b"})})
+        good = dpw_for(Atom("a"), EqualTo(ONE), atoms=self.AB)
+        assert product_chain(T, [good]).n > 0  # the same alphabet is fine
+        bad = dpw_for(Atom("a"), EqualTo(ONE), atoms=atoms)
+        with pytest.raises(ValueError, match="disagree on the alphabet"):
+            product_chain(T, [good, bad])
 
 
 class TestDistributionValidation:
@@ -201,14 +306,15 @@ class TestInducedDistribution:
         uni = induced_pre_mdp(prod, UniformInputs({"i"}, {"o"}))
         via_d = induced_pre_mdp(prod, coin_distribution(HALF))
         uni_index = {lab[0]: s for s, lab in enumerate(uni.labels)}
+        uni_rows, via_d_rows = fraction_rows(uni), fraction_rows(via_d)
         for s, (q, sd) in enumerate(via_d.labels):
             for a in range(len(via_d.actions[s])):
                 agg: dict = {}
-                for t, p in via_d.trans[(s, a)]:
+                for t, p in via_d_rows[(s, a)]:
                     q2 = via_d.labels[t][0]
                     agg[q2] = agg.get(q2, Fraction(0)) + p
                 want = {uni.labels[t][0]: p
-                        for t, p in uni.trans[(uni_index[q], a)]}
+                        for t, p in uni_rows[(uni_index[q], a)]}
                 assert agg == want
 
     def test_biased_coin_probabilities(self):
@@ -216,7 +322,7 @@ class TestInducedDistribution:
         prod = product([dpw_for(Atom("i"), EqualTo(ONE), atoms=io)])
         M = induced_pre_mdp(prod, coin_distribution(Fraction(1, 4)))
         probs = sorted(p for p in
-                       (p for _, p in M.trans[(0, 0)]))
+                       (p for _, p in fraction_rows(M)[(0, 0)]))
         assert probs == [Fraction(1, 4), Fraction(3, 4)]
 
     def test_stochasticity_on_random_instances(self):
@@ -227,7 +333,7 @@ class TestInducedDistribution:
             vs_d = dpw_for(f, EqualTo(ONE), atoms=io)
             prod = product([vs_d])
             M = induced_pre_mdp(prod, coin_distribution(Fraction(1, 3)))
-            for (s, a), rows in M.trans.items():
+            for (s, a), rows in fraction_rows(M).items():
                 assert sum(p for _, p in rows) == 1
 
 
@@ -260,7 +366,7 @@ class TestEndComponents:
                 for s in S:
                     assert acts[s]
                     for a in acts[s]:
-                        assert all(t in S for t, p in M.trans[(s, a)] if p > 0)
+                        assert all(t in S for t, p in fraction_rows(M)[(s, a)] if p > 0)
 
 
 def test_mecs_within_match_subset_oracle():
@@ -277,7 +383,7 @@ def test_mecs_within_match_subset_oracle():
             for s in S:
                 assert acts[s]
                 for a in acts[s]:
-                    assert all(t in S for t, p in M.trans[(s, a)] if p > 0)
+                    assert all(t in S for t, p in fraction_rows(M)[(s, a)] if p > 0)
 
 
 def parity(rows_by_rank):
@@ -319,7 +425,7 @@ class TestControllablyWinRecurrent:
                 for s in U:
                     assert acts[s]
                     for a in acts[s]:
-                        assert all(t in U for t, p in M.trans[(s, a)] if p > 0)
+                        assert all(t in U for t, p in fraction_rows(M)[(s, a)] if p > 0)
 
 
 class TestAlmostSureParity:
@@ -440,7 +546,7 @@ class TestErgodicAnalysis:
         C = induced_chain(M, choice)
         assert C.n == M.n
         for s in range(M.n):
-            assert sum(p for _, p in C.rows[s]) == 1
+            assert sum(p for _, p in fraction_rows(C)[s]) == 1
 
 
 def test_sparse_solve_matches_dense_oracle():

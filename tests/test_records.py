@@ -160,6 +160,23 @@ def test_spec_keyword_construction_and_validation():
     assert spec.threshold == 1
     with pytest.raises(ValueError, match="threshold must lie"):
         SynthesisSpec(inputs={"data"}, outputs={"close"}, formula=phi, threshold=2)
+    # a string threshold follows the CLI's rational rule: "num/den", an
+    # integer or a plain decimal; exponent notation is refused before any
+    # power of ten is expanded
+    for text, want in (("1/2", Fraction(1, 2)), ("1", Fraction(1)), ("0.25", Fraction(1, 4))):
+        assert SynthesisSpec({"data"}, {"close"}, phi, threshold=text).threshold == want
+    for text in ("1e-3", "1e999999999", "1E0"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            SynthesisSpec({"data"}, {"close"}, phi, threshold=text)
+    with pytest.raises(ValueError, match="bad rational literal"):
+        SynthesisSpec({"data"}, {"close"}, phi, threshold="half")
+    # an int or a Fraction is exact; a float or a bool is not taken
+    assert SynthesisSpec({"data"}, {"close"}, phi, threshold=0).threshold == 0
+    assert SynthesisSpec({"data"}, {"close"}, phi,
+                         threshold=Fraction(3, 4)).threshold == Fraction(3, 4)
+    for t in (0.5, 1.0, True, False):
+        with pytest.raises(ValueError, match="not an int, a Fraction"):
+            SynthesisSpec({"data"}, {"close"}, phi, threshold=t)
 
 
 def test_result_defaults():

@@ -26,10 +26,10 @@ def nbws(draw):
                      st.integers(0, n - 1), st.booleans())
     edges = draw(st.lists(edge, max_size=n * n * len(LETTERS) // 2,
                           unique_by=lambda e: e[:3]))
-    trans = {(q, letter): () for q in range(n) for letter in LETTERS}
+    rows = [[()] * len(LETTERS) for _ in range(n)]
     for q, i, t, fair in edges:
-        trans[(q, LETTERS[i])] += ((t, fair),)
-    return NBW(AB, range(n), 0, trans)
+        rows[q][i] += ((t, fair),)
+    return NBW(AB, range(n), 0, rows)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)

@@ -30,6 +30,7 @@ from hqsynth.transducers import transducer_from_json
 
 from oracles import (
     induced_fraction_rows,
+    letter_table,
     oracle_eval,
     plain_determinize,
     product_chain_fraction_rows,
@@ -196,9 +197,10 @@ def test_interleaved_dpw_rows_match_the_plain_table(k):
         nbw = ltl_to_nbw(booleanize(f, EqualTo(v)), ABCD)
         dpw, want = determinize(nbw), plain_determinize(nbw)
         assert dpw.n_states == want.n_states and dpw.rank == want.rank
+        table = letter_table(want)
         for q in range(dpw.n_states):
             assert [dpw.rows[q][m] for m in range(len(letters))] == \
-                [want.trans[(q, letter)] for letter in letters]
+                [table[(q, letter)] for letter in letters]
         for _ in range(10):
             w = random_lasso(rng, sorted(ABCD))
             assert run_lasso(dpw, w) == (oracle_eval(f, w) == v), (f, w)
@@ -309,7 +311,10 @@ def test_safe_induced_mdp_matches_the_oracle(name):
     for automaton, process in _safe_case(name):
         full = induced_fraction_rows(automaton, process)
         start = (automaton.initial, process.initial)
-        letters = all_letters(process.outputs)
+        # actions are output masks over the sorted joint alphabet, listed by
+        # the oracle in the order of `all_letters(process.outputs)`
+        joint = sorted(process.inputs | process.outputs)
+        masks = [sum(1 << joint.index(a) for a in o) for o in all_letters(process.outputs)]
         for region in _safe_regions(full, rng):
             want = _kept_rows_oracle(full, start, region.__contains__)
             if want is None:
@@ -320,7 +325,7 @@ def test_safe_induced_mdp_matches_the_oracle(name):
             rows = [[M.weights[(s, a)] for a in range(len(M.actions[s]))]
                     for s in range(M.n)]
             by_label = _by_label(M.labels, rows, M.den)
-            got = {lab: dict(zip(map(letters.index, M.actions[s]), by_label[lab]))
+            got = {lab: dict(zip(map(masks.index, M.actions[s]), by_label[lab]))
                    for s, lab in enumerate(M.labels)}
             assert got == want
 
@@ -366,7 +371,7 @@ def test_assumption_rows_do_not_depend_on_the_output():
     for psi, atoms, process in cases:
         assert process.output_insensitive()
         M = induced_pre_mdp(dpw_for(psi, AtLeast(Fraction(1)), atoms), process)
-        assert all(M.actions[s][0] == frozenset() for s in range(M.n))
+        assert all(M.actions[s][0] == 0 for s in range(M.n))  # the empty output
         for s in range(M.n):
             for a in range(len(M.actions[s])):
                 assert M.weights[(s, a)] == M.weights[(s, 0)], (psi, s, a)

@@ -27,8 +27,10 @@ worker process of its own.  The command lines are:
   long chains of single-branch tableau sets; each synthesized without a
   threshold and with 1/2;
 * USAGE command lines that end in a usage error (an unknown subcommand, an
-  unknown flag, a missing positional, a bad `--mode`, `--samples 0` and
-  `--samples x`) and the `--help` of the program and of each subcommand;
+  unknown flag, a missing positional, a bad `--mode`, `--samples 0`,
+  `--samples x` and a `--threshold` in exponent notation, which must be
+  refused before its power of ten is expanded) and the `--help` of the
+  program and of each subcommand, eleven in all;
   run as given, spread evenly among the syntheses above, so that a parser
   or any other state kept from one call to the next shows up in the calls
   after them;
@@ -309,6 +311,7 @@ def usage_cases() -> list:
         "bad-mode": ["eval", gf2, ctrl, "--mode", "best-case"],
         "samples-0": ["simulate", gf2, ctrl, "--samples", "0"],
         "samples-x": ["simulate", gf2, ctrl, "--samples", "x"],
+        "threshold-huge": ["synth", hd, "--threshold", "1e999999999"],
         "help": ["--help"],
         "synth-help": ["synth", "--help"],
         "eval-help": ["eval", "--help"],
