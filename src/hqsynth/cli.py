@@ -25,6 +25,7 @@ from .common import (
     all_letters,
     format_fraction,
     json_atoms,
+    json_letter,
     json_object,
     json_records,
     parse_fraction,
@@ -51,7 +52,10 @@ _SPEC_KEYS = {"inputs", "outputs", "formula", "assumption", "threshold",
 def _rational(value, what: str) -> Fraction:
     if not isinstance(value, str):
         raise ValueError(f'{what} must be a "num/den" string, not {value!r}')
-    return parse_fraction(value)
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _formula(value, what: str) -> Formula:
@@ -79,12 +83,19 @@ def distribution_from_json(doc: dict) -> DistributionMDP:
     iota = [json_atoms(st.get("input"), f"input of distribution state {s}")
             for s, st in enumerate(states)]
     trans = {(s, o): [] for s in range(n) for o in all_letters(outputs)}
+    letters: dict = {}
+    probs: dict = {}  # each distinct literal parsed once
     for tr in json_records(doc["transitions"], ("from", "output", "to", "prob"),
                            "distribution transition"):
-        key = (state_id(tr["from"]), json_atoms(tr["output"], "distribution transition output"))
+        key = (state_id(tr["from"]),
+               json_letter(tr["output"], letters, "distribution transition output"))
         if state_id(tr["to"]) is None or key not in trans:
             raise ValueError(f"distribution transition from unknown state/output {tr!r}")
-        trans[key].append((tr["to"], _rational(tr["prob"], "distribution transition prob")))
+        prob = tr["prob"]
+        p = probs.get(prob) if isinstance(prob, str) else None
+        if p is None:
+            p = probs[prob] = _rational(prob, "distribution transition prob")
+        trans[key].append((tr["to"], p))
     if state_id(doc["initial"]) is None:
         raise ValueError(f"distribution initial state {doc['initial']!r} is unknown")
     return DistributionMDP(inputs, outputs, iota, doc["initial"], trans)
@@ -217,8 +228,12 @@ def cmd_simulate(args) -> int:
                                spec.distribution)
     n = len(xs)
     if n > 1:
-        # A formula has only a handful of values: one term per distinct value.
-        var = sum(((x - mean) ** 2 * k for x, k in Counter(xs).items()),
+        # The samples repeat the values of the few components entered, one
+        # object per value: tallied by object, in ints, since a Fraction's
+        # hash runs in Python.  An equal value held by another object would
+        # only be a term of its own.
+        value_of = dict(zip(map(id, xs), xs))
+        var = sum(((value_of[i] - mean) ** 2 * k for i, k in Counter(map(id, xs)).items()),
                   Fraction(0)) / (n - 1)
         stderr = math.sqrt(float(var) / n)
     else:

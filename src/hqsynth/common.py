@@ -201,6 +201,18 @@ def json_atoms(value, what: str) -> frozenset:
     return frozenset(value)
 
 
+def json_letter(value, seen: dict, what: str) -> frozenset:
+    """`json_atoms(value, what)`, looked up in `seen`, a dict kept by the
+    reader of one document, when the same list was read before."""
+    try:
+        letter = seen.get(tuple(value)) if type(value) is list else None
+    except TypeError:  # an entry that is not a name, rejected below
+        letter = None
+    if letter is None:
+        letter = seen[tuple(value)] = json_atoms(value, what)
+    return letter
+
+
 def json_records(value, keys, what: str) -> list:
     """`value`, checked to be a list of JSON objects, each a `what` carrying
     every key in `keys`."""

@@ -246,17 +246,14 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
     import random
 
     chain, bottoms, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
-    value_at = {}
-    for comp, v in zip(bottoms, comp_values):
-        for s in comp:
-            value_at[s] = v
+    component = {s: k for k, comp in enumerate(bottoms) for s in comp}
     rng = random.Random(seed)
     rows, den = chain.weights, chain.den
-    out = []
+    hits = []
     for _ in range(samples):
         s = chain.initial
         steps = 0
-        while s not in value_at:
+        while s not in component:
             r = rng.getrandbits(53) * den
             acc = 0
             nxt = None
@@ -269,8 +266,8 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
             steps += 1
             if steps > 1_000_000:
                 raise InternalConsistencyError("simulation failed to absorb")
-        out.append(value_at[s])
-    # A formula has only a handful of values: one term per distinct value.
-    mean = sum((v * k for v, k in Counter(out).items()), Fraction(0)) / samples \
-        if samples else Fraction(0)
-    return mean, out, expectation(zip(rho, comp_values))
+        hits.append(component[s])
+    # Tallied by component, in ints: one term per component entered.
+    mean = sum((comp_values[k] * c for k, c in Counter(hits).items()), Fraction(0)) \
+        / samples if samples else Fraction(0)
+    return mean, [comp_values[k] for k in hits], expectation(zip(rho, comp_values))

@@ -15,7 +15,7 @@ construction time, so the core AST has exactly ten node kinds.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import re
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -238,8 +238,6 @@ def is_boolean(f: Formula) -> bool:
 # Precedence, loosest first: ->  |  &  U  unary.  `->` and `U` associate to
 # the right, `&` and `|` flatten into n-ary Min/Max.
 
-_UNARY_WORDS = {"X", "F", "G"}
-
 # Deepest nesting `parse` accepts.  While it parses, a level is a
 # parenthesized group, the operand of a prefix operator, the right side of
 # `U` or `->`, or the argument list of wavg/min/max; the formula it returns
@@ -288,75 +286,90 @@ def check_nesting(f: Formula, what: str = "formula"):
                 stack.append((c, level))
 
 
+# A token is a run of word characters (an atom, a keyword or a number), the
+# arrow, a `{` with the word characters and slashes after it (where a
+# rational literal goes), or any other single character.  Whitespace, as
+# `str.isspace` has it, only separates tokens.  The pattern is compiled on
+# the first parse, into the `re` module's cache, not at import.
+_TOKEN = r"\w+|->|\{\s*[\w/]*|\S"
+
+_KEYWORDS = {"X", "F", "G", "U", "factor", "wavg", "min", "max"}
+
+_PREFIX = {"!": Not, "X": Next, "F": eventually, "G": globally}
+
+
 class _Tokens:
+    """The tokens of `text`, ending in the empty string, and `i`, the index
+    of the next one.  Their positions are looked up only for an error."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.toks = re.findall(_TOKEN, text)
+        self.toks.append("")
+        self.i = 0
         self.depth = 0
 
-    @contextmanager
-    def nested(self):
-        """One nesting level deeper for the parse inside the block."""
+    def deeper(self):
+        """One nesting level deeper, for the parse of an operand."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.error(f"formula nests deeper than {MAX_NESTING} levels")
-        yield
-        self.depth -= 1
+            self.error(f"formula nests deeper than {MAX_NESTING} levels", self.end())
 
-    def error(self, msg: str):
-        raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
+    def error(self, msg: str, pos: int | None = None):
+        """Raise `msg` at `pos`, by default where the next token starts."""
+        if pos is None:
+            pos = self.spans()[self.i][0]
+        raise ParseError(f"{msg} at position {pos} in {self.text!r}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def spans(self) -> list:
+        """(start, end) of each token, and of the end of the text."""
+        n = len(self.text)
+        return [m.span() for m in re.finditer(_TOKEN, self.text)] + [(n, n)]
 
-    def try_symbol(self, sym: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(sym, self.pos):
-            self.pos += len(sym)
+    def end(self) -> int:
+        """Where the token just taken ends."""
+        return self.spans()[self.i - 1][1]
+
+    def take(self, tok: str) -> bool:
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, sym: str):
-        if not self.try_symbol(sym):
-            self.error(f"expected {sym!r}")
+    def expect(self, tok: str):
+        if not self.take(tok):
+            self.error(f"expected {tok!r}")
 
-    def try_word(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text.startswith(word, self.pos):
-            if end >= len(self.text) or not (self.text[end].isalnum() or self.text[end] == "_"):
-                self.pos = end
-                return True
-        return False
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an identifier")
-        return self.text[start:self.pos]
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] == "/"):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a rational literal")
+    def coefficient(self) -> Fraction:
+        """The `{rational}` of factor and wavg, in [0, 1]: the literal is
+        the digits and slashes after the brace."""
+        tok = self.toks[self.i]
+        if tok[:1] != "{":
+            self.error("expected '{'")
+        self.i += 1
+        rest = tok[1:].lstrip()
+        literal = rest
+        if not rest.replace("/", "").isdigit():
+            literal = rest[:next((k for k, c in enumerate(rest)
+                                  if not (c.isdigit() or c == "/")), len(rest))]
+        if not literal:
+            self.error("expected a rational literal", self.end() - len(rest))
         try:
-            return parse_fraction(self.text[start:self.pos])
+            lam = parse_fraction(literal)
         except ValueError as exc:
-            self.error(str(exc))
+            self.error(str(exc), self.end() - len(rest) + len(literal))
+        if literal != rest:
+            self.error("expected '}'", self.end() - len(rest) + len(literal))
+        self.expect("}")
+        if not 0 <= lam <= 1:
+            self.error(f"coefficient {lam} outside [0, 1]", self.end())
+        return lam
 
 
 def parse(text: str) -> Formula:
     toks = _Tokens(text)
     f = _parse_implies(toks)
-    toks.skip_ws()
-    if toks.pos != len(toks.text):
+    if toks.toks[toks.i]:
         toks.error("trailing input")
     # The parse levels above guard the parser's own recursion; the formula
     # must also pass the measure every spec and evaluator applies, where
@@ -370,102 +383,100 @@ def parse(text: str) -> Formula:
 
 def _parse_implies(toks: _Tokens) -> Formula:
     left = _parse_or(toks)
-    if toks.try_symbol("->"):
-        with toks.nested():
-            return implies(left, _parse_implies(toks))
+    if toks.take("->"):
+        toks.deeper()
+        f = implies(left, _parse_implies(toks))
+        toks.depth -= 1
+        return f
     return left
 
 
 def _parse_or(toks: _Tokens) -> Formula:
     parts = [_parse_and(toks)]
-    while toks.try_symbol("|"):
+    while toks.take("|"):
         parts.append(_parse_and(toks))
     return disj(*parts)
 
 
 def _parse_and(toks: _Tokens) -> Formula:
     parts = [_parse_until(toks)]
-    while toks.try_symbol("&"):
+    while toks.take("&"):
         parts.append(_parse_until(toks))
     return conj(*parts)
 
 
 def _parse_until(toks: _Tokens) -> Formula:
     left = _parse_unary(toks)
-    if toks.try_word("U"):
-        with toks.nested():
-            return Until(left, _parse_until(toks))
+    if toks.take("U"):
+        toks.deeper()
+        f = Until(left, _parse_until(toks))
+        toks.depth -= 1
+        return f
     return left
 
 
 def _parse_unary(toks: _Tokens) -> Formula:
-    if toks.try_symbol("!"):
-        build = Not
-    elif toks.try_word("X"):
-        build = Next
-    elif toks.try_word("F"):
-        build = eventually
-    elif toks.try_word("G"):
-        build = globally
-    elif toks.try_word("factor"):
-        toks.expect("{")
-        lam = toks.rational()
-        toks.expect("}")
-        _check_lambda(toks, lam)
-        build = partial(Factor, lam)
+    tok = toks.toks[toks.i]
+    build = _PREFIX.get(tok)
+    if build is not None:
+        toks.i += 1
+    elif tok == "factor":
+        toks.i += 1
+        build = partial(Factor, toks.coefficient())
     else:
         return _parse_atomic(toks)
-    with toks.nested():
-        return build(_parse_unary(toks))
+    toks.deeper()
+    f = build(_parse_unary(toks))
+    toks.depth -= 1
+    return f
 
 
 def _parse_atomic(toks: _Tokens) -> Formula:
-    if toks.try_symbol("("):
-        with toks.nested():
-            f = _parse_implies(toks)
+    tok = toks.toks[toks.i]
+    if tok == "(":
+        toks.i += 1
+        toks.deeper()
+        f = _parse_implies(toks)
+        toks.depth -= 1
         toks.expect(")")
         return f
-    if toks.try_word("true"):
-        return TRUE
-    if toks.try_word("false"):
-        return FALSE
-    if toks.try_word("wavg"):
-        toks.expect("{")
-        lam = toks.rational()
-        toks.expect("}")
-        _check_lambda(toks, lam)
+    if tok == "wavg":
+        toks.i += 1
+        lam = toks.coefficient()
         toks.expect("(")
-        with toks.nested():
-            a = _parse_implies(toks)
-            toks.expect(",")
-            b = _parse_implies(toks)
+        toks.deeper()
+        a = _parse_implies(toks)
+        toks.expect(",")
+        b = _parse_implies(toks)
+        toks.depth -= 1
         toks.expect(")")
         return WAvg(lam, a, b)
-    if toks.try_word("min"):
-        return Min(tuple(_parse_args(toks)))
-    if toks.try_word("max"):
-        return Max(tuple(_parse_args(toks)))
-    name = toks.ident()
-    if name in _UNARY_WORDS or name in ("U", "factor", "wavg", "min", "max"):
-        toks.error(f"operator {name!r} used as an atom")
-    return Atom(name)
+    if tok == "min" or tok == "max":
+        toks.i += 1
+        return (Min if tok == "min" else Max)(tuple(_parse_args(toks)))
+    if not (tok[:1].isalnum() or tok[:1] == "_"):
+        toks.error("expected an identifier")
+    toks.i += 1
+    if tok == "true":
+        return TRUE
+    if tok == "false":
+        return FALSE
+    if tok in _KEYWORDS:
+        toks.error(f"operator {tok!r} used as an atom", toks.end())
+    return Atom(tok)
 
 
 def _parse_args(toks: _Tokens) -> list:
     toks.expect("(")
-    with toks.nested():
-        args = [_parse_implies(toks)]
-        while toks.try_symbol(","):
-            args.append(_parse_implies(toks))
+    toks.deeper()
+    args = [_parse_implies(toks)]
+    while toks.take(","):
+        args.append(_parse_implies(toks))
+    toks.depth -= 1
     toks.expect(")")
     if len(args) < 2:
-        toks.error("min/max need at least two arguments")
+        toks.error("min/max need at least two arguments", toks.end())
     return args
-
-
-def _check_lambda(toks: _Tokens, lam: Fraction):
-    if not 0 <= lam <= 1:
-        toks.error(f"coefficient {lam} outside [0, 1]")
 
 
 # --- lasso words ----------------------------------------------------------

@@ -84,8 +84,15 @@ def _to_weights(rows: dict):
         for _, p in row:
             _check_probability(p, f"row {key}")
             den = lcm(den, p.denominator)
+    return _over(rows, den), den
+
+
+def _over(rows: dict, den: int) -> dict:
+    """{key: ((successor, weight), ...)}: each row's probabilities as int
+    weights over `den`, a multiple of their denominators, zero entries
+    dropped."""
     return {key: tuple((t, p.numerator * (den // p.denominator)) for t, p in row if p)
-            for key, row in rows.items()}, den
+            for key, row in rows.items()}
 
 
 class PreMDP:
@@ -241,26 +248,36 @@ class DistributionMDP:
 
         if not known(initial):
             raise ValueError(f"initial state {initial!r} is not one of the {n} states")
+
+        def where(s, o) -> str:
+            return f"({s},{set(o)})"
+
+        # Each row is checked over the lcm of its own denominators, in ints;
+        # the rows' weights are over the lcm of them all.
         rows = {}
+        den = 1
         for s, lab in enumerate(self.iota):
             if not lab <= self.inputs:
                 raise ValueError(f"state {s} labeled outside the inputs")
             for o in out_letters:
                 row = self.trans.get((s, o))
-                where = f"({s},{set(o)})"
                 if row is None:
-                    raise ValueError(f"no distribution row at {where}")
+                    raise ValueError(f"no distribution row at {where(s, o)}")
                 if not all(known(t) for t, _ in row):
-                    raise ValueError(f"distribution row at {where} "
+                    raise ValueError(f"distribution row at {where(s, o)} "
                                      f"leads outside the {n} states")
                 for _, p in row:
-                    _check_probability(p, where)
-                if sum(p for _, p in row) != 1:
-                    raise ValueError(f"distribution rows at {where} do not sum to 1")
-                if any(p < 0 for _, p in row):
-                    raise ValueError(f"negative probability at {where}")
+                    if type(p) is not int and type(p) is not Fraction:
+                        _check_probability(p, where(s, o))  # raises
+                row_den = lcm(*(p.denominator for _, p in row))
+                if sum(p.numerator * (row_den // p.denominator) for _, p in row) != row_den:
+                    raise ValueError(f"distribution rows at {where(s, o)} do not sum to 1")
+                if any(p.numerator < 0 for _, p in row):
+                    raise ValueError(f"negative probability at {where(s, o)}")
                 rows[(s, masks[o])] = row
-        weights, self.den = _to_weights(rows)
+                den = lcm(den, row_den)
+        self.den = den
+        weights = _over(rows, den)
         iota = [masks[lab] for lab in self.iota]
         self._branches = {key: tuple((iota[t], t, w) for t, w in row)
                           for key, row in weights.items()}

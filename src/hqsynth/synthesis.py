@@ -313,7 +313,10 @@ def prob_of_assumption(assumption: Formula, inputs, dist=None, ceiling=None) -> 
     process = input_process(dist, inputs, frozenset())
     if not process.output_insensitive():
         raise ValueError("assumption probability needs an output-insensitive input process")
-    dpw = dpw_for(assumption, AtLeast(Fraction(1)), inputs, ceiling=ceiling)
+    # over the process's outputs too, as the induced MDP's letters are; the
+    # assumption reads none of them
+    dpw = dpw_for(assumption, AtLeast(Fraction(1)), inputs | process.outputs,
+                  ceiling=ceiling)
     return _assumption_chain(dpw, process, ceiling)[0]
 
 

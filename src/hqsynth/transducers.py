@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .common import all_letters, json_atoms, json_object, json_records
+from .common import all_letters, json_atoms, json_letter, json_object, json_records
 from .formulas import LassoWord
 
 
@@ -121,29 +121,74 @@ def transducer_from_json(doc: dict) -> Transducer:
     records = json_records(doc["states"], ("id", "label"), "controller state")
     transitions = json_records(doc["transitions"], ("from", "input", "to"),
                                "controller transition")
-    ids = ([doc["initial"]] + [st["id"] for st in records]
-           + [tr[k] for tr in transitions for k in ("from", "to")])
-    for q in ids:
+    states = [st["id"] for st in records]
+    for q in (doc["initial"], *states,
+              *(tr[k] for tr in transitions for k in ("from", "to"))):
         if type(q) is not int and not isinstance(q, str):
             raise ValueError(f"controller state ids must be integers or strings, not {q!r}")
-    labels = {st["id"]: json_atoms(st["label"], "controller state label")
+    frozen: dict = {}  # each distinct list of atom names, checked and frozen once
+    labels = {st["id"]: json_letter(st["label"], frozen, "controller state label")
               for st in records}
     delta = {}
     for tr in transitions:
-        key = (tr["from"], json_atoms(tr["input"], "controller transition input"))
+        key = (tr["from"], json_letter(tr["input"], frozen, "controller transition input"))
         if key in delta:
             raise ValueError(f"controller transition from {key[0]!r} on "
                              f"{sorted(key[1])} is given twice")
         delta[key] = tr["to"]
     return Transducer(json_atoms(doc["inputs"], "controller inputs"),
                       json_atoms(doc["outputs"], "controller outputs"),
-                      [st["id"] for st in records], doc["initial"], delta, labels)
+                      states, doc["initial"], delta, labels)
 
 
 def save_transducer(T: Transducer, path: str):
+    """Write `T` as `json.dumps(transducer_to_json(T), indent=2,
+    sort_keys=True)` and a newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(transducer_to_json(T), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(T))
+
+
+def _json_text(T: Transducer) -> str:
+    """The text of `json.dumps(transducer_to_json(T), indent=2,
+    sort_keys=True) + "\n"`, written directly: keys in sorted order, every
+    nonempty list one item a line, two spaces an indent level, transitions
+    in state order and, from each state, in `all_letters` order.  Only ids
+    and atom names go through `json.dumps`, once each; a transducer with
+    ids that are not ints or strings, or atoms that are not strings, takes
+    `json.dumps` whole."""
+    names = T.inputs | T.outputs
+    if not (all(type(q) is int or type(q) is str for q in T.states)
+            and all(type(a) is str for a in names)):
+        return json.dumps(transducer_to_json(T), indent=2, sort_keys=True) + "\n"
+    ids = {q: str(q) if type(q) is int else json.dumps(q) for q in T.states}
+    quoted = {a: json.dumps(a) for a in names}
+
+    def atom_list(atoms, pad: str) -> str:
+        if not atoms:
+            return "[]"
+        return ("[\n" + ",\n".join(f"{pad}  {quoted[a]}" for a in sorted(atoms))
+                + f"\n{pad}]")
+
+    def object_list(items) -> str:
+        return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+    labels: dict = {}
+    for lab in T.labels.values():
+        if lab not in labels:
+            labels[lab] = atom_list(lab, "      ")
+    letters = all_letters(T.inputs)
+    inputs = [atom_list(i, "      ") for i in letters]
+    states = [f'    {{\n      "id": {ids[q]},\n      "label": {labels[T.labels[q]]}\n    }}'
+              for q in T.states]
+    transitions = [
+        f'    {{\n      "from": {ids[q]},\n      "input": {text},\n'
+        f'      "to": {ids[T.delta[(q, i)]]}\n    }}'
+        for q in T.states for i, text in zip(letters, inputs)]
+    return (f'{{\n  "initial": {ids[T.initial]},\n'
+            f'  "inputs": {atom_list(T.inputs, "  ")},\n'
+            f'  "outputs": {atom_list(T.outputs, "  ")},\n'
+            f'  "states": {object_list(states)},\n'
+            f'  "transitions": {object_list(transitions)}\n}}\n')
 
 
 def load_transducer(path: str) -> Transducer:

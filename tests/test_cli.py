@@ -390,14 +390,18 @@ class TestErrorPaths:
         # Fraction("1e999999999") would build a billion-digit integer; each
         # entry point of a rational rejects the literal instead.  A child
         # process, so a regression fails on the timeout rather than hanging.
+        # A literal in a spec file is named by its field, the flag's is not.
         huge = "1e999999999"
         argv = ["synth", write_spec(tmp_path, HD_SPEC), "--threshold", huge]
+        field = ""
         if where == "spec":
             argv = ["synth", write_spec(tmp_path, dict(HD_SPEC, threshold=huge))]
+            field = f"{argv[1]}: threshold: "
         elif where == "distribution":
             rows = [dict(tr, prob=huge) for tr in UNIFORM_DATA["transitions"]]
             argv = ["synth", write_spec(tmp_path, dict(
                 HD_SPEC, distribution=dict(UNIFORM_DATA, transitions=rows)))]
+            field = "distribution transition prob: "
         code = ("import json, sys, time; from hqsynth.cli import main; "
                 "t = time.perf_counter(); c = main(json.loads(sys.argv[1])); "
                 "print(json.dumps([c, time.perf_counter() - t]))")
@@ -406,7 +410,7 @@ class TestErrorPaths:
                               timeout=60)
         status, seconds = json.loads(proc.stdout)
         assert status == 1
-        assert proc.stderr == f"error: bad rational literal '{huge}': " \
+        assert proc.stderr == f"error: {field}bad rational literal '{huge}': " \
                               "exponent notation is not accepted\n"
         assert seconds < 1
 

@@ -83,6 +83,66 @@ class TestParser:
             parse("factor{5/4} p")
 
 
+def _nest(text: str, levels: int) -> str:
+    """`text` with the `{}` in it filled by itself `levels` times over."""
+    out = "a"
+    for _ in range(levels):
+        out = text.format(out)
+    return out
+
+
+# (text, error message before " in {text!r}") of malformed formulas
+PARSE_ERRORS = [
+    ("(a & b", "expected ')' at position 6"),
+    ("((a)", "expected ')' at position 4"),
+    ("factor{1/2 a", "expected '}' at position 11"),
+    ("factor{12ab} a", "expected '}' at position 9"),
+    ("wavg{1/2}(a b)", "expected ',' at position 12"),
+    ("wavg{1/2}(a, b", "expected ')' at position 14"),
+    ("factor{2} a", "coefficient 2 outside [0, 1] at position 9"),
+    ("wavg{1/0}(a, b)", "bad rational literal '1/0': Fraction(1, 0) at position 8"),
+    ("factor{1/2/3} a",
+     "bad rational literal '1/2/3': Invalid literal for Fraction: '1/2/3' at position 12"),
+    ("factor{ } a", "expected a rational literal at position 8"),
+    ("factor{x} a", "expected a rational literal at position 7"),
+    ("factor a", "expected '{' at position 7"),
+    ("U", "operator 'U' used as an atom at position 1"),
+    ("a U U", "operator 'U' used as an atom at position 5"),
+    ("G U a", "operator 'U' used as an atom at position 3"),
+    ("min & a", "expected '(' at position 4"),
+    ("min(a)", "min/max need at least two arguments at position 6"),
+    ("max(a, b,", "expected an identifier at position 9"),
+    ("a b", "trailing input at position 2"),
+    ("a & (b | c))", "trailing input at position 11"),
+    ("a -->b", "trailing input at position 2"),
+    ("", "expected an identifier at position 0"),
+    (" \t\n", "expected an identifier at position 3"),
+    ("a\tU\nb &", "expected an identifier at position 7"),
+    ("@", "expected an identifier at position 0"),
+    ("(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1),
+     f"formula nests deeper than {MAX_NESTING} levels at position {MAX_NESTING + 1}"),
+    ("!" * (MAX_NESTING + 1) + "a",
+     f"formula nests deeper than {MAX_NESTING} levels at position {MAX_NESTING + 1}"),
+    ("X " * (MAX_NESTING + 1) + "a",
+     f"formula nests deeper than {MAX_NESTING} levels at position {2 * MAX_NESTING + 1}"),
+    ("a U " * (MAX_NESTING + 1) + "b",
+     f"formula nests deeper than {MAX_NESTING} levels at position {4 * MAX_NESTING + 3}"),
+    ("a -> " * (MAX_NESTING + 1) + "b",
+     f"formula nests deeper than {MAX_NESTING} levels at position {5 * MAX_NESTING + 4}"),
+    # within the parser's levels, but `&` and `|` take levels of their own
+    # in the measure applied to the result
+    (_nest("(b & {} | c)", 60), f"formula nests deeper than {MAX_NESTING} levels"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS,
+                         ids=[f"{i}-{t[:12]}" for i, (t, _) in enumerate(PARSE_ERRORS)])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} in {text!r}"
+
+
 def _wrapped(text, first):
     """A prefix operator's operand as printed: the innermost atom bare."""
     return text if first else f"({text})"

@@ -176,6 +176,17 @@ class TestAssumptionProbability:
         psi = S.pair_constant_noise_assumption()
         assert prob_of_assumption(psi, S.MSG_INPUTS) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("psi, prob", [("i", Fraction(2, 3)), ("X i", Fraction(8, 9)),
+                                           ("G F i", 1), ("G !i", 0)])
+    def test_input_process_with_outputs(self, psi, prob):
+        # state 1 emits i and is absorbing, state 0 leaves for it with
+        # probability 2/3 a step, under either output letter
+        i, o = frozenset({"i"}), frozenset({"o"})
+        rows = {0: [(0, Fraction(1, 3)), (1, Fraction(2, 3))], 1: [(1, 1)]}
+        dist = DistributionMDP(i, o, [frozenset(), i], 0,
+                               {(s, out): row for s, row in rows.items() for out in (E, o)})
+        assert prob_of_assumption(parse(psi), i, dist) == prob
+
 
 class TestAssumptionSynthesis:
     def small(self, **kw):
