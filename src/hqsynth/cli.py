@@ -8,17 +8,23 @@ so they diff cleanly and can be scraped from shell scripts.  Exit codes:
 anything that went wrong.  All rationals cross the process boundary as
 "num/den" strings; nothing is ever rounded except the decimal rendering
 lines, which are a convenience and never read back.
+
+The command line is declared once, in `_COMMANDS`.  A canonical command
+line is read straight from it; argparse is imported and its parser built,
+from the same table, only on the first call that needs it (help, a usage
+error, an abbreviation, "--opt=value", "--", a value starting with "-"),
+and reused after that.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .common import (
     StateLimitExceeded,
@@ -80,8 +86,12 @@ def distribution_from_json(doc: dict) -> DistributionMDP:
 
     if [state_id(st["id"]) for st in states] != list(range(n)):
         raise ValueError("distribution state ids must be 0..n-1 in order")
-    iota = [json_atoms(st.get("input"), f"input of distribution state {s}")
-            for s, st in enumerate(states)]
+    iota = []
+    for s, st in enumerate(states):
+        atoms = st.get("input")
+        if type(atoms) is not list or not all(type(a) is str for a in atoms):
+            atoms = json_atoms(atoms, f"input of distribution state {s}")
+        iota.append(frozenset(atoms))
     trans = {(s, o): [] for s in range(n) for o in all_letters(outputs)}
     letters: dict = {}
     probs: dict = {}  # each distinct literal parsed once
@@ -247,61 +257,125 @@ def cmd_simulate(args) -> int:
 
 # --- argument plumbing ---------------------------------------------------
 
+_MODES = ("expected", "conditional", "almost-sure", "worst-case")
+_REPORT = ("--report", "report", None, None, None, "also write the report here")
+_JSON = ("--json", "json", "machine-readable report")
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; 2 is reserved for UNREALIZABLE
-    # here, so remap to the generic failure code.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+# The command line, declared once.  Per subcommand: its help, its handler,
+# its positionals as (dest, help), its valued options as (option, dest,
+# default, `int` or a tuple of choices or None for a string, metavar, help)
+# and its store_true flags as (option, dest, help).  `_read_canonical` and
+# `_build_parser` both read it.
+_COMMANDS = {
+    "synth": ("synthesize an optimal transducer", cmd_synth,
+              (("spec", "spec JSON file"),),
+              (("--out", "out", None, None, None, "write the transducer as JSON here"),
+               ("--dot", "dot", None, None, None, "write the transducer as Graphviz DOT here"),
+               ("--threshold", "threshold", None, None, None,
+                'almost-sure floor "num/den", overrides the spec file'),
+               ("--assume-inline", "assume_inline", None, None, "FORMULA",
+                "assumption formula, overrides the spec file"),
+               _REPORT),
+              (_JSON,)),
+    "eval": ("evaluate a transducer exactly", cmd_eval,
+             (("spec", "spec JSON file"), ("transducer", "transducer JSON file")),
+             (("--mode", "mode", "expected", _MODES, None, None), _REPORT),
+             (_JSON,)),
+    "simulate": ("Monte-Carlo estimate against the exact value", cmd_simulate,
+                 (("spec", "spec JSON file"), ("transducer", "transducer JSON file")),
+                 (("--samples", "samples", 10000, int, None, None),
+                  ("--seed", "seed", 0, int, None, None), _REPORT),
+                 (_JSON,)),
+}
+
+
+def _read_canonical(argv) -> dict | None:
+    """The attributes `parse_args` would set for `argv`, when it is canonical:
+    a subcommand's exact name, then exactly its positionals, then only exact
+    option names, each with a value, and exact flags, no positional or value
+    starting with "-".  None for any other form, which is argparse's to read
+    or refuse: help, abbreviations, "--opt=value", "--", a bad value."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, positionals, options, flags = entry
+    n = len(positionals) + 1
+    if len(argv) < n or any(value[:1] == "-" for value in argv[1:n]):
+        return None
+    attrs = {"command": argv[0], "func": func}
+    attrs.update(zip([p[0] for p in positionals], argv[1:n]))
+    attrs.update((o[1], o[2]) for o in options)
+    attrs.update((f[1], False) for f in flags)
+    valued = {o[0]: o for o in options}
+    flag_dests = {f[0]: f[1] for f in flags}
+    i = n
+    while i < len(argv):
+        token = argv[i]
+        if token in flag_dests:
+            attrs[flag_dests[token]] = True
+            i += 1
+            continue
+        option = valued.get(token)
+        if option is None or i + 1 == len(argv) or argv[i + 1][:1] == "-":
+            return None
+        _, dest, _, kind, _, _ = option
+        value = argv[i + 1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not None and value not in kind:
+            return None
+        attrs[dest] = value
+        i += 2
+    return attrs
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first `main` call of a process and reused by
-    every later one: `parse_args` keeps nothing from one call to the next."""
+def _build_parser():
+    """The argparse parser over `_COMMANDS`, built on the first `main` call
+    that needs it and reused by every later one: `parse_args` keeps nothing
+    from one call to the next."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on usage errors; 2 is reserved for
+        # UNREALIZABLE here, so remap to the generic failure code.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     ap = _Parser(prog="hqsynth",
                  description="Exact synthesis and evaluation of transducers "
                              "against quality-graded temporal specifications.")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    ps = sub.add_parser("synth", help="synthesize an optimal transducer")
-    ps.add_argument("spec", help="spec JSON file")
-    ps.add_argument("--out", help="write the transducer as JSON here")
-    ps.add_argument("--dot", help="write the transducer as Graphviz DOT here")
-    ps.add_argument("--threshold", help='almost-sure floor "num/den", overrides the spec file')
-    ps.add_argument("--assume-inline", metavar="FORMULA",
-                    help="assumption formula, overrides the spec file")
-    ps.add_argument("--report", help="also write the report here")
-    ps.add_argument("--json", action="store_true", help="machine-readable report")
-    ps.set_defaults(func=cmd_synth)
-
-    pe = sub.add_parser("eval", help="evaluate a transducer exactly")
-    pe.add_argument("spec", help="spec JSON file")
-    pe.add_argument("transducer", help="transducer JSON file")
-    pe.add_argument("--mode", default="expected",
-                    choices=["expected", "conditional", "almost-sure", "worst-case"])
-    pe.add_argument("--report", help="also write the report here")
-    pe.add_argument("--json", action="store_true", help="machine-readable report")
-    pe.set_defaults(func=cmd_eval)
-
-    pm = sub.add_parser("simulate", help="Monte-Carlo estimate against the exact value")
-    pm.add_argument("spec", help="spec JSON file")
-    pm.add_argument("transducer", help="transducer JSON file")
-    pm.add_argument("--samples", type=int, default=10000)
-    pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--report", help="also write the report here")
-    pm.add_argument("--json", action="store_true", help="machine-readable report")
-    pm.set_defaults(func=cmd_simulate)
+    for name, (text, func, positionals, options, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, help_text in positionals:
+            p.add_argument(dest, help=help_text)
+        for option, dest, default, kind, metavar, help_text in options:
+            p.add_argument(option, dest=dest, default=default,
+                           type=int if kind is int else None,
+                           choices=None if kind is int else kind,
+                           metavar=metavar, help=help_text)
+        for option, dest, help_text in flags:
+            p.add_argument(option, dest=dest, action="store_true", help=help_text)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    attrs = _read_canonical(argv)
+    if attrs is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+    else:
+        args = SimpleNamespace(**attrs)
     try:
         return args.func(args)
     except (OSError, ValueError, StateLimitExceeded) as exc:

@@ -82,7 +82,8 @@ def _to_weights(rows: dict):
     den = 1
     for key, row in rows.items():
         for _, p in row:
-            _check_probability(p, f"row {key}")
+            if type(p) is not int and type(p) is not Fraction:
+                _check_probability(p, f"row {key}")  # raises
             den = lcm(den, p.denominator)
     return _over(rows, den), den
 

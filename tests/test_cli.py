@@ -286,6 +286,130 @@ class TestRepeatedCalls:
         assert cli._build_parser() is cli._build_parser()
 
 
+MODES = ["expected", "conditional", "almost-sure", "worst-case"]
+SUBCOMMANDS = ["synth", "eval", "simulate"]
+# every option and flag; unique prefixes of them, and "--s", ambiguous in
+# simulate; "--opt=value" forms; the end of options and the help flags
+OPTION_TOKENS = ["--out", "--dot", "--threshold", "--assume-inline", "--report",
+                 "--json", "--mode", "--samples", "--seed",
+                 "--o", "--d", "--thr", "--assume", "--rep", "--j", "--mo",
+                 "--sa", "--se", "--s", "--h",
+                 "--out=x.json", "--threshold=3/5", "--mode=expected",
+                 "--samples=5", "--seed=-1", "--json=x",
+                 "--", "-h", "--help"]
+VALUES = ["x.json", "", "-1", "+5", "1_0", "x", *MODES, "best-case"]
+
+
+def argparse_attrs(argv):
+    """`vars` of what argparse reads from `argv`, None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+class TestCanonicalReader:
+    def test_agrees_with_argparse(self):
+        # Skipped where Hypothesis is not installed, as the other property
+        # tests are: the package itself needs only the standard library.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def near_canonical(draw):
+            # mostly the subcommand's own positional count, options with a
+            # value and flags, so that many draws are canonical and the rest
+            # just miss it
+            name = draw(st.sampled_from(SUBCOMMANDS))
+            _, _, positionals, options, flags = cli._COMMANDS[name]
+            count = draw(st.sampled_from([len(positionals)] * 3 + [0, 1, 2, 3]))
+            argv = [name] + draw(st.lists(st.sampled_from(VALUES),
+                                          min_size=count, max_size=count))
+            item = (st.tuples(st.sampled_from([o[0] for o in options]),
+                              st.sampled_from(VALUES))
+                    | st.tuples(st.sampled_from([f[0] for f in flags]))
+                    | st.tuples(st.sampled_from(OPTION_TOKENS),
+                                st.sampled_from([*VALUES, *OPTION_TOKENS]))
+                    | st.tuples(st.sampled_from(OPTION_TOKENS)))
+            for tokens in draw(st.lists(item, max_size=4)):
+                argv += tokens
+            return argv
+
+        tokens = st.sampled_from(SUBCOMMANDS + OPTION_TOKENS + VALUES)
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(st.one_of(near_canonical(), st.lists(tokens, max_size=8)))
+        def check(argv):
+            got = cli._read_canonical(argv)
+            assert got is None or got == argparse_attrs(argv), argv
+
+        check()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "x.json"],
+        ["synth", "x.json", "--out", "", "--dot", "d", "--threshold", "3/5",
+         "--assume-inline", "G i", "--report", "r", "--json", "--json"],
+        ["eval", "s", "c", "--mode", "worst-case", "--mode", "almost-sure"],
+        ["simulate", "s", "c", "--samples", "+5", "--seed", "1_0", "--samples", "7"],
+    ])
+    def test_reads_canonical_forms(self, argv):
+        got = cli._read_canonical(argv)
+        assert got is not None and got == argparse_attrs(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["--help"],
+        ["synth", "--help"],
+        ["syn", "x.json"],                                 # abbreviated subcommand
+        ["frobnicate", "x.json"],
+        ["synth", "x.json", "--thr", "3/5"],               # abbreviated option
+        ["synth", "x.json", "--threshold=3/5"],
+        ["synth", "--threshold", "3/5", "x.json"],         # option before positional
+        ["synth", "x.json", "--", "y"],
+        ["synth", "-x.json"],                              # positional starting with -
+        ["simulate", "s", "c", "--seed", "-1"],            # value starting with -
+        ["simulate", "s", "c", "--samples", "x"],          # bad int
+        ["eval", "s", "c", "--mode", "best-case"],         # bad choice
+        ["eval", "s", "c", "--mode", "best-case", "--mode", "expected"],
+        ["eval", "s"],                                     # missing positional
+        ["synth", "a.json", "b.json"],                     # extra positional
+        ["synth", "x.json", "--out"],                      # option without value
+        ["synth", "x.json", "--no-such-flag"],
+    ])
+    def test_declines_other_forms(self, argv):
+        assert cli._read_canonical(argv) is None
+
+    def test_canonical_call_leaves_out_argparse(self, tmp_path):
+        # a canonical call in a fresh process pays for neither argparse nor
+        # the `locale` its gettext imports; help still comes from argparse
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hqsynth.__file__)))
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "from hqsynth.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()) as report:",
+            "    synth = main(['synth', sys.argv[2]])",
+            "loaded = sorted({'argparse', 'locale'} & set(sys.modules))",
+            "with contextlib.redirect_stdout(io.StringIO()) as text:",
+            "    help_code = main(['--help'])",
+            "print(json.dumps([synth, report.getvalue(), loaded, help_code, text.getvalue()]))",
+        ])
+        env = subprocess_env()
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src,
+                               write_spec(tmp_path, HD_SPEC)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        synth, report, loaded, help_code, text = json.loads(proc.stdout)
+        assert (synth, loaded, help_code) == (0, [], 0)
+        assert report.startswith("result = OK\nexpected = 3/4\n")
+        fresh = subprocess.run([sys.executable, "-m", "hqsynth.cli", "--help"],
+                               capture_output=True, text=True, env=env)
+        assert (fresh.returncode, fresh.stdout) == (0, text)
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "synth", "/nonexistent/spec.json")

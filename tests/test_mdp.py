@@ -74,13 +74,15 @@ class TestProbabilityTypes:
 
     @pytest.mark.parametrize("p", [0.5, True], ids=["float", "bool"])
     def test_pre_mdp_rejects(self, p):
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
+        with pytest.raises(ValueError) as exc:
             single_action([[(0, p), (0, HALF)]])
+        assert str(exc.value) == f"probability {p!r} at row (0, 0) is not an int or a Fraction"
 
     @pytest.mark.parametrize("p", [0.5, True], ids=["float", "bool"])
     def test_markov_chain_rejects(self, p):
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
+        with pytest.raises(ValueError) as exc:
             MarkovChain([0, 1], 0, [((0, p), (1, HALF)), ((1, ONE),)])
+        assert str(exc.value) == f"probability {p!r} at row 0 is not an int or a Fraction"
 
     def test_markov_chain_of_floats_rejected(self):
         with pytest.raises(ValueError, match="not an int or a Fraction"):

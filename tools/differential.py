@@ -26,11 +26,13 @@ worker process of its own.  The command lines are:
   to 8, of literals and of `factor`ed literals, whose value automata decide
   long chains of single-branch tableau sets; each synthesized without a
   threshold and with 1/2;
-* USAGE command lines that end in a usage error (an unknown subcommand, an
-  unknown flag, a missing positional, a bad `--mode`, `--samples 0`,
-  `--samples x` and a `--threshold` in exponent notation, which must be
-  refused before its power of ten is expanded) and the `--help` of the
-  program and of each subcommand, eleven in all;
+* USAGE command lines: those that end in a usage error (an unknown
+  subcommand, an unknown flag, a missing positional, a bad `--mode`,
+  `--samples 0`, `--samples x` and a `--threshold` in exponent notation,
+  which must be refused before its power of ten is expanded), the `--help`
+  of the program and of each subcommand, and the forms that only argparse
+  reads (an abbreviated option, `--threshold=3/5`, an option before the
+  positional and `--seed -1`), fifteen in all;
   run as given, spread evenly among the syntheses above, so that a parser
   or any other state kept from one call to the next shows up in the calls
   after them;
@@ -312,6 +314,10 @@ def usage_cases() -> list:
         "samples-0": ["simulate", gf2, ctrl, "--samples", "0"],
         "samples-x": ["simulate", gf2, ctrl, "--samples", "x"],
         "threshold-huge": ["synth", hd, "--threshold", "1e999999999"],
+        "abbreviation": ["synth", hd, "--thr", "3/5"],
+        "option-equals": ["synth", hd, "--threshold=3/5"],
+        "option-first": ["synth", "--threshold", "3/5", hd],
+        "negative-seed": ["simulate", gf2, ctrl, "--samples", "20", "--seed", "-1"],
         "help": ["--help"],
         "synth-help": ["synth", "--help"],
         "eval-help": ["eval", "--help"],
