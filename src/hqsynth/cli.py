@@ -14,6 +14,14 @@ line is read straight from it; argparse is imported and its parser built,
 from the same table, only on the first call that needs it (help, a usage
 error, an abbreviation, "--opt=value", "--", a value starting with "-"),
 and reused after that.
+
+`main` reads its spec and controller files on every call, but parses a
+file's text only once per process: the parsed spec or `Transducer` is kept
+under the whole text, in a memo of at most `PARSED_FILES_SIZE` entries, so
+a file rewritten in place is parsed anew and the same text at another path
+is not.  The commands only read what the memo serves.  The public loaders
+`load_spec_file` and `load_transducer` bypass it and return a new object
+on every call.
 """
 
 from __future__ import annotations
@@ -21,16 +29,19 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .common import (
+    STATE_CEILING_ENV,
     StateLimitExceeded,
     all_letters,
     format_fraction,
     json_atoms,
+    json_document,
     json_letter,
     json_object,
     json_records,
@@ -46,7 +57,7 @@ from .evaluation import (
 from .formulas import Formula, parse
 from .mdp import DistributionMDP
 from .synthesis import SynthesisSpec, Unrealizable, synthesize
-from .transducers import load_transducer, save_transducer, transducer_to_dot
+from .transducers import save_transducer, transducer_from_text, transducer_to_dot
 
 _SPEC_KEYS = {"inputs", "outputs", "formula", "assumption", "threshold",
               "hard_constraint", "distribution"}
@@ -112,11 +123,14 @@ def distribution_from_json(doc: dict) -> DistributionMDP:
 
 
 def load_spec_file(path: str) -> SynthesisSpec:
+    """The spec file at `path`, read as UTF-8: a new `SynthesisSpec` on
+    every call."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nests too deeply") from None
+        return _spec_from_text(fh.read(), path)
+
+
+def _spec_from_text(text: str, path: str) -> SynthesisSpec:
+    doc = json_document(text, path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
     unknown = set(doc) - _SPEC_KEYS
@@ -138,6 +152,28 @@ def load_spec_file(path: str) -> SynthesisSpec:
         distribution=(distribution_from_json(doc["distribution"])
                       if "distribution" in doc else None),
     )
+
+
+# The input files `main` parsed last, least recently used first; the oldest
+# is dropped past PARSED_FILES_SIZE entries, as in the `dpw_for` cache.  The
+# key holds the state ceiling as well as the text, since both parsers check
+# alphabets against it.  Only what parsed is kept.
+PARSED_FILES_SIZE = 16
+_parsed_files: dict = {}
+
+
+def _read_parsed(path: str, encoding: str | None, parser):
+    """`parser(text, path)` of the text of the file at `path`."""
+    with open(path, encoding=encoding) as fh:
+        text = fh.read()
+    key = (parser, text, os.environ.get(STATE_CEILING_ENV))
+    parsed = _parsed_files.pop(key, None)
+    if parsed is None:
+        parsed = parser(text, path)
+        if len(_parsed_files) >= PARSED_FILES_SIZE:
+            del _parsed_files[next(iter(_parsed_files))]
+    _parsed_files[key] = parsed
+    return parsed
 
 
 # --- reports -------------------------------------------------------------
@@ -167,8 +203,8 @@ def _emit(report: dict, json_mode: bool, report_path: str | None):
 
 
 def _load_pair(args):
-    spec = load_spec_file(args.spec)
-    T = load_transducer(args.transducer)
+    spec = _read_parsed(args.spec, "utf-8", _spec_from_text)
+    T = _read_parsed(args.transducer, None, transducer_from_text)
     if T.inputs != spec.inputs or T.outputs != spec.outputs:
         raise ValueError("transducer alphabets do not match the spec")
     return spec, T
@@ -178,7 +214,7 @@ def _load_pair(args):
 
 
 def cmd_synth(args) -> int:
-    spec = load_spec_file(args.spec)
+    spec = _read_parsed(args.spec, "utf-8", _spec_from_text)
     if args.threshold is not None:
         spec = spec.replace(threshold=parse_fraction(args.threshold))
     if args.assume_inline is not None:

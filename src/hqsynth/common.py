@@ -5,6 +5,7 @@ immutable value classes (formula, Boolean and predicate nodes, lasso words).
 
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -183,6 +184,15 @@ def probability_row(branches, number) -> tuple:
         j = number(succ)
         acc[j] = acc.get(j, 0) + w
     return tuple(sorted(acc.items()))
+
+
+def json_document(text: str, path: str):
+    """The JSON document `text`, read from the file `path`; one nested too
+    deeply for the decoder is a `ValueError` naming the file."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 def json_object(value, keys, what: str) -> dict:

@@ -601,17 +601,20 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
             break
         values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
                                   den, ceiling)
+    # Each node takes its first action attaining its value.  `values` is
+    # the evaluation of `policy`, so only a changed policy is evaluated anew.
+    normalized = policy[:]
     for i in range(n_nodes):
         here = ints[i] * den
         for a in range(len(node_actions[i])):
             if _policy_action_value(i, a, node_actions, node_rows, ends, ints) == here:
-                policy[i] = a
+                normalized[i] = a
                 break
-    normalized = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                                  den, ceiling)
-    if normalized != values:
-        raise InternalConsistencyError("argmax normalization changed the value")
-    values = normalized
+    if normalized != policy:
+        policy = normalized
+        if _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
+                            den, ceiling) != values:
+            raise InternalConsistencyError("argmax normalization changed the value")
 
     primary: dict[int, int] = {}
     for j, s in enumerate(singles):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 
-from .common import all_letters, json_atoms, json_letter, json_object, json_records
+from .common import (all_letters, json_atoms, json_document, json_letter, json_object,
+                     json_records)
 from .formulas import LassoWord
 
 
@@ -192,12 +193,15 @@ def _json_text(T: Transducer) -> str:
 
 
 def load_transducer(path: str) -> Transducer:
+    """The controller file at `path`, read in the locale's encoding: a new
+    `Transducer` on every call."""
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nests too deeply") from None
-    return transducer_from_json(doc)
+        return transducer_from_text(fh.read(), path)
+
+
+def transducer_from_text(text: str, path: str) -> Transducer:
+    """The controller whose JSON text `text` was read from the file `path`."""
+    return transducer_from_json(json_document(text, path))
 
 
 def transducer_to_dot(T: Transducer, name: str = "transducer") -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -284,6 +285,114 @@ class TestRepeatedCalls:
                                   capture_output=True, text=True, env=env)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
         assert cli._build_parser() is cli._build_parser()
+
+
+# a controller over HD_SPEC's alphabet that never closes
+NEVER_CLOSE = {"inputs": ["data"], "outputs": ["close"], "initial": 0,
+               "states": [{"id": 0, "label": []}],
+               "transitions": [{"from": 0, "input": i, "to": 0} for i in ([], ["data"])]}
+
+
+def served(spec, ctrl=None):
+    """What `main` gets for these files from the memo of parsed files."""
+    got = cli._read_parsed(spec, "utf-8", cli._spec_from_text)
+    if ctrl is None:
+        return got
+    return got, cli._read_parsed(ctrl, None, cli.transducer_from_text)
+
+
+class TestParsedFiles:
+    """`main` parses a file's text once; every call still reads its file."""
+
+    def test_files_rewritten_in_place_are_read_again(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HD_SPEC)
+        ctrl = tmp_path / "ctrl.json"
+        assert run(capsys, "synth", spec, "--out", str(ctrl))[0] == 0
+        assert run(capsys, "eval", spec, str(ctrl)) == (0, "expected = 3/4\ndecimal = 0.75\n", "")
+        ctrl.write_text(json.dumps(NEVER_CLOSE))
+        assert run(capsys, "eval", spec, str(ctrl)) == (0, "expected = 1/2\ndecimal = 0.5\n", "")
+        write_spec(tmp_path, dict(HD_SPEC, formula="!close"))
+        assert run(capsys, "eval", spec, str(ctrl)) == (0, "expected = 1\ndecimal = 1.0\n", "")
+        code, text, _ = run(capsys, "simulate", spec, str(ctrl), "--samples", "5")
+        assert (code, text.splitlines()[4]) == (0, "exact = 1")
+        assert run(capsys, "synth", spec)[1].startswith("result = OK\nexpected = 1\n")
+
+    def test_malformed_files_fail_on_every_call(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        spec = write_spec(tmp_path, HD_SPEC)
+        no_formula = json.dumps({"inputs": ["data"], "outputs": ["close"]})
+        too_deep = "[" * 100_000 + "]" * 100_000
+        for path in (first, first, second):
+            path.write_text(no_formula, encoding="utf-8")
+            assert run(capsys, "synth", str(path)) == (
+                1, "", f"error: {path}: spec is missing 'formula'\n")
+        for path in (first, first, second):
+            path.write_text(too_deep, encoding="utf-8")
+            assert run(capsys, "eval", spec, str(path)) == (
+                1, "", f"error: {path}: JSON nests too deeply\n")
+        assert not {no_formula, too_deep} & {key[1] for key in cli._parsed_files}
+        for path in (first, second):
+            path.write_text(json.dumps(HD_SPEC), encoding="utf-8")
+            assert run(capsys, "synth", str(path))[:2] == run(capsys, "synth", spec)[:2]
+        assert served(str(first)) is served(str(second)) is served(spec)
+
+    def test_public_loaders_return_new_objects(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HD_SPEC)
+        ctrl = str(tmp_path / "ctrl.json")
+        assert run(capsys, "synth", spec, "--out", ctrl)[0] == 0
+        assert run(capsys, "eval", spec, ctrl)[0] == 0
+        shared_spec, shared_ctrl = served(spec, ctrl)
+        specs = [cli.load_spec_file(spec) for _ in range(2)]
+        ctrls = [load_transducer(ctrl) for _ in range(2)]
+        assert len({id(shared_spec), *map(id, specs)}) == 3
+        assert len({id(shared_spec.formula), *(id(s.formula) for s in specs)}) == 3
+        assert len({id(shared_ctrl), *map(id, ctrls)}) == 3
+        assert len({id(shared_ctrl.delta), *(id(T.delta) for T in ctrls)}) == 3
+
+    def test_entries_are_bounded(self, tmp_path, capsys):
+        size = cli.PARSED_FILES_SIZE
+        texts = [json.dumps(HD_SPEC) + " " * k for k in range(size + 3)]
+        paths = [tmp_path / f"spec{k}.json" for k in range(len(texts))]
+        for k, (path, text) in enumerate(zip(paths, texts)):
+            path.write_text(text, encoding="utf-8")
+            assert run(capsys, "synth", str(path))[0] == 0
+            if k == size - 1:
+                assert run(capsys, "synth", str(paths[0]))[0] == 0  # used again
+            assert len(cli._parsed_files) <= size
+        kept = {key[1] for key in cli._parsed_files}
+        assert texts[0] in kept and texts[-1] in kept and texts[1] not in kept
+
+    def test_commands_leave_what_they_get_unchanged(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, dict(HD_SPEC, distribution=UNIFORM_DATA,
+                                         assumption="data"))
+        ctrl = str(tmp_path / "ctrl.json")
+        assert run(capsys, "synth", spec, "--out", ctrl)[0] == 0
+        assert run(capsys, "eval", spec, ctrl)[0] == 0
+        objects = served(spec, ctrl)
+        before = [pickle.dumps(x) for x in objects]
+        argvs = [["synth", spec], ["synth", spec, "--threshold", "1/2"],
+                 ["synth", spec, "--assume-inline", "!data"],
+                 *(["eval", spec, ctrl, "--mode", mode] for mode in MODES),
+                 ["simulate", spec, ctrl, "--samples", "20"]]
+        for argv in argvs:
+            assert run(capsys, *argv)[0] in (0, 2), argv
+            got = served(spec, ctrl)
+            assert got[0] is objects[0] and got[1] is objects[1], argv
+            assert [pickle.dumps(x) for x in got] == before, argv
+
+    def test_state_ceiling_is_read_with_the_text(self, tmp_path, capsys, monkeypatch):
+        # the parsers check alphabets against the ceiling: a parse made under
+        # another ceiling is not served
+        spec = write_spec(tmp_path, {"inputs": ["a", "c"], "outputs": ["b", "d"],
+                                     "formula": "G (a -> X b)"})
+        ctrl = str(tmp_path / "ctrl.json")
+        assert run(capsys, "synth", spec, "--out", ctrl)[0] == 0
+        assert run(capsys, "eval", spec, ctrl)[0] == 0
+        for ceiling, atoms in (("5", 4), ("3", 2)):
+            monkeypatch.setenv("HQSYNTH_STATE_CEILING", ceiling)
+            assert run(capsys, "eval", spec, ctrl) == (
+                1, "", f"error: alphabet of {atoms} atoms exceeded the state ceiling "
+                       f"of {ceiling}; set HQSYNTH_STATE_CEILING to raise it\n")
 
 
 MODES = ["expected", "conditional", "almost-sure", "worst-case"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hqsynth import mdp
 from hqsynth.automata import dpw_for
 from hqsynth.booleanize import EqualTo
 from hqsynth.common import InternalConsistencyError, StateLimitExceeded, all_letters
@@ -480,6 +481,43 @@ class TestMeanPayoff:
         value, choice = solve_mean_payoff(M)
         assert value == 1
         assert choice[0] == 1
+
+    @staticmethod
+    def count_policy_evaluations(monkeypatch):
+        calls = []
+        evaluate = mdp._evaluate_policy
+
+        def counted(*args):
+            calls.append(list(args[4]))  # the policy evaluated
+            return evaluate(*args)
+
+        monkeypatch.setattr(mdp, "_evaluate_policy", counted)
+        return calls
+
+    def test_unchanged_normalization_is_not_evaluated_again(self, monkeypatch):
+        # state 0's first action attains nothing its second does: iteration
+        # ends on the policy normalization picks, already evaluated
+        calls = self.count_policy_evaluations(monkeypatch)
+        trans = {(0, 0): ((1, ONE),), (0, 1): ((2, ONE),),
+                 (1, 0): ((1, ONE),), (2, 0): ((2, ONE),)}
+        M = RewardMDP([0, 1, 2], 0, [("a", "b"), ("go",), ("go",)], trans,
+                      [Fraction(0), Fraction(0), ONE])
+        assert solve_mean_payoff(M) == (1, {0: 1, 1: 0, 2: 0})
+        assert len(calls) == 2
+
+    def test_changed_normalization_is_evaluated_again(self, monkeypatch):
+        # 0 -a-> 1 or 0 -b-> sink 3 (reward 1); 1 -a-> sink 2 (reward 0) or
+        # 1 -b-> sink 3.  Iteration moves 0 to b while 1 is still worth 0;
+        # once 1 takes b, 0's first action ties, so normalization moves 0
+        # back to a, and that policy is evaluated and checked again.
+        calls = self.count_policy_evaluations(monkeypatch)
+        trans = {(0, 0): ((1, ONE),), (0, 1): ((3, ONE),),
+                 (1, 0): ((2, ONE),), (1, 1): ((3, ONE),),
+                 (2, 0): ((2, ONE),), (3, 0): ((3, ONE),)}
+        M = RewardMDP([0, 1, 2, 3], 0, [("a", "b"), ("a", "b"), ("go",), ("go",)],
+                      trans, [Fraction(0), Fraction(0), Fraction(0), ONE])
+        assert solve_mean_payoff(M) == (1, {0: 0, 1: 1, 2: 0, 3: 0})
+        assert len(calls) == 3 and calls[-1] != calls[-2]
 
     def test_mixed_reward_component_rejected(self):
         trans = {(0, 0): ((1, ONE),), (1, 0): ((0, ONE),)}

@@ -38,17 +38,29 @@ worker process of its own.  The command lines are:
   after them;
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
-  controllers of both trees.
+  controllers of both trees;
+* REWRITE steps, last and never shuffled, each tree in a directory of its
+  own: one spec path is rewritten in place with REWRITE seeded random
+  specs over the same alphabet in turn, then with a malformed one, then
+  with the first again; each text is padded to one length and the file
+  keeps its modification time, so only its content tells them apart.
+  After each spec text, `synth --out` writes one controller path in turn.
+  Every write, of the spec or of the controller, is followed by `eval` in
+  the three modes and `simulate`, so a parse kept by path, size or
+  modification time shows up as a difference.  The tree's directory is
+  replaced by `{dir}` in the output before the comparison.
 
-Exit codes, standard output, standard error and the sha256 of every written
-controller are compared.  Report lines `key = value` whose key is named by
-`--ignore` are left out of the comparison.  With `--shuffle SEED`, the new
-tree runs the command lines of each phase (synth, then the follow-ups) in
-a permutation drawn from SEED, and its results are put back in order before
-the comparison: output that depends on what ran before in the same process
-(a cache, a memo, the parser) shows up as a difference.  A worker that does
-not finish within WORKER_TIMEOUT_S seconds is an error.  Every difference is
-printed; the exit code is 1 if there is any, else 0.  Standard library only.
+A command line that starts with WRITE is the worker's step, not the CLI's:
+it writes a file in place.  Exit codes, standard output, standard error and
+the sha256 of every written controller are compared.  Report lines `key =
+value` whose key is named by `--ignore` are left out of the comparison.
+With `--shuffle SEED`, the new tree runs the command lines of the synth
+phase and of the follow-ups in a permutation drawn from SEED, and its
+results are put back in order before the comparison: output that depends
+on what ran before in the same process (a cache, a memo, the parser) shows
+up as a difference.  A worker that does not finish within WORKER_TIMEOUT_S
+seconds is an error.  Every difference is printed; the exit code is 1 if
+there is any, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -76,9 +88,11 @@ SMALL_SPECS = ((0, range(4)), (104729, range(2)))
 INTERLEAVED = 20
 XWINDOW = 12
 BATTERY = 4
+REWRITE = 4
 LAMBDAS = ("1/4", "1/2", "3/4")
 SIMULATE = ["--samples", "200", "--seed", "0"]
 CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
+WRITE = "{write}"  # [WRITE, path, text]: write text to path, keeping its mtime
 TREES = ("old", "new")
 WORKER_TIMEOUT_S = 900
 
@@ -97,6 +111,10 @@ def worker(src: str):
         raise ImportError(f"hqsynth imported from {where}, not from {src}")
     results = []
     for argv in json.load(sys.stdin):
+        if argv[0] == WRITE:
+            rewrite(*argv[1:])
+            results.append({"code": None, "out": "", "err": ""})
+            continue
         out, err = io.StringIO(), io.StringIO()
         code = None
         try:
@@ -106,6 +124,16 @@ def worker(src: str):
             err.write("traceback: " + traceback.format_exc().strip().splitlines()[-1])
         results.append({"code": code, "out": out.getvalue(), "err": err.getvalue()})
     json.dump(results, sys.stdout)
+
+
+def rewrite(path: str, text: str):
+    """Write `text` to `path` in place; a file that was there keeps its
+    modification time."""
+    before = os.stat(path) if os.path.exists(path) else None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if before is not None:
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
 
 
 def run_tree(src: str, argvs: list) -> list:
@@ -326,6 +354,31 @@ def usage_cases() -> list:
     return [(f"usage.{name}", argv, None) for name, argv in argvs.items()]
 
 
+def rewrite_steps(treedir: str) -> list:
+    """The REWRITE command lines of one tree, in its directory `treedir`."""
+    sys.path.insert(0, BENCH)
+    import workloads
+
+    rng = random.Random("rewrite")
+    texts = [json.dumps({"inputs": ["a", "c"], "outputs": ["b", "d"],
+                         "formula": workloads.render(workloads.random_formula(
+                             rng, ["a", "b", "c", "d"], rng.randint(3, 8)))})
+             for _ in range(REWRITE)]
+    texts.append(json.dumps({"inputs": ["a", "c"], "formula": "b"}))  # no outputs
+    width = max(map(len, texts))
+    texts = [text.ljust(width) for text in texts]
+    spec, ctrl = os.path.join(treedir, "spec.json"), os.path.join(treedir, "ctrl.json")
+    follow = [["eval", spec, ctrl, "--mode", mode]
+              for mode in ("expected", "almost-sure", "worst-case")]
+    follow.append(["simulate", spec, ctrl] + SIMULATE)
+    steps = []
+    for k, text in enumerate(texts + texts[:1]):
+        steps += [[WRITE, spec, text], *follow]
+        if k < REWRITE:
+            steps += [["synth", spec, "--out", ctrl], *follow]
+    return steps
+
+
 def spread(cases: list, extra: list) -> list:
     """`cases` with `extra` inserted at even intervals, in order."""
     out, step = [], len(cases) / (len(extra) + 1)
@@ -397,6 +450,19 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     for label, a, b in zip(labels, evals["old"], evals["new"]):
         compared += 1
         diffs += compare(label, a, b, ignore)
+    dirs = {t: os.path.join(workdir, "rewrite-" + t) for t in TREES}
+    steps = {}
+    for t, path in dirs.items():
+        os.makedirs(path)
+        steps[t] = rewrite_steps(path)
+    rewrites = run_both(srcs, steps)
+    for k, argv in enumerate(steps["old"]):
+        if argv[0] != WRITE:
+            compared += 1
+            a, b = ({key: value.replace(dirs[t], "{dir}") if isinstance(value, str) else value
+                     for key, value in rewrites[t][k].items()} for t in TREES)
+            label = " ".join(argv).replace(dirs["old"], "{dir}")
+            diffs += compare(f"rewrite step {k}: {label}", a, b, ignore)
     return compared, diffs
 
 
