@@ -56,9 +56,10 @@ These local conventions keep it fast and the halves compatible:
   it is called; its memos die with the call, so only the branches of the
   cover being composed count against the state ceiling.  A shared
   tableau's memo entries, and the branches its expansions, prefixes and
-  covers hold, count against the state ceiling of the automaton being
-  built; when those of the automata before fill it, `dpw_for` builds on a
-  fresh tableau instead, so a build fails only where it would fail alone.
+  covers hold, count against the ceiling as it reads when the automaton
+  being built starts; when those of the automata before fill it, `dpw_for`
+  builds on a fresh tableau instead, so a build fails only where it would
+  fail alone.
 
 * Unsatisfiable branches are pruned while covers are composed.  Call a
   set of obligations vacuous when every branch of its cover has a vacuous
@@ -627,19 +628,18 @@ class NBW:
         return len(self.states)
 
 
-def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
-               tableau: Tableau | None = None) -> NBW:
+def ltl_to_nbw(beta: BExpr, atoms=None, *, tableau: Tableau | None = None) -> NBW:
     """The tableau automaton of `beta` over `atoms`, built on `tableau`.
 
     Its states are (obligation bitmask over node ids, degeneralization
     counter) pairs; letters are bitmasks too, letter j of `all_letters`
     being the bitmask j over the sorted atoms.  Without a `tableau`, a fresh
     one serves this call alone, and its memos die with the call: only the
-    branches of the cover being composed count against the state ceiling.
-    A tableau passed in serves its own atoms as the alphabet and outlives
-    the call, so its memo entries and branches count against the state
-    ceiling too.  Both are checked while covers are composed: more raise
-    `StateLimitExceeded` naming TABLEAU_MEMOS.
+    branches of the cover being composed count against `state_ceiling()`,
+    read once when the call starts.  A tableau passed in serves its own
+    atoms as the alphabet and outlives the call, so its memo entries and
+    branches count against that ceiling too.  Both are checked while covers
+    are composed: more raise `StateLimitExceeded` naming TABLEAU_MEMOS.
     """
     shared = tableau is not None
     if not shared:
@@ -648,7 +648,7 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
     untils = tableau.untils(root)
     m = len(untils)
     letters = tableau.letters
-    cover, fits = tableau.covers_of(state_ceiling(ceiling), shared), tableau.fits
+    cover, fits = tableau.covers_of(state_ceiling(), shared), tableau.fits
 
     def expand(state, number):
         obls, k = state
@@ -681,7 +681,7 @@ def ltl_to_nbw(beta: BExpr, atoms=None, ceiling: int | None = None,
             row.append(tuple(out))
         return tuple(row)
 
-    states, rows = explore((1 << root, 0), expand, "tableau automaton", ceiling)
+    states, rows = explore((1 << root, 0), expand, "tableau automaton")
     return NBW(tableau.atoms, states, 0, rows)
 
 
@@ -717,7 +717,7 @@ class DPW:
         return self.n_states
 
 
-def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
+def determinize(nbw: NBW) -> DPW:
     n = max(1, len(nbw.states))
     top_name = 2 * n + 2
     neutral = 2 * top_name + 1
@@ -828,7 +828,7 @@ def determinize(nbw: NBW, ceiling: int | None = None) -> DPW:
         return tuple([number(step[c]) for c in cls])
 
     init_tree = ((0, 1 << nbw.initial),)
-    states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
+    states, rows = explore((init_tree, neutral), expand, "determinized automaton")
     rank = [ceil_prio - prio for (_, prio) in states]
     return DPW(nbw.atoms, len(states), 0, rows, rank)
 
@@ -843,7 +843,7 @@ DPW_CACHE_SIZE = 256
 _dpw_cache: dict = {}
 
 
-def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None,
+def dpw_for(formula: Formula, predicate, atoms=None, *,
             nonempty: bool = False) -> DPW | None:
     """The deterministic parity automaton of {words : predicate holds of the
     word's satisfaction value}.  With `nonempty`, None when no word is in
@@ -851,21 +851,21 @@ def dpw_for(formula: Formula, predicate, atoms=None, ceiling: int | None = None,
     if atoms is None:
         atoms = formula.atoms()
     atoms = frozenset(atoms)
-    key = (formula, predicate, atoms, state_ceiling(ceiling))
+    key = (formula, predicate, atoms, state_ceiling())
     # an entry is (the automaton, or None while only its emptiness was
     # asked for, and whether no word is in the set)
     dpw, empty = _dpw_cache.pop(key, (None, None))
     if empty is None or (dpw is None and not nonempty):
-        nbw = _shared_nbw(booleanize(formula, predicate), atoms, ceiling)
+        nbw = _shared_nbw(booleanize(formula, predicate), atoms)
         empty = not nbw_nonempty(nbw)
-        dpw = None if nonempty and empty else determinize(nbw, ceiling)
+        dpw = None if nonempty and empty else determinize(nbw)
         if len(_dpw_cache) >= DPW_CACHE_SIZE:
             del _dpw_cache[next(iter(_dpw_cache))]
     _dpw_cache[key] = (dpw, empty)
     return None if nonempty and empty else dpw
 
 
-def _shared_nbw(beta: BExpr, atoms: frozenset, ceiling) -> NBW:
+def _shared_nbw(beta: BExpr, atoms: frozenset) -> NBW:
     """The tableau automaton of `beta`, a reduction of the formula
     `booleanize` served last, built on that scope's tableau over `atoms`."""
     tableau = SCOPE.tableau
@@ -873,14 +873,14 @@ def _shared_nbw(beta: BExpr, atoms: frozenset, ceiling) -> NBW:
         tableau = SCOPE.tableau = Tableau(atoms)
     fresh = not tableau.covers
     try:
-        return ltl_to_nbw(beta, atoms, ceiling, tableau)
+        return ltl_to_nbw(beta, atoms, tableau=tableau)
     except StateLimitExceeded as exc:
         if fresh or exc.what != TABLEAU_MEMOS:
             raise
     # The memos of the automata built before filled the tableau: this one
     # starts a fresh tableau, so it fails only where it fails alone.
     SCOPE.tableau = Tableau(atoms)
-    return ltl_to_nbw(beta, atoms, ceiling, SCOPE.tableau)
+    return ltl_to_nbw(beta, atoms, tableau=SCOPE.tableau)
 
 
 # --- products ------------------------------------------------------------
@@ -894,7 +894,7 @@ class ProductPreAutomaton:
     the successor of s on letter m.
     """
 
-    def __init__(self, components, ceiling: int | None = None):
+    def __init__(self, components):
         if not components:
             raise ValueError("product needs at least one component")
         atoms = components[0].atoms
@@ -912,7 +912,7 @@ class ProductPreAutomaton:
                 number(t)
             return row
 
-        self.states, rows = explore(self.initial, expand, "product automaton", ceiling)
+        self.states, rows = explore(self.initial, expand, "product automaton")
         self.rows = dict(zip(self.states, rows))
 
     def __len__(self):

@@ -135,29 +135,34 @@ def _repr_pieces(x) -> list:
     return out
 
 
-def state_ceiling(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def state_ceiling() -> int:
+    """`HQSYNTH_STATE_CEILING`, or 10^6 when it is unset: the one ceiling.
+    Every guard calls this when it checks, so a value set between calls
+    holds from the next check on."""
     raw = os.environ.get(STATE_CEILING_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{STATE_CEILING_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_STATE_CEILING
+    if not raw:
+        return DEFAULT_STATE_CEILING
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0  # refused below, as is any value under 1
+    if limit < 1:
+        raise ValueError(f"{STATE_CEILING_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
-def explore(start, expand, what: str, ceiling: int | None = None):
+def explore(start, expand, what: str):
     """(states, rows) of the state space reachable from `start`.
 
     States are numbered in discovery order and expanded in that same order
     (breadth first); the numbering breaks ties in later analyses, so every
     construction explores this way.  `expand(state, number)` returns the
     state's row, where `number(successor)` gives a successor's index and
-    numbers it when new.  Reaching more states than the ceiling raises
-    `StateLimitExceeded` naming `what`.
+    numbers it when new.  Reaching more states than `state_ceiling()`,
+    read when the exploration starts, raises `StateLimitExceeded` naming
+    `what`.
     """
-    limit = state_ceiling(ceiling)
+    limit = state_ceiling()
     states = [start]
     index = {start: 0}
 

@@ -57,7 +57,7 @@ def _moves(T: Transducer) -> dict:
             for q in T.states}
 
 
-def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovChain:
+def product_chain(T: Transducer, automata, dist=None) -> MarkovChain:
     """The chain over (transducer state, automaton state tuple, process state).
 
     The process must be told the output letter before it draws the input;
@@ -90,7 +90,7 @@ def product_chain(T: Transducer, automata, dist=None, ceiling=None) -> MarkovCha
         return probability_row(branches, number)
 
     init = (T.initial, tuple(a.initial for a in automata), process.initial)
-    states, rows = explore(init, expand, "evaluation product", ceiling)
+    states, rows = explore(init, expand, "evaluation product")
     return MarkovChain(states, 0, rows, den=process.den)
 
 
@@ -113,15 +113,14 @@ def _classify(chain: MarkovChain, bottoms, dpws, vals):
     return out
 
 
-def _setup(T: Transducer, formula: Formula, extras=(), dist=None, ceiling=None):
+def _setup(T: Transducer, formula: Formula, extras=(), dist=None):
     _check_formula(T, formula)
     atoms = T.inputs | T.outputs
-    vals = values(formula, atoms, ceiling=ceiling)
-    dpws = [dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling) for v in vals]
-    extra_dpws = [dpw_for(g, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
-                  for g in extras]
-    chain = product_chain(T, dpws + extra_dpws, dist, ceiling)
-    bottoms, rho = mc_ergodic_analysis(chain, ceiling)
+    vals = values(formula, atoms)
+    dpws = [dpw_for(formula, EqualTo(v), atoms) for v in vals]
+    extra_dpws = [dpw_for(g, AtLeast(Fraction(1)), atoms) for g in extras]
+    chain = product_chain(T, dpws + extra_dpws, dist)
+    bottoms, rho = mc_ergodic_analysis(chain)
     comp_values = _classify(chain, bottoms, dpws, vals)
     return chain, bottoms, rho, comp_values, len(dpws)
 
@@ -135,19 +134,16 @@ def check_assumption(assumption: Formula, inputs):
         raise ValueError("assumption must range over inputs only")
 
 
-def outcomes(T: Transducer, formula: Formula, assumption=None, dist=None,
-             ceiling=None):
+def outcomes(T: Transducer, formula: Formula, assumption=None, dist=None):
     """(probability, value) of each ergodic component of the product chain;
     given an assumption, of the components where it holds, with their
     probabilities conditioned on it."""
     if assumption is None:
-        _, _, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
+        _, _, rho, comp_values, _ = _setup(T, formula, (), dist)
         return list(zip(rho, comp_values))
     check_assumption(assumption, T.inputs)
-    chain, bottoms, rho, comp_values, n_vals = _setup(
-        T, formula, (assumption,), dist, ceiling)
-    psi_dpw = dpw_for(assumption, AtLeast(Fraction(1)), T.inputs | T.outputs,
-                      ceiling=ceiling)
+    chain, bottoms, rho, comp_values, n_vals = _setup(T, formula, (assumption,), dist)
+    psi_dpw = dpw_for(assumption, AtLeast(Fraction(1)), T.inputs | T.outputs)
     kept = [(p, v) for comp, p, v in zip(bottoms, rho, comp_values)
             if _component_accepts(chain, comp, n_vals, psi_dpw)]
     mass = sum((p for p, _ in kept), Fraction(0))
@@ -165,32 +161,32 @@ def floor_of(outs) -> Fraction:
     return min(v for p, v in outs if p > 0)
 
 
-def expected_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
-    return expectation(outcomes(T, formula, None, dist, ceiling))
+def expected_value(T: Transducer, formula: Formula, dist=None) -> Fraction:
+    return expectation(outcomes(T, formula, None, dist))
 
 
 def conditional_expected_value(T: Transducer, formula: Formula, assumption: Formula,
-                               dist=None, ceiling=None) -> Fraction:
-    return expectation(outcomes(T, formula, assumption, dist, ceiling))
+                               dist=None) -> Fraction:
+    return expectation(outcomes(T, formula, assumption, dist))
 
 
-def almost_sure_value(T: Transducer, formula: Formula, dist=None, ceiling=None) -> Fraction:
+def almost_sure_value(T: Transducer, formula: Formula, dist=None) -> Fraction:
     """The largest value the computation reaches with probability one, i.e.
     the smallest value among ergodic components that carry mass."""
-    return floor_of(outcomes(T, formula, None, dist, ceiling))
+    return floor_of(outcomes(T, formula, None, dist))
 
 
 def conditional_almost_sure_floor(T: Transducer, formula: Formula, assumption: Formula,
-                                  dist=None, ceiling=None) -> Fraction:
+                                  dist=None) -> Fraction:
     """The largest value reached with conditional probability one, given
     the assumption."""
-    return floor_of(outcomes(T, formula, assumption, dist, ceiling))
+    return floor_of(outcomes(T, formula, assumption, dist))
 
 
 # --- worst case ----------------------------------------------------------
 
 
-def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
+def worst_case_witness(T: Transducer, formula: Formula):
     """(value, input lasso word) attaining the minimum over all input words.
 
     Works through the attainable values in ascending order and stops at the
@@ -205,8 +201,8 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
     # targets[k]: (input mask, successor's position, its output mask) of
     # each input, from state k
     targets = [[(i, pos[t2], o) for i, (t2, o) in moves[q].items()] for q in T.states]
-    for v in values(formula, atoms, ceiling=ceiling):
-        dpw = dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling)
+    for v in values(formula, atoms):
+        dpw = dpw_for(formula, EqualTo(v), atoms)
 
         def succ(node, rows=dpw.rows):
             tk, q = node
@@ -225,15 +221,14 @@ def worst_case_witness(T: Transducer, formula: Formula, ceiling=None):
     raise InternalConsistencyError("no attainable value has an accepting lasso")
 
 
-def worst_case_value(T: Transducer, formula: Formula, ceiling=None) -> Fraction:
-    return worst_case_witness(T, formula, ceiling)[0]
+def worst_case_value(T: Transducer, formula: Formula) -> Fraction:
+    return worst_case_witness(T, formula)[0]
 
 
 # --- simulation ----------------------------------------------------------
 
 
-def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
-             dist=None, ceiling=None):
+def simulate(T: Transducer, formula: Formula, samples: int, seed: int, dist=None):
     """Monte-Carlo check of the exact pipeline: (mean, per-sample values,
     exact expected value), the exact value read off the same analysis.
 
@@ -245,7 +240,7 @@ def simulate(T: Transducer, formula: Formula, samples: int, seed: int,
     """
     import random
 
-    chain, bottoms, rho, comp_values, _ = _setup(T, formula, (), dist, ceiling)
+    chain, bottoms, rho, comp_values, _ = _setup(T, formula, (), dist)
     component = {s: k for k, comp in enumerate(bottoms) for s in comp}
     rng = random.Random(seed)
     rows, den = chain.weights, chain.den

@@ -641,7 +641,7 @@ def candidate_value_sets():
     return go
 
 
-def values(formula: Formula, atoms=None, ceiling: int | None = None) -> list[Fraction]:
+def values(formula: Formula, atoms=None) -> list[Fraction]:
     """The attainable satisfaction values, sorted ascending.
 
     Candidates that no word can realize are pruned: `dpw_for` decides each
@@ -654,5 +654,4 @@ def values(formula: Formula, atoms=None, ceiling: int | None = None) -> list[Fra
     if atoms is None:
         atoms = formula.atoms()
     return [v for v in candidate_values(formula)
-            if automata.dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling,
-                                nonempty=True) is not None]
+            if automata.dpw_for(formula, EqualTo(v), atoms, nonempty=True) is not None]

@@ -15,10 +15,12 @@ built from it: a row is ((successor, weight), ...), its weights summing to
 `den`, so building, merging and checking rows is int arithmetic.  They turn
 into `Fraction`s only at the linear solver: its system for x = P x + b is
 built with each row scaled by `den`, eliminated fraction-free, and solved
-into `Fraction`s.  Values and rewards are `Fraction`s.  Constructors also
-take rows of `Fraction` (or int) probabilities, turned into weights over
-the lcm of their denominators.  Any other probability, a float or a bool,
-is rejected with a `ValueError`.
+into `Fraction`s.  Values and rewards are `Fraction`s.  Rows of weights
+come from the library, built from an input process's checked rows, and
+are trusted.  Constructors also take rows of `Fraction` (or int)
+probabilities, turned into weights over the lcm of their denominators and
+checked: any other probability, a float or a bool, is rejected with a
+`ValueError`, as is a row that does not sum to 1.
 
 The environment is an input process with one interface: `UniformInputs`
 draws every input letter with the same probability, `DistributionMDP` is a
@@ -102,19 +104,20 @@ class PreMDP:
     `actions[s]` lists the available action labels.  `weights[(s, a)]` is
     the row of (state, action index): ((successor, weight), ...) over the
     denominator `den`.  Without `den`, `trans` holds the rows as
-    (successor, probability) pairs instead, turned into weights.
+    (successor, probability) pairs instead, turned into weights and checked,
+    and so are the rewards and ranks of the subclasses; rows over `den` are
+    trusted (see the module docstring).
     """
 
-    def __init__(self, labels, initial, actions, trans, validate=True, den=None):
+    def __init__(self, labels, initial, actions, trans, den=None):
         self.labels = list(labels)
         self.initial = initial
         self.actions = [tuple(a) for a in actions]
         if den is None:
-            trans, den = _to_weights(trans)
-        self.weights = trans
-        self.den = den
-        if validate:
+            self.weights, self.den = _to_weights(trans)
             self._validate()
+        else:
+            self.weights, self.den = trans, den
 
     @property
     def n(self) -> int:
@@ -143,10 +146,10 @@ class PreMDP:
 
 
 class RewardMDP(PreMDP):
-    def __init__(self, labels, initial, actions, trans, reward, validate=True, den=None):
-        super().__init__(labels, initial, actions, trans, validate, den)
+    def __init__(self, labels, initial, actions, trans, reward, den=None):
+        super().__init__(labels, initial, actions, trans, den)
         self.reward = list(reward)
-        if validate:
+        if den is None:
             for s, r in enumerate(self.reward):
                 _check_probability(r, f"state {s}", "reward")
                 if not 0 <= r <= 1:
@@ -154,10 +157,10 @@ class RewardMDP(PreMDP):
 
 
 class ParityMDP(PreMDP):
-    def __init__(self, labels, initial, actions, trans, rank, validate=True, den=None):
-        super().__init__(labels, initial, actions, trans, validate, den)
+    def __init__(self, labels, initial, actions, trans, rank, den=None):
+        super().__init__(labels, initial, actions, trans, den)
         self.rank = list(rank)
-        if validate:
+        if den is None:
             for s, d in enumerate(self.rank):
                 if d < 1:
                     raise ValueError(f"rank {d} at state {s} below 1")
@@ -165,21 +168,21 @@ class ParityMDP(PreMDP):
 
 class MarkovChain:
     """`weights[s]` is the row of state s, ((successor, weight), ...) over
-    the denominator `den`.  Without `den`, `rows` holds (successor,
-    probability) pairs instead, turned into weights."""
+    the denominator `den`, trusted as in `PreMDP`.  Without `den`, `rows`
+    holds (successor, probability) pairs instead, turned into weights and
+    checked."""
 
-    def __init__(self, labels, initial, rows, validate=True, den=None):
+    def __init__(self, labels, initial, rows, den=None):
         self.labels = list(labels)
         self.initial = initial
         if den is None:
-            weights, den = _to_weights(dict(enumerate(rows)))
-            rows = weights.values()
-        self.weights = [tuple(r) for r in rows]
-        self.den = den
-        if validate:
+            weights, self.den = _to_weights(dict(enumerate(rows)))
+            self.weights = list(weights.values())
             for s, row in enumerate(self.weights):
-                if sum(w for _, w in row) != den:
+                if sum(w for _, w in row) != self.den:
                     raise ValueError(f"row {s} does not sum to 1")
+        else:
+            self.weights, self.den = [tuple(r) for r in rows], den
 
     @property
     def n(self) -> int:
@@ -326,8 +329,7 @@ def input_process(dist, inputs, outputs):
 # --- induced MDPs --------------------------------------------------------
 
 
-def induced_pre_mdp(automaton, process, ceiling: int | None = None,
-                    safe=None) -> PreMDP:
+def induced_pre_mdp(automaton, process, *, safe=None) -> PreMDP:
     """MDP of a deterministic automaton over 2^(I+O) under an input process:
     the action, an output mask, fixes the output letter, the process draws
     the input letter.  Actions follow `all_letters(process.outputs)`, which
@@ -359,8 +361,7 @@ def induced_pre_mdp(automaton, process, ceiling: int | None = None,
             raise InternalConsistencyError(f"no safe action at {lab}")
         return tuple(kept), rows
 
-    labels, rows = explore((automaton.initial, process.initial), expand,
-                           "induced MDP", ceiling)
+    labels, rows = explore((automaton.initial, process.initial), expand, "induced MDP")
     trans = {(s, a): row for s, (_, acts) in enumerate(rows) for a, row in enumerate(acts)}
     return PreMDP(labels, 0, [outs for outs, _ in rows], trans, den=process.den)
 
@@ -372,7 +373,7 @@ induced_pre_mdp_dist = induced_pre_mdp
 def induced_chain(M: PreMDP, choice: dict) -> MarkovChain:
     """The Markov chain of a memoryless action choice (state -> action index)."""
     rows = [M.weights[(s, choice[s])] for s in range(M.n)]
-    return MarkovChain(M.labels, M.initial, rows, validate=False, den=M.den)
+    return MarkovChain(M.labels, M.initial, rows, den=M.den)
 
 
 # --- end components ------------------------------------------------------
@@ -540,7 +541,7 @@ class MecRewardMismatch(ValueError):
         self.states = states
 
 
-def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
+def solve_mean_payoff(M: RewardMDP):
     """(optimal expected mean payoff from the initial state, memoryless
     optimal choice map state -> action index).
 
@@ -584,8 +585,7 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
     terminal = [M.reward[min(states)] for states, _ in mecs]
     den = M.den
     policy = [0] * n_nodes
-    values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                              den, ceiling)
+    values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den)
     while True:
         improved = False
         ints, ends = _scaled(values, terminal, den)
@@ -599,8 +599,7 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
             policy[i] = best_a
         if not improved:
             break
-        values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                                  den, ceiling)
+        values = _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den)
     # Each node takes its first action attaining its value.  `values` is
     # the evaluation of `policy`, so only a changed policy is evaluated anew.
     normalized = policy[:]
@@ -613,7 +612,7 @@ def solve_mean_payoff(M: RewardMDP, ceiling: int | None = None):
     if normalized != policy:
         policy = normalized
         if _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy,
-                            den, ceiling) != values:
+                            den) != values:
             raise InternalConsistencyError("argmax normalization changed the value")
 
     primary: dict[int, int] = {}
@@ -658,7 +657,7 @@ def _policy_action_value(i, a, node_actions, node_rows, ends, ints):
     return sum(w * ints[j] for j, w in node_rows[(i, a)])
 
 
-def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den, ceiling):
+def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den):
     # Unknowns for nodes not absorbing; stay-nodes pin their terminal value.
     # Ordered sinks first, as in mc_ergodic_analysis.
     comps = strongly_connected_components(
@@ -666,11 +665,11 @@ def _evaluate_policy(n_nodes, node_actions, node_rows, terminal, policy, den, ce
     unknown = [i for comp in comps for i in comp
                if node_actions[i][policy[i]] != ("stay",)]
     rows = {i: node_rows[(i, policy[i])] for i in unknown}
-    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1, den, ceiling)
+    sol = _solve_absorption(unknown, rows, lambda j: (0, terminal[j]), 1, den)
     return [sol[i][0] if i in sol else terminal[i] for i in range(n_nodes)]
 
 
-def _solve_absorption(unknowns, rows, known, width, den, ceiling):
+def _solve_absorption(unknowns, rows, known, width, den):
     """Solve x = P x + b exactly, the unknowns in the order given: `rows[s]`
     lists the (successor, weight) pairs of unknown s over `den`, and a
     successor t that is not an unknown adds weight * x to right-hand side
@@ -690,11 +689,11 @@ def _solve_absorption(unknowns, rows, known, width, den, ceiling):
                 col, v = k + c, w * x
             row[col] = row.get(col, 0) + v
         system.append({col: v for col, v in row.items() if v})
-    sol = solve_linear_system(system, width, ceiling)
+    sol = solve_linear_system(system, width)
     return {s: sol[r] for s, r in pos.items()}
 
 
-def solve_linear_system(rows, width, ceiling=None):
+def solve_linear_system(rows, width):
     """Gauss-Jordan elimination on k sparse augmented rows of ints or
     Fractions: `rows[r]` maps a column to its nonzero entry, columns 0..k-1
     being the unknowns and k + c right-hand side c < `width`.  Returns the k
@@ -707,7 +706,7 @@ def solve_linear_system(rows, width, ceiling=None):
     elimination up to a nonzero factor per row, so pivots and stored
     nonzeros are the same; each solution entry is one Fraction at the end.
     """
-    limit = state_ceiling(ceiling)
+    limit = state_ceiling()
     k = len(rows)
     m = [_int_row(row) for row in rows]
     stored = sum(map(len, m))
@@ -777,7 +776,7 @@ def _int_row(row: dict) -> dict:
 # --- Markov chain analysis ----------------------------------------------
 
 
-def mc_ergodic_analysis(C: MarkovChain, ceiling: int | None = None):
+def mc_ergodic_analysis(C: MarkovChain):
     """(ergodic components, absorption probabilities from the initial state).
 
     Ergodic components are the bottom strongly connected components;
@@ -799,7 +798,7 @@ def mc_ergodic_analysis(C: MarkovChain, ceiling: int | None = None):
     # unknowns sinks first: elimination then fills in only within components
     transient = [s for comp in comps for s in comp if s not in comp_of]
     sol = _solve_absorption(transient, C.weights, lambda t: (comp_of[t], 1), len(bottoms),
-                            C.den, ceiling)
+                            C.den)
     if C.initial in sol:
         rho = list(sol[C.initial])
     else:

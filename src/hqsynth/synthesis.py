@@ -160,8 +160,7 @@ def _component_win(dpw, M):
     """Almost-sure parity winning region of one automaton's induced MDP M,
     as (winning keys, key -> winning output mask)."""
     ranks = [dpw.rank[q] for q, _ in M.labels]
-    PM = ParityMDP(M.labels, M.initial, M.actions, M.weights, ranks, validate=False,
-                   den=M.den)
+    PM = ParityMDP(M.labels, M.initial, M.actions, M.weights, ranks, den=M.den)
     win, strat = almost_sure_parity(PM)
     keys = frozenset(M.labels[s] for s in win)
     outs = {M.labels[s]: M.actions[s][a] for s, a in strat.items()}
@@ -182,7 +181,7 @@ def _gamma_rewards(M, vals, wins):
     return gamma
 
 
-def _install_triggers(M, primary, vals, att, t, ceiling):
+def _install_triggers(M, primary, vals, att, t):
     """Absorption analysis of the primary strategy's chain.
 
     Positive-reward components switch to the matching value's winning
@@ -193,7 +192,7 @@ def _install_triggers(M, primary, vals, att, t, ceiling):
     strategy.
     """
     chain = induced_chain(M, primary)
-    bottoms, rho = mc_ergodic_analysis(chain, ceiling)
+    bottoms, rho = mc_ergodic_analysis(chain)
     triggers = {}
     realized = Fraction(0)
     for comp, p in zip(bottoms, rho):
@@ -211,8 +210,7 @@ def _install_triggers(M, primary, vals, att, t, ceiling):
     return triggers, realized
 
 
-def _extract(prod, M, primary, triggers, phase_letters, process,
-             ceiling=None) -> Transducer:
+def _extract(prod, M, primary, triggers, phase_letters, process) -> Transducer:
     """Turn a two-phase MDP strategy into a transducer.
 
     Output commitment is off by one against the letter semantics: the
@@ -269,8 +267,7 @@ def _extract(prod, M, primary, triggers, phase_letters, process,
 
     start = M.labels[M.initial]
     m0 = upd(None, start)
-    nodes, rows = explore((start, m0, act(m0, start)), expand,
-                          "transducer extraction", ceiling)
+    nodes, rows = explore((start, m0, act(m0, start)), expand, "transducer extraction")
     delta = {(k, i): j for k, (_, succs) in enumerate(rows)
              for i, j in zip(in_letters, succs)}
     labels = {k: letters[stored] for k, (stored, _) in enumerate(rows)}
@@ -281,7 +278,7 @@ def _extract(prod, M, primary, triggers, phase_letters, process,
 # --- assumption probability ----------------------------------------------
 
 
-def _assumption_chain(psi_dpw, process, ceiling):
+def _assumption_chain(psi_dpw, process):
     """(probability that the input word satisfies the assumption, the
     (automaton state, process state) keys inside rejecting ergodic
     components, where the assumption fails surely), from one analysis of
@@ -293,8 +290,8 @@ def _assumption_chain(psi_dpw, process, ceiling):
     bits, and both callers require an output-insensitive process, so every
     action's row equals action 0's and numbers no other state.
     """
-    M = induced_pre_mdp(psi_dpw, process, ceiling)
-    bottoms, rho = mc_ergodic_analysis(induced_chain(M, [0] * M.n), ceiling)
+    M = induced_pre_mdp(psi_dpw, process)
+    bottoms, rho = mc_ergodic_analysis(induced_chain(M, [0] * M.n))
     prob = Fraction(0)
     rejecting = set()
     for comp, p in zip(bottoms, rho):
@@ -306,7 +303,7 @@ def _assumption_chain(psi_dpw, process, ceiling):
     return prob, rejecting
 
 
-def prob_of_assumption(assumption: Formula, inputs, dist=None, ceiling=None) -> Fraction:
+def prob_of_assumption(assumption: Formula, inputs, dist=None) -> Fraction:
     """Probability that the input word satisfies a classical formula."""
     inputs = frozenset(inputs)
     check_assumption(assumption, inputs)
@@ -315,22 +312,20 @@ def prob_of_assumption(assumption: Formula, inputs, dist=None, ceiling=None) -> 
         raise ValueError("assumption probability needs an output-insensitive input process")
     # over the process's outputs too, as the induced MDP's letters are; the
     # assumption reads none of them
-    dpw = dpw_for(assumption, AtLeast(Fraction(1)), inputs | process.outputs,
-                  ceiling=ceiling)
-    return _assumption_chain(dpw, process, ceiling)[0]
+    dpw = dpw_for(assumption, AtLeast(Fraction(1)), inputs | process.outputs)
+    return _assumption_chain(dpw, process)[0]
 
 
 # --- the pipeline --------------------------------------------------------
 
 
-def achievability_mdp(formula: Formula, inputs, outputs, dist=None, ceiling=None):
+def achievability_mdp(formula: Formula, inputs, outputs, dist=None):
     """(reward MDP, metadata) for the plain expected-value problem: the MDP
     `synthesize` solves for a spec with no threshold and no assumption."""
-    return _reward_mdp(formula, input_process(dist, inputs, outputs), ceiling)
+    return _reward_mdp(formula, input_process(dist, inputs, outputs))
 
 
-def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
-                assumption=None):
+def _reward_mdp(formula, process, low=None, att=None, att_win=None, assumption=None):
     """(reward MDP, metadata) over the product of the value automata, then
     the threshold automaton `att` when given, then the assumption's.
 
@@ -341,8 +336,8 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
     metadata keeps the MDP before those resets and the list of reset states.
     """
     atoms = process.inputs | process.outputs
-    vals = values(formula, atoms, ceiling=ceiling)
-    dpws = [dpw_for(formula, EqualTo(v), atoms, ceiling=ceiling) for v in vals]
+    vals = values(formula, atoms)
+    dpws = [dpw_for(formula, EqualTo(v), atoms) for v in vals]
     if low is not None:
         first = next((i for i, v in enumerate(vals) if v >= low), None)
         if first is None:
@@ -353,10 +348,10 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
     if assumption is not None:
         psi_dpw, rejecting = assumption
         parts.append(psi_dpw)
-    prod = ProductPreAutomaton(parts, ceiling=ceiling)
+    prod = ProductPreAutomaton(parts)
     pos = len(dpws)
     safe = None if att is None else (lambda lab: (lab[0][pos], lab[1]) in att_win)
-    M = induced_pre_mdp(prod, process, ceiling, safe)
+    M = induced_pre_mdp(prod, process, safe=safe)
     played, reset = M, []
     if assumption is not None:
         reset = [s for s, (qs, sd) in enumerate(M.labels) if (qs[-1], sd) in rejecting]
@@ -364,16 +359,16 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
         for s in reset:
             for a in range(len(M.actions[s])):
                 trans[(s, a)] = ((M.initial, M.den),)
-        played = PreMDP(M.labels, M.initial, M.actions, trans, validate=False, den=M.den)
+        played = PreMDP(M.labels, M.initial, M.actions, trans, den=M.den)
     wins = []
     sigma = []
     for dpw in dpws:
-        w, s = _component_win(dpw, induced_pre_mdp(dpw, process, ceiling))
+        w, s = _component_win(dpw, induced_pre_mdp(dpw, process))
         wins.append(w)
         sigma.append(s)
     gamma = _gamma_rewards(played, vals, wins)
     RM = RewardMDP(played.labels, played.initial, played.actions, played.weights,
-                   gamma, validate=False, den=played.den)
+                   gamma, den=played.den)
     meta = {
         "values": vals,
         "dpws": dpws,
@@ -386,7 +381,7 @@ def _reward_mdp(formula, process, ceiling, low=None, att=None, att_win=None,
     return RM, meta
 
 
-def synthesize(spec: SynthesisSpec, ceiling=None):
+def synthesize(spec: SynthesisSpec):
     """Maximal expected value of the formula, conditional on the assumption
     when the spec has one, subject to an almost-sure floor of the threshold
     when it has one.
@@ -408,8 +403,8 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
         if not process.output_insensitive():
             raise ValueError(
                 "conditional synthesis needs an output-insensitive input process")
-        psi_dpw = dpw_for(psi, AtLeast(Fraction(1)), atoms, ceiling=ceiling)
-        pr, rejecting = _assumption_chain(psi_dpw, process, ceiling)
+        psi_dpw = dpw_for(psi, AtLeast(Fraction(1)), atoms)
+        pr, rejecting = _assumption_chain(psi_dpw, process)
         if pr == 0:
             raise AssumptionHasZeroProbability("the assumption holds with probability 0")
         if pr == 1:
@@ -425,19 +420,18 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
             floor_formula = implies(psi, spec.formula)
         else:
             floor_formula = spec.formula
-        att = dpw_for(floor_formula, AtLeast(t), atoms, ceiling=ceiling)
-        att_M = induced_pre_mdp(att, process, ceiling)
+        att = dpw_for(floor_formula, AtLeast(t), atoms)
+        att_M = induced_pre_mdp(att, process)
         att_win, att_sigma = _component_win(att, att_M)
         if att_M.labels[att_M.initial] not in att_win:
             losing = tuple(lab for lab in att_M.labels if lab not in att_win)
             return Unrealizable(t, losing, {"mdp_states": att_M.n})
 
     low = t if spec.hard_constraint is None else None
-    RM, meta = _reward_mdp(spec.formula, process, ceiling, low, att, att_win,
-                           assumption)
+    RM, meta = _reward_mdp(spec.formula, process, low, att, att_win, assumption)
     vals = meta["values"]
-    value, primary = solve_mean_payoff(RM, ceiling)
-    triggers, realized = _install_triggers(RM, primary, vals, att, t, ceiling)
+    value, primary = solve_mean_payoff(RM)
+    triggers, realized = _install_triggers(RM, primary, vals, att, t)
     if spec.hard_constraint is None and realized != value:
         raise InternalConsistencyError("refined strategy changes the expected reward")
     # runs through a reset state fail the assumption and do not count
@@ -446,19 +440,18 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
     phase_letters = {("win", i): (i, sigma) for i, sigma in enumerate(meta["sigma"])}
     if att is not None:
         phase_letters[("floor",)] = (len(vals), att_sigma)
-    T = _extract(meta["product"], meta["mdp"], primary, triggers, phase_letters,
-                 process, ceiling)
+    T = _extract(meta["product"], meta["mdp"], primary, triggers, phase_letters, process)
 
     # A floor on the formula reads off the analysis that certifies the expected
     # value; without one, the public evaluators certify it, so that the spans
     # bench/tracer.py records for them still time the certificate.
     if t is not None and spec.hard_constraint is None:
-        outs = outcomes(T, spec.formula, psi, process, ceiling)
+        outs = outcomes(T, spec.formula, psi, process)
         check = expectation(outs)
     elif psi is None:
-        check = expected_value(T, spec.formula, process, ceiling)
+        check = expected_value(T, spec.formula, process)
     else:
-        check = conditional_expected_value(T, spec.formula, psi, process, ceiling)
+        check = conditional_expected_value(T, spec.formula, psi, process)
     if spec.hard_constraint is not None:
         # floor redirects may add value on top of the reward lower bound
         if check < value:
@@ -469,7 +462,7 @@ def synthesize(spec: SynthesisSpec, ceiling=None):
             f"certificate mismatch: reported {value}, re-evaluated {check}")
     floor = None
     if t is not None:
-        floor = almost_sure_value(T, floor_formula, process, ceiling) \
+        floor = almost_sure_value(T, floor_formula, process) \
             if spec.hard_constraint is not None else floor_of(outs)
         if floor < t:
             raise InternalConsistencyError(

@@ -12,10 +12,12 @@ too, outside the package.
 from __future__ import annotations
 
 import itertools
+import os
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hqsynth.automata import DPW, NBW, ProductPreAutomaton
-from hqsynth.common import InternalConsistencyError, all_letters, explore
+from hqsynth.common import STATE_CEILING_ENV, InternalConsistencyError, all_letters, explore
 from hqsynth.formulas import (
     Atom,
     FalseFormula,
@@ -34,6 +36,21 @@ from hqsynth.transducers import Transducer
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+@contextmanager
+def state_ceiling_of(limit: int):
+    """`HQSYNTH_STATE_CEILING` set to `limit` inside the block, and restored
+    (or unset again) after it, however the block ends."""
+    before = os.environ.get(STATE_CEILING_ENV)
+    os.environ[STATE_CEILING_ENV] = str(limit)
+    try:
+        yield
+    finally:
+        if before is None:
+            del os.environ[STATE_CEILING_ENV]
+        else:
+            os.environ[STATE_CEILING_ENV] = before
 
 
 # --- formula evaluation by unrolling -------------------------------------
@@ -358,7 +375,7 @@ def check_safra_tree(tree):
         assert labels[name] != covered[name], tree
 
 
-def plain_determinize(nbw: NBW, ceiling=None) -> DPW:
+def plain_determinize(nbw: NBW) -> DPW:
     """Safra's construction on the trees of `automata.determinize`, with the
     same names, priorities and exploration order, so the two automata must
     be equal; every tree reached passes `check_safra_tree`."""
@@ -455,7 +472,7 @@ def plain_determinize(nbw: NBW, ceiling=None) -> DPW:
         return [number(tree_step(tree, letter)) for letter in letters]
 
     init_tree = ((0, 1 << nbw.initial),)
-    states, rows = explore((init_tree, neutral), expand, "determinized automaton", ceiling)
+    states, rows = explore((init_tree, neutral), expand, "determinized automaton")
     rank = [ceil_prio - prio for (_, prio) in states]
     return DPW(nbw.atoms, len(states), 0, rows, rank)
 
@@ -474,8 +491,8 @@ class Product(ProductPreAutomaton):
         return s[i]
 
 
-def product(components, ceiling=None) -> Product:
-    return Product(components, ceiling)
+def product(components) -> Product:
+    return Product(components)
 
 
 def dpw_to_dot(dpw: DPW, name: str = "dpw") -> str:

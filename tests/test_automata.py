@@ -66,6 +66,7 @@ from oracles import (
     random_formula,
     random_lasso,
     random_nbw,
+    state_ceiling_of,
 )
 from scenarios import battery_formula
 
@@ -176,10 +177,9 @@ class TestDeterminize:
         assert not run_lasso(dpw, LassoWord.make([], [{"req"}], {"req"}))
 
     def test_state_ceiling_guard(self):
-        with pytest.raises(StateLimitExceeded):
-            determinize(ltl_to_nbw(booleanize(parse("F G !req"),
-                                              AtLeast(Fraction(1)))),
-                        ceiling=1)
+        nbw = ltl_to_nbw(booleanize(parse("F G !req"), AtLeast(Fraction(1))))
+        with state_ceiling_of(1), pytest.raises(StateLimitExceeded):
+            determinize(nbw)
 
 
 class TestDpwFor:
@@ -312,36 +312,53 @@ def _ceiling_transducer():
     return Transducer({"i"}, {"o"}, [0, 1], 0, delta, {0: none, 1: frozenset({"o"})})
 
 
-# construction -> (stage named by the guard, size of the construction under
-# a given ceiling)
+# construction -> (stage named by the guard, its inputs, built at the
+# default ceiling, and the size of the construction on them)
 CEILING_CASES = {
-    "ltl_to_nbw": ("tableau automaton",
-                   lambda c: len(ltl_to_nbw(_ceiling_beta(), CEILING_IO, ceiling=c))),
+    "ltl_to_nbw": ("tableau automaton", lambda: (_ceiling_beta(),),
+                   lambda beta: len(ltl_to_nbw(beta, CEILING_IO))),
     "determinize": ("determinized automaton",
-                    lambda c: determinize(ltl_to_nbw(_ceiling_beta(), CEILING_IO),
-                                          ceiling=c).n_states),
-    "product": ("product automaton",
-                lambda c: len(ProductPreAutomaton([_ceiling_dpw(), _ceiling_dpw()],
-                                                  ceiling=c))),
+                    lambda: (ltl_to_nbw(_ceiling_beta(), CEILING_IO),),
+                    lambda nbw: determinize(nbw).n_states),
+    "product": ("product automaton", lambda: (_ceiling_dpw(), _ceiling_dpw()),
+                lambda *dpws: len(ProductPreAutomaton(dpws))),
     "induced-uniform": ("induced MDP",
-                        lambda c: induced_pre_mdp(_ceiling_dpw(),
-                                                  UniformInputs({"i"}, {"o"}), c).n),
-    "induced-markov": ("induced MDP",
-                       lambda c: induced_pre_mdp(_ceiling_dpw(), _ceiling_coin(), c).n),
+                        lambda: (_ceiling_dpw(), UniformInputs({"i"}, {"o"})),
+                        lambda dpw, process: induced_pre_mdp(dpw, process).n),
+    "induced-markov": ("induced MDP", lambda: (_ceiling_dpw(), _ceiling_coin()),
+                       lambda dpw, process: induced_pre_mdp(dpw, process).n),
     "product-chain": ("evaluation product",
-                      lambda c: product_chain(_ceiling_transducer(), [_ceiling_dpw()],
-                                              None, c).n),
+                      lambda: (_ceiling_transducer(), [_ceiling_dpw()]),
+                      lambda T, dpws: product_chain(T, dpws).n),
 }
+
+
+def test_a_positional_ceiling_is_a_type_error():
+    # The ceiling is read from the environment alone: a ceiling passed where
+    # one used to go is refused, never taken for the parameter after it.
+    beta, dpw = _ceiling_beta(), _ceiling_dpw()
+    nbw = ltl_to_nbw(beta, CEILING_IO)
+    calls = [lambda: ltl_to_nbw(beta, CEILING_IO, 10),
+             lambda: determinize(nbw, 10),
+             lambda: dpw_for(parse("i U o"), AtLeast(Fraction(1)), CEILING_IO, 10),
+             lambda: induced_pre_mdp(dpw, UniformInputs({"i"}, {"o"}), 10),
+             lambda: ProductPreAutomaton([dpw], 10),
+             lambda: values(parse("i U o"), CEILING_IO, 10)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("construction", sorted(CEILING_CASES))
 def test_state_ceiling_boundary(construction):
-    what, build = CEILING_CASES[construction]
-    size = build(None)
+    what, inputs, build = CEILING_CASES[construction]
+    args = inputs()
+    size = build(*args)
     assert size > 1
-    assert build(size) == size
-    with pytest.raises(StateLimitExceeded) as info:
-        build(size - 1)
+    with state_ceiling_of(size):
+        assert build(*args) == size
+    with state_ceiling_of(size - 1), pytest.raises(StateLimitExceeded) as info:
+        build(*args)
     assert info.value.what == what
 
 
@@ -647,16 +664,19 @@ def test_tableau_memos_count_against_the_ceiling(fresh_dpw_for):
     ceiling = max(nbw_states, dpw_states)
     assert memos > ceiling
     beta = booleanize(f, predicate)
-    # the memos of a call's own tableau die with it
-    assert len(ltl_to_nbw(beta, CEILING_IO, ceiling)) == nbw_states
-    with pytest.raises(StateLimitExceeded) as info:
-        ltl_to_nbw(beta, CEILING_IO, ceiling, automata.Tableau(CEILING_IO))
-    assert info.value.what == automata.TABLEAU_MEMOS
-    with pytest.raises(StateLimitExceeded) as info:
-        fresh_dpw_for(f, predicate, CEILING_IO, ceiling=ceiling)
-    assert info.value.what == automata.TABLEAU_MEMOS
-    assert _same_dpw(fresh_dpw_for(f, predicate, CEILING_IO, ceiling=memos),
-                     _fresh_dpw(f, predicate, CEILING_IO))
+    want = _fresh_dpw(f, predicate, CEILING_IO)
+    tableau = automata.Tableau(CEILING_IO)
+    with state_ceiling_of(ceiling):
+        # the memos of a call's own tableau die with it
+        assert len(ltl_to_nbw(beta, CEILING_IO)) == nbw_states
+        with pytest.raises(StateLimitExceeded) as info:
+            ltl_to_nbw(beta, CEILING_IO, tableau=tableau)
+        assert info.value.what == automata.TABLEAU_MEMOS
+        with pytest.raises(StateLimitExceeded) as info:
+            fresh_dpw_for(f, predicate, CEILING_IO)
+        assert info.value.what == automata.TABLEAU_MEMOS
+    with state_ceiling_of(memos):
+        assert _same_dpw(fresh_dpw_for(f, predicate, CEILING_IO), want)
 
 
 def _cut_inside_a_chain(exc) -> bool:
@@ -673,21 +693,25 @@ def _cut_inside_a_chain(exc) -> bool:
 
 
 def test_interrupted_builds_leave_no_partial_memo(fresh_dpw_for):
-    # Builds cut short at many points, by the memos or by the states, leave
-    # the shared tableau fit for the next build with a higher ceiling.
+    # Builds cut short at many points, by the states or by the alphabet,
+    # leave the shared tableau fit for the next build with a higher ceiling.
+    # A ceiling below the 4 letters of the two atoms refuses the alphabet of
+    # the fresh tableau a build starts.
     text, atoms = GOLDEN_FORMULAS["message"]
     f, atoms = parse(text), frozenset(atoms)
-    failed = set()
+    failed: dict = {}
     for v in candidate_values(f):
         for ceiling in range(2, 80, 7):
             automata._dpw_cache.clear()
             try:
-                fresh_dpw_for(f, EqualTo(v), atoms, ceiling=ceiling)
+                with state_ceiling_of(ceiling):
+                    fresh_dpw_for(f, EqualTo(v), atoms)
             except StateLimitExceeded as exc:
-                failed.add(exc.what)
+                failed.setdefault(exc.what, set()).add(ceiling)
             assert _same_dpw(fresh_dpw_for(f, EqualTo(v), atoms),
                              _fresh_dpw(f, EqualTo(v), atoms))
-    assert failed == {automata.TABLEAU_MEMOS, "tableau automaton"}
+    assert failed.keys() == {"alphabet of 2 atoms", "tableau automaton"}
+    assert failed["alphabet of 2 atoms"] == {c for c in range(2, 80, 7) if c < 4}
     # battery8's value automata, each cut short by the memos on the tableau
     # that built the ones before it, so with their prefixes held, at
     # points that move through the build; some cuts fall while a vacuity
@@ -703,7 +727,8 @@ def test_interrupted_builds_leave_no_partial_memo(fresh_dpw_for):
         tableau = automata.Tableau(atoms)
         for beta, dpw in zip(betas, want):
             try:
-                ltl_to_nbw(beta, atoms, tableau.memo_size() + delta, tableau)
+                with state_ceiling_of(tableau.memo_size() + delta):
+                    ltl_to_nbw(beta, atoms, tableau=tableau)
             except StateLimitExceeded as exc:
                 assert exc.what == automata.TABLEAU_MEMOS
                 cuts += 1
@@ -724,7 +749,8 @@ def test_earlier_automata_do_not_fail_a_build(fresh_dpw_for):
     ceiling = max(max(_alone(f, EqualTo(v), atoms)) for v in candidate_values(f))
     tableaux = []
     for v in candidate_values(f):
-        dpw = fresh_dpw_for(f, EqualTo(v), atoms, ceiling=ceiling)
+        with state_ceiling_of(ceiling):
+            dpw = fresh_dpw_for(f, EqualTo(v), atoms)
         assert _same_dpw(dpw, _fresh_dpw(f, EqualTo(v), atoms))
         if SCOPE.tableau not in tableaux:
             tableaux.append(SCOPE.tableau)

@@ -667,6 +667,14 @@ class TestErrorPaths:
         assert code == 1
         assert "state ceiling" in err
 
+    def test_state_ceiling_below_one_is_refused(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, HD_SPEC)
+        for raw in ("0", "-5", "abc"):
+            monkeypatch.setenv("HQSYNTH_STATE_CEILING", raw)
+            assert run(capsys, "synth", spec) == (
+                1, "", f"error: HQSYNTH_STATE_CEILING must be a positive integer, "
+                       f"got {raw!r}\n")
+
 
 def test_console_script_entry_point(tmp_path):
     spec = write_spec(tmp_path, HD_SPEC)

@@ -1,7 +1,8 @@
 """Source hygiene of src/hqsynth, checked with `ast` alone (no linter is
 needed): no module imports a name it does not use, every private
-module-level function or class is referenced somewhere in the package, and
-no module has a `global` statement."""
+module-level function or class is referenced somewhere in the package, no
+module has a `global` statement, and no function takes a state ceiling of
+its own."""
 
 import ast
 import os
@@ -76,3 +77,25 @@ def test_no_global_statements(name):
     # so a module that imports it by name sees what every other one sees.
     lines = [node.lineno for node in ast.walk(_tree(name)) if isinstance(node, ast.Global)]
     assert not lines, f"{name} has `global` statements at lines {lines}"
+
+
+def test_the_state_ceiling_is_read_from_the_environment_alone():
+    # Every guard calls `state_ceiling()`, which reads HQSYNTH_STATE_CEILING;
+    # no function or method takes a `ceiling` to override it.
+    found, readers = [], 0
+    for name in MODULES:
+        for node in ast.walk(_tree(name)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            here = f"{name}:{node.lineno}"
+            if "ceiling" in params:
+                found.append(f"{here} takes `ceiling`")
+            if getattr(node, "name", None) == "state_ceiling":
+                readers += 1
+                if params:
+                    found.append(f"{here} state_ceiling takes {params}")
+    assert readers == 1
+    assert not found, "; ".join(found)

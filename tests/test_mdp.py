@@ -626,16 +626,19 @@ class TestSolverCeiling:
     ROWS = [{0: ONE, 1: ONE, 2: ONE, 3: ONE}, {0: ONE, 1: 2 * ONE}, {0: ONE, 2: 3 * ONE}]
 
     def test_fill_in_past_the_ceiling_raises(self):
-        with pytest.raises(StateLimitExceeded, match="linear system") as exc:
-            solve_linear_system(self.ROWS, 1, ceiling=9)
+        with O.state_ceiling_of(9), \
+                pytest.raises(StateLimitExceeded, match="linear system") as exc:
+            solve_linear_system(self.ROWS, 1)
         assert exc.value.limit == 9
 
     def test_ceiling_at_the_peak_passes(self):
-        assert solve_linear_system(self.ROWS, 1, ceiling=10) == [[6], [-3], [-2]]
+        with O.state_ceiling_of(10):
+            assert solve_linear_system(self.ROWS, 1) == [[6], [-3], [-2]]
 
     def test_ergodic_analysis_passes_its_ceiling_on(self):
         C = MarkovChain([0, 1, 2], 0,
                         [((1, HALF), (2, HALF)), ((1, ONE),), ((2, ONE),)])
-        with pytest.raises(StateLimitExceeded, match="linear system"):
-            mc_ergodic_analysis(C, ceiling=2)
-        assert mc_ergodic_analysis(C, ceiling=3)[1] == [HALF, HALF]
+        with O.state_ceiling_of(2), pytest.raises(StateLimitExceeded, match="linear system"):
+            mc_ergodic_analysis(C)
+        with O.state_ceiling_of(3):
+            assert mc_ergodic_analysis(C)[1] == [HALF, HALF]

@@ -39,6 +39,14 @@ worker process of its own.  The command lines are:
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
   controllers of both trees;
+* CEILING lines: a few bench/inputs specs get `synth` without a threshold
+  and with 1/2, `eval` in the modes expected and worst-case with the old
+  tree's controller, and `simulate`, each under the state ceilings of
+  CEILING_LINES, chosen so that the refusals come from different guards
+  and some ceilings answer.  None reaches the tableau automaton's guard:
+  through the CLI every automaton is built on a shared tableau, whose memo
+  entries outnumber the automaton's states, so the memo guard refuses
+  first;
 * REWRITE steps, last and never shuffled, each tree in a directory of its
   own: one spec path is rewritten in place with REWRITE seeded random
   specs over the same alphabet in turn, then with a malformed one, then
@@ -51,16 +59,18 @@ worker process of its own.  The command lines are:
   replaced by `{dir}` in the output before the comparison.
 
 A command line that starts with WRITE is the worker's step, not the CLI's:
-it writes a file in place.  Exit codes, standard output, standard error and
-the sha256 of every written controller are compared.  Report lines `key =
-value` whose key is named by `--ignore` are left out of the comparison.
-With `--shuffle SEED`, the new tree runs the command lines of the synth
-phase and of the follow-ups in a permutation drawn from SEED, and its
-results are put back in order before the comparison: output that depends
-on what ran before in the same process (a cache, a memo, the parser) shows
-up as a difference.  A worker that does not finish within WORKER_TIMEOUT_S
-seconds is an error.  Every difference is printed; the exit code is 1 if
-there is any, else 0.  Standard library only.
+it writes a file in place.  One that starts with CEILING and a value runs
+the rest with HQSYNTH_STATE_CEILING set to that value, restored after it,
+so CEILING lines can run in any order.  Exit codes, standard output,
+standard error and the sha256 of every written controller are compared.
+Report lines `key = value` whose key is named by `--ignore` are left out of
+the comparison.  With `--shuffle SEED`, the new tree runs the command lines
+of the synth phase, of the follow-ups and of the CEILING lines in a
+permutation drawn from SEED, and its results are put back in order before
+the comparison: output that depends on what ran before in the same process
+(a cache, a memo, the parser) shows up as a difference.  A worker that does
+not finish within WORKER_TIMEOUT_S seconds is an error.  Every difference is
+printed; the exit code is 1 if there is any, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +103,14 @@ LAMBDAS = ("1/4", "1/2", "3/4")
 SIMULATE = ["--samples", "200", "--seed", "0"]
 CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
 WRITE = "{write}"  # [WRITE, path, text]: write text to path, keeping its mtime
+CEILING = "{ceiling}"  # [CEILING, value, *argv]: run argv under that state ceiling
+CEILING_ENV = "HQSYNTH_STATE_CEILING"
+# spec -> ceilings.  The first refusal at each comes from the alphabet (3),
+# the tableau memos (20), the induced MDP (8, synth only), the determinized
+# automaton (170), the product automaton or the evaluation product (220) or
+# a linear system (300); 60 and 500 answer.
+CEILING_LINES = {"hard_drive": ("3", "20", "60"), "defect_output_sensitive": ("8",),
+                 "gf2": ("170", "220", "300", "500")}
 TREES = ("old", "new")
 WORKER_TIMEOUT_S = 900
 
@@ -115,6 +133,9 @@ def worker(src: str):
             rewrite(*argv[1:])
             results.append({"code": None, "out": "", "err": ""})
             continue
+        before = os.environ.get(CEILING_ENV)
+        if argv[0] == CEILING:
+            os.environ[CEILING_ENV], argv = argv[1], argv[2:]
         out, err = io.StringIO(), io.StringIO()
         code = None
         try:
@@ -122,6 +143,11 @@ def worker(src: str):
                 code = hqsynth.cli.main(argv)
         except Exception:  # an exception escaping the CLI is an answer too
             err.write("traceback: " + traceback.format_exc().strip().splitlines()[-1])
+        finally:
+            if before is None:
+                os.environ.pop(CEILING_ENV, None)
+            else:
+                os.environ[CEILING_ENV] = before
         results.append({"code": code, "out": out.getvalue(), "err": err.getvalue()})
     json.dump(results, sys.stdout)
 
@@ -354,6 +380,19 @@ def usage_cases() -> list:
     return [(f"usage.{name}", argv, None) for name, argv in argvs.items()]
 
 
+def ceiling_lines(ctrl_of) -> list:
+    """The CLI command lines of CEILING_LINES, each spec's `eval` and
+    `simulate` with the controller `ctrl_of(case id)` of its plain synth."""
+    lines = []
+    for name, ceilings in CEILING_LINES.items():
+        spec, ctrl = os.path.join(INPUTS, name + ".json"), ctrl_of(name + ".synth")
+        argvs = [["synth", spec], ["synth", spec, "--threshold", "1/2"],
+                 *(["eval", spec, ctrl, "--mode", mode] for mode in ("expected", "worst-case")),
+                 ["simulate", spec, ctrl] + SIMULATE]
+        lines += [[CEILING, c, *argv] for c in ceilings for argv in argvs]
+    return lines
+
+
 def rewrite_steps(treedir: str) -> list:
     """The REWRITE command lines of one tree, in its directory `treedir`."""
     sys.path.insert(0, BENCH)
@@ -450,6 +489,11 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     for label, a, b in zip(labels, evals["old"], evals["new"]):
         compared += 1
         diffs += compare(label, a, b, ignore)
+    lines = ceiling_lines(lambda cid: ctrl_path("old", cid))
+    ceilinged = run_both(srcs, {t: lines for t in TREES}, rng)
+    for argv, a, b in zip(lines, ceilinged["old"], ceilinged["new"]):
+        compared += 1
+        diffs += compare(f"ceiling {argv[1]}: {' '.join(argv[2:])}", a, b, ignore)
     dirs = {t: os.path.join(workdir, "rewrite-" + t) for t in TREES}
     steps = {}
     for t, path in dirs.items():
