@@ -53,13 +53,13 @@ These local conventions keep it fast and the halves compatible:
   not change when those states are renamed, so the transitions and ranks
   come out equal.  `ltl_to_nbw` called without a tableau builds on a
   fresh one, so its Buchi automaton is the same bit for bit however often
-  it is called; its memos die with the call, so only the branches of the
-  cover being composed count against the state ceiling.  A shared
-  tableau's memo entries, and the branches its expansions, prefixes and
-  covers hold, count against the ceiling as it reads when the automaton
-  being built starts; when those of the automata before fill it, `dpw_for`
-  builds on a fresh tableau instead, so a build fails only where it would
-  fail alone.
+  it is called.  One rule counts for every tableau, shared or fresh: its
+  memo entries, and the branches its expansions, prefixes and covers hold
+  or are composing, count against the ceiling as it reads when the
+  automaton being built starts, checked as a branch is extended.  When
+  those of the automata before fill a shared tableau, `dpw_for` builds on
+  a fresh tableau instead, so a build fails exactly where `ltl_to_nbw`
+  without a tableau fails.
 
 * Unsatisfiable branches are pruned while covers are composed.  Call a
   set of obligations vacuous when every branch of its cover has a vacuous
@@ -164,7 +164,7 @@ from .formulas import Formula, LassoWord
 
 TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE = range(8)
 
-# what a `StateLimitExceeded` from the memos of a shared tableau names
+# what a `StateLimitExceeded` from the memos of a tableau names
 TABLEAU_MEMOS = "tableau memos"
 
 
@@ -226,9 +226,6 @@ class Tableau:
         # in a list `covers_of` can add to without holding the tableau.
         self.size = [1]
         self.prune = prune
-        # the (weak mask, limit, shared) of the last `covers_of` and its
-        # function
-        self.served = (None, None, None, None)
 
     # --- the node table
 
@@ -344,21 +341,17 @@ class Tableau:
         """The entries of the memos and the branches they hold."""
         return self.size[0]
 
-    def covers_of(self, limit: int | None = None, shared: bool = True):
-        """The memoized `cover` function of this tableau over the nodes made
-        so far.  With a `limit`, more memo entries and branches than that,
-        the branches being composed included, raise `StateLimitExceeded`
-        naming TABLEAU_MEMOS; on a tableau not `shared`, which serves one
-        call and dies with it, only the branches being composed count."""
-        if self.served[:3] == (self.weak, limit, shared):
-            return self.served[3]
+    def covers_of(self):
+        """The `cover` function of this tableau over the nodes made so far.
+        Its memo entries and the branches they hold, the branches being
+        composed included, count against `state_ceiling()`, read when this
+        is called: more raise `StateLimitExceeded` naming TABLEAU_MEMOS."""
         kind, args, closure, atom_bit = self.kind, self.args, self.closure, self.atom_bit
         expansions, covers, prefixes = self.expansions, self.covers, self.prefixes
         vacuous_sets, partners, size, one = self.vacuous_sets, self.partners, self.size, self.one
-        counted = size if shared else [0]
         # Unpruned, every weakened next-step set is empty, never vacuous.
         weak = self.weak if self.prune else 0
-        bound = float("inf") if limit is None else limit
+        limit = state_ceiling()
 
         # Branches are (done, pos, neg, nxt, post): `done` the obligations
         # discharged so far, pos/neg atom bitmasks, nxt the obligations for
@@ -401,7 +394,7 @@ class Tableau:
             in depth-first order without repeats or vacuous pairs."""
             out: dict = {}
             for branch in branches:
-                if counted[0] + len(out) > bound:
+                if size[0] + len(out) > limit:
                     raise StateLimitExceeded(TABLEAU_MEMOS, limit)
                 done, pos, neg, nxt, post = branch
                 if done >> f & 1:
@@ -597,7 +590,6 @@ class Tableau:
 
         # No closure here holds the tableau, so a dropped tableau is freed at
         # once, not by the cycle collector.
-        self.served = (self.weak, limit, shared, cover)
         return cover
 
 
@@ -634,21 +626,19 @@ def ltl_to_nbw(beta: BExpr, atoms=None, *, tableau: Tableau | None = None) -> NB
     Its states are (obligation bitmask over node ids, degeneralization
     counter) pairs; letters are bitmasks too, letter j of `all_letters`
     being the bitmask j over the sorted atoms.  Without a `tableau`, a fresh
-    one serves this call alone, and its memos die with the call: only the
-    branches of the cover being composed count against `state_ceiling()`,
-    read once when the call starts.  A tableau passed in serves its own
-    atoms as the alphabet and outlives the call, so its memo entries and
-    branches count against that ceiling too.  Both are checked while covers
-    are composed: more raise `StateLimitExceeded` naming TABLEAU_MEMOS.
+    one over `atoms` serves this call alone; a tableau passed in serves its
+    own atoms as the alphabet.  Either way its memo entries and the
+    branches they hold, those being composed included, count against
+    `state_ceiling()` while covers are composed: more raise
+    `StateLimitExceeded` naming TABLEAU_MEMOS.
     """
-    shared = tableau is not None
-    if not shared:
+    if tableau is None:
         tableau = Tableau(_bexpr_atoms(beta) if atoms is None else atoms)
     root = tableau.add(beta)
     untils = tableau.untils(root)
     m = len(untils)
     letters = tableau.letters
-    cover, fits = tableau.covers_of(state_ceiling(), shared), tableau.fits
+    cover, fits = tableau.covers_of(), tableau.fits
 
     def expand(state, number):
         obls, k = state

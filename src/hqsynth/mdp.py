@@ -346,15 +346,10 @@ def induced_pre_mdp(automaton, process, *, safe=None) -> PreMDP:
     def expand(lab, number):
         q, sd = lab
         row = automaton.rows[q]
-        if safe is None:
-            return outs, [
-                probability_row([((row[i | o], sd2), w)
-                                 for i, sd2, w in process.branches(sd, o)], number)
-                for o in outs]
         kept, rows = [], []
         for o in outs:
             succs = [((row[i | o], sd2), w) for i, sd2, w in process.branches(sd, o)]
-            if all(map(safe, [t for t, _ in succs])):
+            if safe is None or all(map(safe, [t for t, _ in succs])):
                 kept.append(o)
                 rows.append(probability_row(succs, number))
         if not kept:

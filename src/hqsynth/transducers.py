@@ -123,10 +123,8 @@ def transducer_from_json(doc: dict) -> Transducer:
     transitions = json_records(doc["transitions"], ("from", "input", "to"),
                                "controller transition")
     states = [st["id"] for st in records]
-    for q in (doc["initial"], *states,
-              *(tr[k] for tr in transitions for k in ("from", "to"))):
-        if type(q) is not int and not isinstance(q, str):
-            raise ValueError(f"controller state ids must be integers or strings, not {q!r}")
+    _check_ids((doc["initial"], *states,
+                *(tr[k] for tr in transitions for k in ("from", "to"))))
     frozen: dict = {}  # each distinct list of atom names, checked and frozen once
     labels = {st["id"]: json_letter(st["label"], frozen, "controller state label")
               for st in records}
@@ -142,11 +140,21 @@ def transducer_from_json(doc: dict) -> Transducer:
                       states, doc["initial"], delta, labels)
 
 
+def _check_ids(ids):
+    for q in ids:
+        if type(q) is not int and not isinstance(q, str):
+            raise ValueError(f"controller state ids must be integers or strings, not {q!r}")
+
+
 def save_transducer(T: Transducer, path: str):
     """Write `T` as `json.dumps(transducer_to_json(T), indent=2,
-    sort_keys=True)` and a newline, in one write."""
+    sort_keys=True)` and a newline, in one write.  A transducer
+    `load_transducer` would not read back (ids that are not ints or
+    strings, atoms that are not strings) raises its `ValueError` before
+    the file is opened."""
+    text = _json_text(T)
     with open(path, "w") as fh:
-        fh.write(_json_text(T))
+        fh.write(text)
 
 
 def _json_text(T: Transducer) -> str:
@@ -154,13 +162,11 @@ def _json_text(T: Transducer) -> str:
     sort_keys=True) + "\n"`, written directly: keys in sorted order, every
     nonempty list one item a line, two spaces an indent level, transitions
     in state order and, from each state, in `all_letters` order.  Only ids
-    and atom names go through `json.dumps`, once each; a transducer with
-    ids that are not ints or strings, or atoms that are not strings, takes
-    `json.dumps` whole."""
+    and atom names go through `json.dumps`, once each."""
+    _check_ids(T.states)
+    json_atoms(list(T.inputs), "controller inputs")
+    json_atoms(list(T.outputs), "controller outputs")
     names = T.inputs | T.outputs
-    if not (all(type(q) is int or type(q) is str for q in T.states)
-            and all(type(a) is str for a in names)):
-        return json.dumps(transducer_to_json(T), indent=2, sort_keys=True) + "\n"
     ids = {q: str(q) if type(q) is int else json.dumps(q) for q in T.states}
     quoted = {a: json.dumps(a) for a in names}
 

@@ -315,7 +315,10 @@ def _ceiling_transducer():
 # construction -> (stage named by the guard, its inputs, built at the
 # default ceiling, and the size of the construction on them)
 CEILING_CASES = {
-    "ltl_to_nbw": ("tableau automaton", lambda: (_ceiling_beta(),),
+    # a chain of single-branch covers: no branch is extended, so the memos
+    # are never checked and the automaton's own guard refuses
+    "ltl_to_nbw": ("tableau automaton",
+                   lambda: (booleanize(parse("X X X X i"), AtLeast(Fraction(1))),),
                    lambda beta: len(ltl_to_nbw(beta, CEILING_IO))),
     "determinize": ("determinized automaton",
                     lambda: (ltl_to_nbw(_ceiling_beta(), CEILING_IO),),
@@ -667,11 +670,12 @@ def test_tableau_memos_count_against_the_ceiling(fresh_dpw_for):
     want = _fresh_dpw(f, predicate, CEILING_IO)
     tableau = automata.Tableau(CEILING_IO)
     with state_ceiling_of(ceiling):
-        # the memos of a call's own tableau die with it
-        assert len(ltl_to_nbw(beta, CEILING_IO)) == nbw_states
-        with pytest.raises(StateLimitExceeded) as info:
-            ltl_to_nbw(beta, CEILING_IO, tableau=tableau)
-        assert info.value.what == automata.TABLEAU_MEMOS
+        # a call's own tableau counts its memos as one passed in does
+        for call in (lambda: ltl_to_nbw(beta, CEILING_IO),
+                     lambda: ltl_to_nbw(beta, CEILING_IO, tableau=tableau)):
+            with pytest.raises(StateLimitExceeded) as info:
+                call()
+            assert info.value.what == automata.TABLEAU_MEMOS
         with pytest.raises(StateLimitExceeded) as info:
             fresh_dpw_for(f, predicate, CEILING_IO)
         assert info.value.what == automata.TABLEAU_MEMOS
@@ -789,10 +793,10 @@ def test_memo_size_counts_every_entry_and_branch():
 
 
 def test_a_call_of_its_own_counts_its_cover_against_the_ceiling(monkeypatch):
-    # A tableau of one `ltl_to_nbw` call's own dies with the call, so its
-    # memos do not count, but the branches of the cover being composed do:
-    # the initial state of this formula has 2^16 cover branches, and the
-    # build stops early instead of composing them all first.
+    # A tableau of one `ltl_to_nbw` call's own counts as a shared one does,
+    # the branches of the cover being composed included: the initial state
+    # of this formula has 2^16 cover branches, and the build stops early
+    # instead of composing them all first.
     monkeypatch.setenv("HQSYNTH_STATE_CEILING", "5000")
     f = parse(" & ".join(f"({'X ' * i}a | {'X ' * i}b)" for i in range(1, 17)))
     beta = booleanize(f, EqualTo(Fraction(1)))
@@ -1082,14 +1086,15 @@ def test_dpw_for_remembers_an_empty_verdict(monkeypatch, fresh_dpw_for):
 
 def test_tableau_memo_bound_counts_branches(monkeypatch, fresh_dpw_for):
     # The value-0 automaton of the 10-level chain has 1024 states, but the
-    # branches its memos hold run to about 7 * 10^5.
+    # branches its memos hold run to about 7 * 10^5.  They count against
+    # the ceiling on a shared tableau and on a call's own alike.
     monkeypatch.setenv("HQSYNTH_STATE_CEILING", "20000")
     f, ab = parse("b U (" * 10 + "a" + ")" * 10), frozenset({"a", "b"})
-    with pytest.raises(StateLimitExceeded) as info:
-        fresh_dpw_for(f, EqualTo(Fraction(0)), ab)
-    assert info.value.what == automata.TABLEAU_MEMOS
-    # a call on a tableau of its own counts states only
-    assert len(ltl_to_nbw(booleanize(f, EqualTo(Fraction(0))), ab)) == 1024
+    for call in (lambda: fresh_dpw_for(f, EqualTo(Fraction(0)), ab),
+                 lambda: ltl_to_nbw(booleanize(f, EqualTo(Fraction(0))), ab)):
+        with pytest.raises(StateLimitExceeded) as info:
+            call()
+        assert info.value.what == automata.TABLEAU_MEMOS
 
 
 # --- lasso search ----------------------------------------------------------

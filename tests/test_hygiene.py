@@ -81,18 +81,24 @@ def test_no_global_statements(name):
 
 def test_the_state_ceiling_is_read_from_the_environment_alone():
     # Every guard calls `state_ceiling()`, which reads HQSYNTH_STATE_CEILING;
-    # no function or method takes a `ceiling` to override it.
+    # no function or method takes a `ceiling` or a `limit` to override it.
+    # `StateLimitExceeded` takes the limit that was exceeded, to report it.
     found, readers = [], 0
     for name in MODULES:
-        for node in ast.walk(_tree(name)):
+        tree = _tree(name)
+        reporters = {id(node) for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) and cls.name == "StateLimitExceeded"
+                     for node in cls.body}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             args = node.args
             params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
                                       args.vararg, args.kwarg) if a is not None]
             here = f"{name}:{node.lineno}"
-            if "ceiling" in params:
-                found.append(f"{here} takes `ceiling`")
+            for knob in ("ceiling", "limit"):
+                if knob in params and id(node) not in reporters:
+                    found.append(f"{here} takes `{knob}`")
             if getattr(node, "name", None) == "state_ceiling":
                 readers += 1
                 if params:

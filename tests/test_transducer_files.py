@@ -54,12 +54,3 @@ def test_controller_file_bytes_and_round_trip(T):
     assert (back.inputs, back.outputs, back.states, back.initial, back.delta, back.labels) \
         == (T.inputs, T.outputs, T.states, T.initial, T.delta, T.labels)
 
-
-def test_other_ids_are_written_as_json_writes_them(tmp_path):
-    # ids no controller file can hold still save as json.dumps has them
-    T = Transducer(frozenset({"a"}), frozenset(), [(0, 1), 2.5], (0, 1),
-                   {(q, i): 2.5 for q in [(0, 1), 2.5] for i in all_letters({"a"})},
-                   {(0, 1): frozenset(), 2.5: frozenset()})
-    path = tmp_path / "ctrl.json"
-    save_transducer(T, str(path))
-    assert path.read_text() == json.dumps(transducer_to_json(T), indent=2, sort_keys=True) + "\n"

@@ -167,6 +167,26 @@ class TestSerialization:
         U = load_transducer(p1)
         assert exec_inputs(U, [DATA, E, E]) == [DATA, CLOSE, E]
 
+    def test_ids_and_atoms_no_file_holds_are_refused(self, tmp_path):
+        # `load_transducer` reads only int or string ids and string atoms, so
+        # `save_transducer` refuses the others with its message, before the
+        # file is opened.
+        def one_state(q, atom="a"):
+            inputs = frozenset({atom})
+            return Transducer(inputs, frozenset(), [q], q,
+                              {(q, i): q for i in all_letters(inputs)}, {q: E})
+
+        cases = [(one_state((0,)), "controller state ids must be integers or strings, not (0,)"),
+                 (one_state(True), "controller state ids must be integers or strings, not True"),
+                 (one_state(False), "controller state ids must be integers or strings, not False"),
+                 (one_state(0, 1), "controller inputs must be a list of atom names")]
+        for k, (T, message) in enumerate(cases):
+            path = tmp_path / f"ctrl{k}.json"
+            with pytest.raises(ValueError) as info:
+                save_transducer(T, str(path))
+            assert str(info.value) == message
+            assert not path.exists()
+
     def test_schema_fields(self):
         doc = transducer_to_json(close_second_cycle())
         assert set(doc) == {"inputs", "outputs", "states", "initial",

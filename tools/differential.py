@@ -26,6 +26,8 @@ worker process of its own.  The command lines are:
   to 8, of literals and of `factor`ed literals, whose value automata decide
   long chains of single-branch tableau sets; each synthesized without a
   threshold and with 1/2;
+* the XCHAIN spec `X^60 i` over input i and output o, whose covers have
+  one branch each, synthesized without a threshold;
 * USAGE command lines: those that end in a usage error (an unknown
   subcommand, an unknown flag, a missing positional, a bad `--mode`,
   `--samples 0`, `--samples x` and a `--threshold` in exponent notation,
@@ -39,14 +41,14 @@ worker process of its own.  The command lines are:
 * for every controller either tree wrote: `eval` in the modes expected,
   almost-sure and worst-case, and `simulate`.  Each tree evaluates the
   controllers of both trees;
-* CEILING lines: a few bench/inputs specs get `synth` without a threshold
-  and with 1/2, `eval` in the modes expected and worst-case with the old
-  tree's controller, and `simulate`, each under the state ceilings of
-  CEILING_LINES, chosen so that the refusals come from different guards
-  and some ceilings answer.  None reaches the tableau automaton's guard:
-  through the CLI every automaton is built on a shared tableau, whose memo
-  entries outnumber the automaton's states, so the memo guard refuses
-  first;
+* CEILING lines: a few bench/inputs specs and the XCHAIN spec get `synth`
+  without a threshold and with 1/2, `eval` in the modes expected and
+  worst-case with the old tree's controller, and `simulate`, each under
+  the state ceilings of CEILING_LINES, chosen so that the refusals come
+  from different guards and some ceilings answer.  The tableau memos are
+  checked only as a branch is extended, so where they outnumber the
+  automaton's states the memo guard refuses first; XCHAIN extends none,
+  so the tableau automaton's own guard refuses it;
 * REWRITE steps, last and never shuffled, each tree in a directory of its
   own: one spec path is rewritten in place with REWRITE seeded random
   specs over the same alphabet in turn, then with a malformed one, then
@@ -105,12 +107,14 @@ CTRL = "{ctrl}"  # stands for the controller's path in a follow-up command
 WRITE = "{write}"  # [WRITE, path, text]: write text to path, keeping its mtime
 CEILING = "{ceiling}"  # [CEILING, value, *argv]: run argv under that state ceiling
 CEILING_ENV = "HQSYNTH_STATE_CEILING"
+XCHAIN = "X " * 60 + "i"
 # spec -> ceilings.  The first refusal at each comes from the alphabet (3),
-# the tableau memos (20), the induced MDP (8, synth only), the determinized
-# automaton (170), the product automaton or the evaluation product (220) or
-# a linear system (300); 60 and 500 answer.
+# the tableau memos (20), the induced MDP (8, synth only), the tableau
+# automaton (40), the determinized automaton (62, 170), the product
+# automaton or the evaluation product (220) or a linear system (300); 60,
+# 200 and 500 answer.
 CEILING_LINES = {"hard_drive": ("3", "20", "60"), "defect_output_sensitive": ("8",),
-                 "gf2": ("170", "220", "300", "500")}
+                 "gf2": ("170", "220", "300", "500"), "xchain": ("40", "62", "200")}
 TREES = ("old", "new")
 WORKER_TIMEOUT_S = 900
 
@@ -356,6 +360,17 @@ def window_cases(specdir: str, name: str, count: int, formula) -> list:
     return cases
 
 
+def xchain_case(specdir: str) -> list:
+    """The same, for the XCHAIN spec, written to `specdir`."""
+    path = os.path.join(specdir, "xchain.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"inputs": ["i"], "outputs": ["o"], "formula": XCHAIN}, fh)
+    follow = [["eval", path, CTRL, "--mode", mode]
+              for mode in ("expected", "almost-sure", "worst-case")]
+    follow.append(["simulate", path, CTRL] + SIMULATE)
+    return [("xchain.synth", ["synth", path], follow)]
+
+
 def usage_cases() -> list:
     """(id, argv, None) per USAGE command line: no `--out`, no follow-ups."""
     hd = os.path.join(INPUTS, "hard_drive.json")
@@ -380,12 +395,15 @@ def usage_cases() -> list:
     return [(f"usage.{name}", argv, None) for name, argv in argvs.items()]
 
 
-def ceiling_lines(ctrl_of) -> list:
+def ceiling_lines(specdir: str, ctrl_of) -> list:
     """The CLI command lines of CEILING_LINES, each spec's `eval` and
-    `simulate` with the controller `ctrl_of(case id)` of its plain synth."""
+    `simulate` with the controller `ctrl_of(case id)` of its plain synth.
+    A spec not under bench/inputs is read from `specdir`."""
     lines = []
     for name, ceilings in CEILING_LINES.items():
         spec, ctrl = os.path.join(INPUTS, name + ".json"), ctrl_of(name + ".synth")
+        if not os.path.exists(spec):
+            spec = os.path.join(specdir, name + ".json")
         argvs = [["synth", spec], ["synth", spec, "--threshold", "1/2"],
                  *(["eval", spec, ctrl, "--mode", mode] for mode in ("expected", "worst-case")),
                  ["simulate", spec, ctrl] + SIMULATE]
@@ -458,7 +476,7 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     os.makedirs(specdir)
     cases = input_cases() + small_spec_cases(specdir) + interleaved_cases(specdir) + \
         window_cases(specdir, "xwindow", XWINDOW, xwindow_formula) + \
-        window_cases(specdir, "battery", BATTERY, battery_formula)
+        window_cases(specdir, "battery", BATTERY, battery_formula) + xchain_case(specdir)
     cases = spread(cases, usage_cases())
     ctrl = {t: os.path.join(workdir, t) for t in TREES}
     for path in ctrl.values():
@@ -489,7 +507,7 @@ def differential(srcs: dict, workdir: str, ignore, rng=None) -> tuple[int, list]
     for label, a, b in zip(labels, evals["old"], evals["new"]):
         compared += 1
         diffs += compare(label, a, b, ignore)
-    lines = ceiling_lines(lambda cid: ctrl_path("old", cid))
+    lines = ceiling_lines(specdir, lambda cid: ctrl_path("old", cid))
     ceilinged = run_both(srcs, {t: lines for t in TREES}, rng)
     for argv, a, b in zip(lines, ceilinged["old"], ceilinged["new"]):
         compared += 1
