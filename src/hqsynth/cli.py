@@ -45,6 +45,7 @@ from .common import (
     json_letter,
     json_object,
     json_records,
+    lru_lookup,
     parse_fraction,
 )
 from .evaluation import (
@@ -167,13 +168,7 @@ def _read_parsed(path: str, encoding: str | None, parser):
     with open(path, encoding=encoding) as fh:
         text = fh.read()
     key = (parser, text, os.environ.get(STATE_CEILING_ENV))
-    parsed = _parsed_files.pop(key, None)
-    if parsed is None:
-        parsed = parser(text, path)
-        if len(_parsed_files) >= PARSED_FILES_SIZE:
-            del _parsed_files[next(iter(_parsed_files))]
-    _parsed_files[key] = parsed
-    return parsed
+    return lru_lookup(_parsed_files, key, PARSED_FILES_SIZE, lambda: parser(text, path))
 
 
 # --- reports -------------------------------------------------------------

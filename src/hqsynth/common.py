@@ -191,6 +191,20 @@ def probability_row(branches, number) -> tuple:
     return tuple(sorted(acc.items()))
 
 
+def lru_lookup(cache: dict, key, size: int, build):
+    """`cache[key]`, made its most recently used entry.  On a miss the entry
+    is `build()`, kept only when it returns, and the least recently used
+    entry is dropped to keep at most `size`.  `cache` is a dict in use
+    order, oldest first; `build` never returns None."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
 def json_document(text: str, path: str):
     """The JSON document `text`, read from the file `path`; one nested too
     deeply for the decoder is a `ValueError` naming the file."""

@@ -6,7 +6,11 @@ process, tracked by one deterministic parity automaton per attainable value
 into an ergodic component, each ergodic component is accepted by exactly
 one value automaton, and absorption probabilities are computed by an exact
 linear solve.  Expected, conditional, and almost-sure values all read off
-that decomposition with Fraction arithmetic throughout.
+that decomposition with Fraction arithmetic throughout.  One analysis
+serves them all: the last ANALYSES_SIZE are kept under what they read
+(the transducer's content, the formula, the assumption, the input
+process's content and the state ceiling), so the questions asked of one
+controller one after another share one chain.
 
 Worst-case evaluation is adversarial instead of stochastic: a parity lasso
 search over the product of the transducer with each value automaton, in
@@ -29,7 +33,7 @@ from fractions import Fraction
 
 from .booleanize import AtLeast, EqualTo
 from .common import (InternalConsistencyError, all_letters, explore, letter_masks,
-                     probability_row)
+                     lru_lookup, probability_row, state_ceiling)
 from .automata import dpw_for, parity_lasso
 from .formulas import Formula, LassoWord, check_nesting, eval_lasso, is_boolean, values
 from .mdp import MarkovChain, input_process, mc_ergodic_analysis
@@ -113,16 +117,40 @@ def _classify(chain: MarkovChain, bottoms, dpws, vals):
     return out
 
 
+# The analyses `_setup` made last, least recently used first; the oldest is
+# dropped past ANALYSES_SIZE entries, as in the `dpw_for` cache.  The key is
+# what an analysis reads, never an object's identity: the transducer's
+# alphabets, initial state, transitions and labels, the formula, the extra
+# formulas, the input process's content and the state ceiling.  So the
+# controller that `synthesize` certifies and the same controller read back
+# from its file share an entry, and a transducer changed in place is
+# analysed anew.  The key is read off the objects as they are, without an
+# alphabet guard, so a miss refuses where an analysis of its own refuses.
+# Only what succeeded is kept.
+ANALYSES_SIZE = 16
+_analyses: dict = {}
+
+
 def _setup(T: Transducer, formula: Formula, extras=(), dist=None):
+    """(chain, its ergodic components, their probabilities, their values,
+    the number of value automata): the transducer under the input process,
+    tracked by the formula's value automata and, after them, one automaton
+    per extra formula."""
     _check_formula(T, formula)
-    atoms = T.inputs | T.outputs
-    vals = values(formula, atoms)
-    dpws = [dpw_for(formula, EqualTo(v), atoms) for v in vals]
-    extra_dpws = [dpw_for(g, AtLeast(Fraction(1)), atoms) for g in extras]
-    chain = product_chain(T, dpws + extra_dpws, dist)
-    bottoms, rho = mc_ergodic_analysis(chain)
-    comp_values = _classify(chain, bottoms, dpws, vals)
-    return chain, bottoms, rho, comp_values, len(dpws)
+
+    def analyse():
+        atoms = T.inputs | T.outputs
+        vals = values(formula, atoms)
+        dpws = [dpw_for(formula, EqualTo(v), atoms) for v in vals]
+        extra_dpws = [dpw_for(g, AtLeast(Fraction(1)), atoms) for g in extras]
+        chain = product_chain(T, dpws + extra_dpws, dist)
+        bottoms, rho = mc_ergodic_analysis(chain)
+        return chain, bottoms, rho, _classify(chain, bottoms, dpws, vals), len(dpws)
+
+    key = (T.inputs, T.outputs, T.initial, frozenset(T.delta.items()),
+           frozenset(T.labels.items()), formula, tuple(extras),
+           (T.inputs, T.outputs) if dist is None else dist.content, state_ceiling())
+    return lru_lookup(_analyses, key, ANALYSES_SIZE, analyse)
 
 
 def check_assumption(assumption: Formula, inputs):

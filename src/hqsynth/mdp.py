@@ -196,13 +196,15 @@ class UniformInputs:
     """Input process drawing every input letter with the same probability,
     whatever the output: weight 1 over the denominator 2^|inputs|.  It has
     the single state 0, and `branches` follows the order of `all_letters`.
-    What `dist=None` stands for."""
+    What `dist=None` stands for.  `content`, the alphabets, is all that
+    its answers depend on."""
 
     initial = 0
 
     def __init__(self, inputs, outputs):
         self.inputs = frozenset(inputs)
         self.outputs = frozenset(outputs)
+        self.content = (self.inputs, self.outputs)
         letters = all_letters(self.inputs)
         masks = letter_masks(self.inputs | self.outputs)
         self.den = len(letters)
@@ -234,7 +236,9 @@ class DistributionMDP:
     letter, both letters frozensets.  The rows are turned once into weights
     over the lcm `den` of their denominators, and the letters into masks
     over the joint alphabet; `branches` returns the positive weights, in
-    the order of the rows.
+    the order of the rows.  `content` holds the alphabets, the initial
+    state and the weighted rows: all that its answers depend on, so two
+    processes of one content answer alike.
     """
 
     def __init__(self, inputs, outputs, iota, initial, trans):
@@ -285,6 +289,8 @@ class DistributionMDP:
         iota = [masks[lab] for lab in self.iota]
         self._branches = {key: tuple((iota[t], t, w) for t, w in row)
                           for key, row in weights.items()}
+        self.content = (self.inputs, self.outputs, initial, den,
+                        tuple(self._branches.items()))
         # A row's law: weights merged per successor and sorted, so rows
         # listing one distribution in another order, with repeats or with
         # zero entries, compare equal.

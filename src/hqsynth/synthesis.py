@@ -54,11 +54,9 @@ from .evaluation import (
     AssumptionHasZeroProbability,
     almost_sure_value,
     check_assumption,
+    conditional_almost_sure_floor,
     conditional_expected_value,
-    expectation,
     expected_value,
-    floor_of,
-    outcomes,
 )
 from .formulas import Formula, check_nesting, implies, values
 from .mdp import (
@@ -442,13 +440,10 @@ def synthesize(spec: SynthesisSpec):
         phase_letters[("floor",)] = (len(vals), att_sigma)
     T = _extract(meta["product"], meta["mdp"], primary, triggers, phase_letters, process)
 
-    # A floor on the formula reads off the analysis that certifies the expected
-    # value; without one, the public evaluators certify it, so that the spans
-    # bench/tracer.py records for them still time the certificate.
-    if t is not None and spec.hard_constraint is None:
-        outs = outcomes(T, spec.formula, psi, process)
-        check = expectation(outs)
-    elif psi is None:
+    # The public evaluators certify the controller.  A floor on the formula
+    # is read off the analysis that certified the expected value, which the
+    # evaluators keep.
+    if psi is None:
         check = expected_value(T, spec.formula, process)
     else:
         check = conditional_expected_value(T, spec.formula, psi, process)
@@ -462,8 +457,10 @@ def synthesize(spec: SynthesisSpec):
             f"certificate mismatch: reported {value}, re-evaluated {check}")
     floor = None
     if t is not None:
-        floor = almost_sure_value(T, floor_formula, process) \
-            if spec.hard_constraint is not None else floor_of(outs)
+        if spec.hard_constraint is not None or psi is None:
+            floor = almost_sure_value(T, floor_formula, process)
+        else:
+            floor = conditional_almost_sure_floor(T, spec.formula, psi, process)
         if floor < t:
             raise InternalConsistencyError(
                 f"almost-sure floor {floor} fails the threshold {t}")

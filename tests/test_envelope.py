@@ -133,6 +133,21 @@ class TestNextChain:
                 1, "", f"error: {what} exceeded the state ceiling of {ceiling}; "
                        "set HQSYNTH_STATE_CEILING to raise it\n"), argv[0]
 
+    def test_a_lower_ceiling_refuses_what_was_served(self, files, capsys, monkeypatch):
+        # The analyses kept for `eval` and `simulate` at the default ceiling
+        # are not served under one that refuses their automata or their
+        # linear system.
+        answers = [run(capsys, argv) for argv in files[1:]]
+        assert [code for code, _, _ in answers] == [0, 0]
+        for ceiling, what in ((62, "determinized automaton"), (63, "linear system")):
+            monkeypatch.setenv("HQSYNTH_STATE_CEILING", str(ceiling))
+            for argv in files[1:]:
+                assert run(capsys, argv) == (
+                    1, "", f"error: {what} exceeded the state ceiling of {ceiling}; "
+                           "set HQSYNTH_STATE_CEILING to raise it\n"), argv[0]
+        monkeypatch.delenv("HQSYNTH_STATE_CEILING")
+        assert [run(capsys, argv) for argv in files[1:]] == answers
+
     def test_answers_at_200(self, files, capsys, monkeypatch):
         monkeypatch.setenv("HQSYNTH_STATE_CEILING", "200")
         assert [run(capsys, argv) for argv in files] == [

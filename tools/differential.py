@@ -48,7 +48,11 @@ worker process of its own.  The command lines are:
   from different guards and some ceilings answer.  The tableau memos are
   checked only as a branch is extended, so where they outnumber the
   automaton's states the memo guard refuses first; XCHAIN extends none,
-  so the tableau automaton's own guard refuses it;
+  so the tableau automaton's own guard refuses it.  They start with the
+  pairs of SERVED_LINES: `eval` in the mode expected and `simulate` under
+  the default ceiling, each followed by the same line under a ceiling that
+  refuses it, so an analysis kept from the first and served under the
+  second shows up in the plain order too;
 * REWRITE steps, last and never shuffled, each tree in a directory of its
   own: one spec path is rewritten in place with REWRITE seeded random
   specs over the same alphabet in turn, then with a malformed one, then
@@ -115,6 +119,11 @@ XCHAIN = "X " * 60 + "i"
 # 200 and 500 answer.
 CEILING_LINES = {"hard_drive": ("3", "20", "60"), "defect_output_sensitive": ("8",),
                  "gf2": ("170", "220", "300", "500"), "xchain": ("40", "62", "200")}
+# spec -> a ceiling at which the `eval` and `simulate` of its controller are
+# refused by the determinized automaton (xchain at 62) or by the evaluation
+# product (gf2 at 220), where the default ceiling answers.
+SERVED_LINES = {"xchain": "62", "gf2": "220"}
+DEFAULT_CEILING = "1000000"  # hqsynth's default state ceiling
 TREES = ("old", "new")
 WORKER_TIMEOUT_S = 900
 
@@ -396,14 +405,23 @@ def usage_cases() -> list:
 
 
 def ceiling_lines(specdir: str, ctrl_of) -> list:
-    """The CLI command lines of CEILING_LINES, each spec's `eval` and
-    `simulate` with the controller `ctrl_of(case id)` of its plain synth.
-    A spec not under bench/inputs is read from `specdir`."""
-    lines = []
-    for name, ceilings in CEILING_LINES.items():
-        spec, ctrl = os.path.join(INPUTS, name + ".json"), ctrl_of(name + ".synth")
+    """The CLI command lines of SERVED_LINES and CEILING_LINES, each spec's
+    `eval` and `simulate` with the controller `ctrl_of(case id)` of its
+    plain synth.  A spec not under bench/inputs is read from `specdir`."""
+    def pair(name):
+        spec = os.path.join(INPUTS, name + ".json")
         if not os.path.exists(spec):
             spec = os.path.join(specdir, name + ".json")
+        return spec, ctrl_of(name + ".synth")
+
+    lines = []
+    for name, ceiling in SERVED_LINES.items():
+        spec, ctrl = pair(name)
+        for argv in (["eval", spec, ctrl, "--mode", "expected"],
+                     ["simulate", spec, ctrl] + SIMULATE):
+            lines += [[CEILING, DEFAULT_CEILING, *argv], [CEILING, ceiling, *argv]]
+    for name, ceilings in CEILING_LINES.items():
+        spec, ctrl = pair(name)
         argvs = [["synth", spec], ["synth", spec, "--threshold", "1/2"],
                  *(["eval", spec, ctrl, "--mode", mode] for mode in ("expected", "worst-case")),
                  ["simulate", spec, ctrl] + SIMULATE]
